@@ -123,8 +123,11 @@ def chain_by_name(name: str) -> ChainSpec:
 
 @dataclass(frozen=True)
 class TraceStep:
+    """One executed mode.  Its inputs are not stored: they are the source
+    and the outputs of earlier steps, so a replay of the trace recovers
+    them."""
+
     mode_label: str
-    inputs: dict[str, str]
     output: str
 
 
@@ -141,15 +144,14 @@ class ChainResult:
             "chain_id": self.chain_id,
             "record_id": self.record_id,
             "final": {d.keyword: text for d, text in self.final.items()},
-            "steps": [
-                {"mode": s.mode_label, "inputs": s.inputs, "output": s.output}
-                for s in self.trace
-            ],
+            "steps": [{"mode": s.mode_label, "output": s.output} for s in self.trace],
             "error": self.error,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "ChainResult":
+        """Inverse of ``to_dict``; the ``inputs`` of steps in older trace
+        files are ignored."""
         return cls(
             chain_id=data["chain_id"],
             record_id=data.get("record_id"),
@@ -157,11 +159,33 @@ class ChainResult:
                 DimensionId.from_keyword(k): v for k, v in data.get("final", {}).items()
             },
             trace=tuple(
-                TraceStep(s["mode"], dict(s["inputs"]), s["output"])
-                for s in data.get("steps", [])
+                TraceStep(s["mode"], s["output"]) for s in data.get("steps", [])
             ),
             error=data.get("error"),
         )
+
+
+def run_chains(
+    chains: Sequence[ChainSpec],
+    source: str,
+    backend: ModelBackend,
+    with_formalization: bool = False,
+    record_id: str | None = None,
+) -> list[ChainResult]:
+    """Execute each chain over the same source text, in order.
+
+    A request asked before for this source (same mode, same input texts),
+    by an earlier step of any of the chains, is answered with the earlier
+    output instead of reaching the backend again; this is exact as long as
+    the backend is a function of the request.  A backend failure ends only
+    the chain that hit it, with its partial trace preserved and the error
+    recorded; failures are not remembered, so a later chain asks again.
+    """
+    memo: dict[tuple[str, tuple[str, ...]], str] = {}
+    return [
+        _run_one(chain, source, backend, with_formalization, record_id, memo)
+        for chain in chains
+    ]
 
 
 def run_chain(
@@ -171,8 +195,19 @@ def run_chain(
     with_formalization: bool = False,
     record_id: str | None = None,
 ) -> ChainResult:
-    """Execute the chain over the source text; on backend failure the
-    partial trace is preserved and the error recorded."""
+    """Execute one chain over the source text (see ``run_chains``)."""
+    (result,) = run_chains([chain], source, backend, with_formalization, record_id)
+    return result
+
+
+def _run_one(
+    chain: ChainSpec,
+    source: str,
+    backend: ModelBackend,
+    with_formalization: bool,
+    record_id: str | None,
+    memo: dict[tuple[str, tuple[str, ...]], str],
+) -> ChainResult:
     work: dict[DimensionId, str] = {DimensionId.SOURCE: source}
     trace: list[TraceStep] = []
     modes: tuple[ModeSpec, ...] = chain.modes
@@ -185,18 +220,21 @@ def run_chain(
                 f"chain {chain.id}: inputs {[d.keyword for d in missing]} absent "
                 f"for mode {m.label}"
             )
-        inputs = {d: work[d] for d in m.inputs}
-        request = GenerationRequest(mode=m, inputs=inputs, record_id=record_id)
-        try:
-            output = backend.generate(request)
-        except BackendError as err:
-            return ChainResult(
-                chain.id, record_id, dict(work), tuple(trace), error=str(err)
+        key = (m.label, tuple(work[d] for d in m.inputs))
+        output = memo.get(key)
+        if output is None:
+            request = GenerationRequest(
+                mode=m, inputs={d: work[d] for d in m.inputs}, record_id=record_id
             )
+            try:
+                output = backend.generate(request)
+            except BackendError as err:
+                return ChainResult(
+                    chain.id, record_id, dict(work), tuple(trace), error=str(err)
+                )
+            memo[key] = output
         work[m.output] = output
-        trace.append(
-            TraceStep(m.label, {d.keyword: t for d, t in inputs.items()}, output)
-        )
+        trace.append(TraceStep(m.label, output))
     return ChainResult(chain.id, record_id, dict(work), tuple(trace))
 
 
@@ -218,10 +256,11 @@ def default_ranking_key(report: MetricReport) -> tuple:
 
 
 def pool_index(
-    results: Sequence[tuple[ChainResult, MetricReport]],
+    results: Sequence[tuple[object, MetricReport]],
     key: Callable[[MetricReport], tuple] = default_ranking_key,
 ) -> int:
-    """Index of the item-wise best result under the ranking key."""
+    """Index of the item-wise best (result, report) pair under the ranking
+    key; only the reports are read."""
     if not results:
         raise ValueError("pooling needs at least one result")
     best = 0

@@ -22,8 +22,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from deepa2.backends import make_backend
-from deepa2.chains import ChainResult, chain_by_id, export_training, run_chain
+from deepa2.backends import GenerationRequest, ModelBackend, make_backend
+from deepa2.chains import ChainResult, chain_by_id, export_training, run_chains
 from deepa2.errors import (
     BackendError,
     ChainDefinitionError,
@@ -54,6 +54,18 @@ class RunManifest:
     out: Path
     with_formalization: bool
     jobs: int = 1
+
+
+class _CountingBackend:
+    """Counts the requests one record's chains send to the backend."""
+
+    def __init__(self, backend: ModelBackend):
+        self._backend = backend
+        self.calls = 0
+
+    def generate(self, request: GenerationRequest) -> str:
+        self.calls += 1
+        return self._backend.generate(request)
 
 
 def _atomic_write(path: Path, write) -> None:
@@ -156,34 +168,39 @@ def cmd_run(args) -> int:
         max_in_flight=max(1, manifest.jobs),
     )
 
-    tasks = [
-        (record, chain_by_id(chain_id))
-        for record in records
-        for chain_id in manifest.chain_ids
-    ]
+    chains = [chain_by_id(chain_id) for chain_id in manifest.chain_ids]
 
-    def execute(task) -> ChainResult:
-        record, chain = task
-        return run_chain(
-            chain,
+    def execute(record) -> tuple[list[ChainResult], int]:
+        counted = _CountingBackend(backend)
+        results = run_chains(
+            chains,
             record.source or "",
-            backend,
+            counted,
             with_formalization=manifest.with_formalization,
             record_id=record.meta.record_id,
         )
+        return results, counted.calls
 
+    # A record is the unit of parallel work: its chains share one memo of
+    # requests, so each distinct request reaches the backend once.
     if manifest.jobs > 1:
         with ThreadPoolExecutor(max_workers=manifest.jobs) as executor:
-            results = list(executor.map(execute, tasks))
+            per_record = list(executor.map(execute, records))
     else:
-        results = [execute(task) for task in tasks]
+        per_record = [execute(record) for record in records]
+    results = [result for chain_results, _ in per_record for result in chain_results]
+    calls = sum(n for _, n in per_record)
+    steps = sum(len(r.trace) for r in results)
 
     failed = [r for r in results if r.error]
     _atomic_write_lines(
         manifest.out,
         (json.dumps(r.to_dict(), ensure_ascii=False) + "\n" for r in results),
     )
-    print(f"wrote {len(results)} traces to {manifest.out} ({len(failed)} failed)")
+    print(
+        f"wrote {len(results)} traces to {manifest.out} ({len(failed)} failed; "
+        f"{calls} backend calls for {steps} steps)"
+    )
     if failed:
         logger.error("backend failures on %d traces (first: %s)", len(failed),
                      failed[0].error)

@@ -113,7 +113,6 @@ def _aggregate_reports(
 def aggregate_table(
     rows: Sequence[EvaluatedTrace],
     corpus: dict[str, DeepA2Record],
-    results_by_key: dict[tuple[str, int], ChainResult] | None = None,
     include_oracle: bool = True,
 ) -> dict:
     """Per-chain mean rows plus a pooling row (item-wise best chain) and an
@@ -134,16 +133,9 @@ def aggregate_table(
         for row in rows:
             by_record.setdefault(row.record_id, []).append(row)
         for record_id, group in by_record.items():
-            candidates = [
-                (
-                    results_by_key.get((record_id, row.chain_id))
-                    if results_by_key
-                    else ChainResult(row.chain_id, record_id, {}, ()),
-                    row.report,
-                )
-                for row in group
-            ]
-            best = pool_index(candidates, key=default_ranking_key)
+            best = pool_index(
+                [(row, row.report) for row in group], key=default_ranking_key
+            )
             pooled_pairs.append((group[best].report, corpus[record_id]))
         table_rows.append({"chain": "pooling", **_aggregate_reports(pooled_pairs)})
 

@@ -244,9 +244,7 @@ def _candidate_variants(step: InferenceStep, catalog: SchemeCatalog) -> list[Sch
     exact = spec.variant_named(step.variant)
     if exact is not None:
         return [exact]
-    if step.variant is not None:
-        # Unknown variant label: fall back to all variants of the scheme.
-        return list(spec.variants)
+    # No variant label, or an unknown one: every variant of the scheme.
     return list(spec.variants)
 
 

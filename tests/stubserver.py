@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import threading
 import time
@@ -26,9 +27,11 @@ class StubHandler(BaseHTTPRequestHandler):
                 self.end_headers()
                 return
             time.sleep(state["latency"])
-            payload = json.dumps(
-                {"output": "ECHO " + json.dumps(body["inputs"], sort_keys=True)}
-            ).encode()
+            if state["digest"]:
+                output = digest_echo(body["mode"], body["inputs"])
+            else:
+                output = "ECHO " + json.dumps(body["inputs"], sort_keys=True)
+            payload = json.dumps({"output": output}).encode()
             self.send_response(200)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(payload)))
@@ -42,12 +45,21 @@ class StubHandler(BaseHTTPRequestHandler):
         pass
 
 
+def digest_echo(mode_keyword: str, inputs: dict[str, str]) -> str:
+    """A short answer that differs for each (mode, inputs) request.  Chained
+    plain echoes nest each input inside the next request and grow
+    exponentially along a chain."""
+    text = json.dumps([mode_keyword, inputs], sort_keys=True)
+    return "ECHO " + hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
 def start_stub_server() -> ThreadingHTTPServer:
     server = ThreadingHTTPServer(("127.0.0.1", 0), StubHandler)
     server.state = {
         "lock": threading.Lock(),
         "requests": [],
         "fail_next": 0,
+        "digest": False,
         "latency": 0.0,
         "in_flight": 0,
         "max_in_flight": 0,

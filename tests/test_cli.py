@@ -5,11 +5,65 @@ import json
 
 import pytest
 
+from deepa2.backends import GenerationRequest, NoisyOracleBackend, OracleBackend
+from deepa2.chains import chain_catalog, formalization_subchain
 from deepa2.cli import EXIT_BACKEND, EXIT_CONFIG, EXIT_OK, EXIT_VALIDATION, main
+from deepa2.dimensions import DimensionId
+from deepa2.records import load_corpus
+
+from .stubserver import digest_echo, start_stub_server, stop_stub_server
 
 
 def run_cli(*argv) -> int:
     return main(list(argv))
+
+
+class RecordingBackend:
+    """Forwards every request and records (record, mode, inputs) of each."""
+
+    def __init__(self, backend):
+        self._backend = backend
+        self.requests = []
+
+    def generate(self, request):
+        inputs = tuple(request.inputs[d] for d in request.mode.inputs)
+        self.requests.append((request.record_id, request.mode.label, inputs))
+        return self._backend.generate(request)
+
+
+class DigestEchoBackend:
+    """Answers as the stub server does in digest mode, without HTTP."""
+
+    def generate(self, request):
+        inputs = {d.keyword: text for d, text in request.inputs.items()}
+        return digest_echo(request.mode.output.keyword, inputs)
+
+
+def chain_by_chain(records, backend) -> list[tuple]:
+    """(final, [(mode, output)]) of every catalogued chain with the
+    formalization sub-chain, record-major, one chain at a time and with no
+    memo: the reference for ``run``."""
+    out = []
+    for record in records:
+        for chain in chain_catalog():
+            work = {DimensionId.SOURCE: record.source}
+            steps = []
+            for m in chain.modes + formalization_subchain():
+                request = GenerationRequest(
+                    m, {d: work[d] for d in m.inputs}, record_id=record.meta.record_id
+                )
+                work[m.output] = backend.generate(request)
+                steps.append((m.label, work[m.output]))
+            out.append(({d.keyword: t for d, t in work.items()}, steps))
+    return out
+
+
+def read_traces(path) -> list[tuple]:
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    return [
+        (row["final"], [(s["mode"], s["output"]) for s in row["steps"]])
+        for row in rows
+    ]
 
 
 @pytest.fixture()
@@ -82,11 +136,47 @@ class TestRun:
 
     def test_parallel_jobs_match_sequential(self, tmp_path, corpus_file):
         seq, par = tmp_path / "seq.jsonl", tmp_path / "par.jsonl"
-        run_cli("run", "--corpus", str(corpus_file), "--chains", "1,9",
-                "--backend", "oracle", "--out", str(seq))
-        run_cli("run", "--corpus", str(corpus_file), "--chains", "1,9",
-                "--backend", "oracle", "--jobs", "4", "--out", str(par))
-        assert seq.read_text() == par.read_text()
+        for chains, backend, extra in (
+            ("1,9", "oracle", ()),
+            ("all", "noisy:0.2", ("--with-formalization",)),
+        ):
+            run_cli("run", "--corpus", str(corpus_file), "--chains", chains,
+                    "--backend", backend, *extra, "--out", str(seq))
+            run_cli("run", "--corpus", str(corpus_file), "--chains", chains,
+                    "--backend", backend, *extra, "--jobs", "4", "--out", str(par))
+            assert seq.read_text() == par.read_text()
+
+    def test_each_distinct_request_reaches_the_backend_once(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        assert run_cli("generate", "-n", "2", "--seed", "3", "--out", str(corpus)) == EXIT_OK
+        records = load_corpus(corpus)
+        traces = tmp_path / "traces.jsonl"
+        run_args = ("run", "--corpus", str(corpus), "--chains", "all",
+                    "--with-formalization", "--out", str(traces))
+
+        reference = RecordingBackend(DigestEchoBackend())
+        expected = chain_by_chain(records, reference)
+        distinct = len(set(reference.requests))
+        assert len(reference.requests) == 350 and distinct < 350
+
+        server = start_stub_server()
+        server.state["digest"] = True
+        try:
+            url = f"http://127.0.0.1:{server.server_address[1]}"
+            capsys.readouterr()
+            assert run_cli(*run_args, "--backend", url, "--jobs", "2") == EXIT_OK
+            assert len(server.state["requests"]) == distinct
+        finally:
+            stop_stub_server(server)
+        assert f"{distinct} backend calls for 350 steps" in capsys.readouterr().out
+        assert read_traces(traces) == expected
+
+        for spec, backend in (
+            ("oracle", OracleBackend(records)),
+            ("noisy:0.2", NoisyOracleBackend(records, 0.2, seed=0)),
+        ):
+            assert run_cli(*run_args, "--backend", spec) == EXIT_OK
+            assert read_traces(traces) == chain_by_chain(records, backend)
 
 
 class TestEval:

@@ -18,6 +18,7 @@ from deepa2.chains import (
     pool,
     pool_index,
     run_chain,
+    run_chains,
     sophistication,
 )
 from deepa2.dimensions import DimensionId
@@ -158,6 +159,36 @@ class TestRunChain:
         assert flaky.error is not None
         assert len(flaky.trace) == 2
 
+    def test_failure_is_not_remembered(self):
+        record = dilemma_record()
+        from deepa2.errors import BackendUnavailableError
+
+        s_a, sa_r, sa_j, srj_a = chain_by_id(10).modes
+
+        class FailOnceBackend(OracleBackend):
+            def __init__(self, records):
+                super().__init__(records)
+                self.modes = []
+
+            def generate(self, request):
+                self.modes.append(request.mode)
+                if self.modes.count(sa_r) == 1 and request.mode == sa_r:
+                    raise BackendUnavailableError("gone")
+                return super().generate(request)
+
+        backend = FailOnceBackend([record])
+        first, second = run_chains(
+            [chain_by_id(9), chain_by_id(10)], record.source, backend,
+            record_id=record.meta.record_id,
+        )
+        assert first.error is not None and len(first.trace) == 1
+        assert second == run_chain(
+            chain_by_id(10), record.source, OracleBackend([record]),
+            record_id=record.meta.record_id,
+        )
+        # S>A is answered from memory; the failed SA>R is asked again.
+        assert backend.modes == [s_a, sa_r, sa_r, sa_j, srj_a]
+
     def test_deterministic(self):
         record = dilemma_record()
         backend = OracleBackend([record])
@@ -254,7 +285,12 @@ def test_chain_result_dict_round_trip():
                        with_formalization=True, record_id=record.meta.record_id)
     from deepa2.chains import ChainResult
 
-    assert ChainResult.from_dict(result.to_dict()) == result
+    data = result.to_dict()
+    assert ChainResult.from_dict(data) == result
+    # Trace files written before steps dropped their inputs still load.
+    for step in data["steps"]:
+        step["inputs"] = {"source": record.source}
+    assert ChainResult.from_dict(data) == result
 
 
 def test_ranking_key_orders_reports():
