@@ -29,6 +29,7 @@ from deepa2.errors import (
     ChainDefinitionError,
     ConfigError,
     DeepA2Error,
+    UndefinedMetricError,
 )
 from deepa2.evaluation import aggregate_table, evaluate_traces, render_table
 from deepa2.generator import GeneratorConfig, generate_corpus, subset_census
@@ -210,16 +211,29 @@ def cmd_run(args) -> int:
 
 def cmd_eval(args) -> int:
     corpus = {r.meta.record_id: r for r in load_corpus(args.corpus)}
-    results = []
-    with open(args.traces, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                results.append(ChainResult.from_dict(json.loads(line)))
-    if not results:
-        raise DeepA2Error("traces file is empty")
-    usable = [r for r in results if not r.error]
-    rows = evaluate_traces(usable, corpus)
+    counts = {"traces": 0, "failed": 0}
+
+    def usable_results():
+        # Streamed: a trace is parsed, scored and dropped before the next
+        # line is read; failed traces are counted and skipped.
+        with open(args.traces, encoding="utf-8") as fh:
+            for line in fh:
+                line = line.strip()
+                if not line:
+                    continue
+                result = ChainResult.from_dict(json.loads(line))
+                counts["traces"] += 1
+                if result.error:
+                    counts["failed"] += 1
+                else:
+                    yield result
+
+    try:
+        rows = evaluate_traces(usable_results(), corpus)
+    except UndefinedMetricError:
+        if not counts["traces"]:
+            raise DeepA2Error("traces file is empty") from None
+        raise
     out = Path(args.out)
     _atomic_write_lines(
         out,
@@ -229,7 +243,13 @@ def cmd_eval(args) -> int:
     aggregate_path = out.with_suffix(out.suffix + ".aggregate.json")
     _atomic_write_json(aggregate_path, table)
     print(render_table(table))
-    print(f"wrote per-record metrics to {out} and aggregate to {aggregate_path}")
+    # Rows of one distinct analysis share its report (see evaluate_traces).
+    analyses = len({id(row.report) for row in rows})
+    print(
+        f"wrote metrics for {len(rows)} traces to {out} ({counts['failed']} failed "
+        f"traces skipped; {analyses} distinct analyses evaluated) and aggregate "
+        f"to {aggregate_path}"
+    )
     return EXIT_OK
 
 

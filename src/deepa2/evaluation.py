@@ -53,7 +53,17 @@ def evaluate_traces(
     catalog: SchemeCatalog | None = None,
     scorer: Scorer = default_scorer,
 ) -> list[EvaluatedTrace]:
+    """One row per result, in order; ``results`` may be any iterable and is
+    read once.
+
+    Each distinct analysis, a record id with the items of a ``final``
+    (in any insertion order), is evaluated once per call, and its rows share
+    one report.  This is exact because ``evaluate_analysis`` is a function
+    of the analysis, the target record, the catalog and the scorer, so a
+    custom ``scorer`` must be deterministic.
+    """
     catalog = catalog or builtin_catalog()
+    reports: dict[tuple[str, frozenset], MetricReport] = {}
     rows = []
     for result in results:
         record = corpus.get(result.record_id)
@@ -61,7 +71,13 @@ def evaluate_traces(
             raise DeepA2Error(
                 f"trace for unknown record {result.record_id!r}; corpus mismatch"
             )
-        rows.append(evaluate_trace(result, record, catalog, scorer))
+        key = (result.record_id, frozenset(result.final.items()))
+        report = reports.get(key)
+        if report is None:
+            report = reports[key] = evaluate_analysis(
+                result.final, target=record, catalog=catalog, scorer=scorer
+            )
+        rows.append(EvaluatedTrace(result.record_id, result.chain_id, report))
     if not rows:
         raise UndefinedMetricError("no traces to evaluate")
     return rows
@@ -86,22 +102,11 @@ def oracle_reports(
 def _aggregate_reports(
     pairs: Sequence[tuple[MetricReport, DeepA2Record]]
 ) -> dict[str, float | None]:
-    def mean_of(values):
-        values = [v for v in values if v is not None]
-        return sum(values) / len(values) if values else None
-
     row: dict[str, float | None] = {}
-    row["sys_pp"] = mean_of([r.sys_pp for r, _ in pairs])
-    row["sys_rp"] = mean_of([r.sys_rp for r, _ in pairs])
-    row["sys_rc"] = mean_of([r.sys_rc for r, _ in pairs])
-    row["sys_us"] = mean_of([r.sys_us for r, _ in pairs])
-    row["sys_sch"] = mean_of([r.sys_sch for r, _ in pairs])
-    row["sys_val"] = mean_of([r.sys_val for r, _ in pairs])
-    row["exe_meq"] = mean_of([r.exe_meq for r, _ in pairs])
-    row["exe_rss"] = mean_of([r.exe_rss for r, _ in pairs])
-    row["exe_jss"] = mean_of([r.exe_jss for r, _ in pairs])
-    row["exe_ppr"] = mean_of([r.exe_ppr for r, _ in pairs])
-    row["exe_ppj"] = mean_of([r.exe_ppj for r, _ in pairs])
+    for column in METRIC_COLUMNS[:-1]:  # all but exe_te, which is corpus-level
+        values = [getattr(r, column) for r, _ in pairs]
+        values = [v for v in values if v is not None]
+        row[column] = sum(values) / len(values) if values else None
     te_items = [
         (r.exe_te_prediction, record.meta.final_conclusion_explicit)
         for r, record in pairs

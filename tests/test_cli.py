@@ -195,12 +195,51 @@ class TestEval:
         assert by_chain["oracle"]["sys_val"] == 1.0
         assert by_chain["pooling"]["sys_val"] >= by_chain["1"]["sys_val"]
 
-    def test_empty_traces_exit_4(self, tmp_path, corpus_file):
+    def test_empty_traces_exit_4(self, tmp_path, corpus_file, caplog):
         traces = tmp_path / "traces.jsonl"
         traces.write_text("")
         code = run_cli("eval", "--traces", str(traces), "--corpus", str(corpus_file),
                        "--out", str(tmp_path / "m.jsonl"))
         assert code == EXIT_VALIDATION
+        assert "traces file is empty" in caplog.text
+
+    def test_failed_traces_are_skipped_and_counted(self, tmp_path, corpus_file, capsys):
+        traces = tmp_path / "traces.jsonl"
+        run_cli("run", "--corpus", str(corpus_file), "--chains", "1,9",
+                "--backend", "oracle", "--with-formalization", "--out", str(traces))
+        good = traces.read_text().splitlines(keepends=True)
+        failed = []
+        for line in good[:3]:
+            row = json.loads(line)
+            row["error"], row["steps"] = "backend down", row["steps"][:2]
+            failed.append(json.dumps(row) + "\n")
+        mixed = tmp_path / "mixed.jsonl"
+        mixed.write_text("".join(
+            line for pair in zip(good, failed + [""] * len(good)) for line in pair
+        ))
+        alone, with_failed = tmp_path / "alone.jsonl", tmp_path / "with_failed.jsonl"
+        for source, out in ((traces, alone), (mixed, with_failed)):
+            capsys.readouterr()
+            assert run_cli("eval", "--traces", str(source), "--corpus", str(corpus_file),
+                           "--out", str(out)) == EXIT_OK
+        assert with_failed.read_text() == alone.read_text()
+        assert ((tmp_path / "with_failed.jsonl.aggregate.json").read_text()
+                == (tmp_path / "alone.jsonl.aggregate.json").read_text())
+        assert (f"wrote metrics for 40 traces to {with_failed} (3 failed traces "
+                "skipped; 20 distinct analyses evaluated)") in capsys.readouterr().out
+
+    def test_only_failed_traces_exit_4(self, tmp_path, corpus_file, caplog):
+        traces = tmp_path / "traces.jsonl"
+        run_cli("run", "--corpus", str(corpus_file), "--chains", "1",
+                "--backend", "oracle", "--out", str(traces))
+        rows = [json.loads(line) for line in traces.read_text().splitlines()]
+        traces.write_text("".join(
+            json.dumps({**row, "error": "backend down"}) + "\n" for row in rows
+        ))
+        code = run_cli("eval", "--traces", str(traces), "--corpus", str(corpus_file),
+                       "--out", str(tmp_path / "m.jsonl"))
+        assert code == EXIT_VALIDATION
+        assert "no traces to evaluate" in caplog.text
 
     def test_corpus_mismatch_exit_4(self, tmp_path, corpus_file):
         traces = tmp_path / "traces.jsonl"

@@ -2,8 +2,9 @@
 
 import pytest
 
+import deepa2.evaluation as evaluation
 from deepa2.backends import NoisyOracleBackend, OracleBackend
-from deepa2.chains import chain_by_id, run_chain
+from deepa2.chains import ChainResult, chain_by_id, chain_catalog, run_chain, run_chains
 from deepa2.errors import DeepA2Error, UndefinedMetricError
 from deepa2.evaluation import (
     METRIC_COLUMNS,
@@ -13,6 +14,7 @@ from deepa2.evaluation import (
     render_table,
 )
 from deepa2.generator import GeneratorConfig, generate_corpus
+from deepa2.metrics import evaluate_analysis
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +52,90 @@ class TestEvaluateTraces:
     def test_empty_traces_rejected(self, corpus):
         with pytest.raises(UndefinedMetricError):
             evaluate_traces([], corpus)
+
+
+def all_chain_traces(corpus, backend):
+    return [
+        result
+        for record_id, record in corpus.items()
+        for result in run_chains(chain_catalog(), record.source, backend,
+                                 with_formalization=True, record_id=record_id)
+    ]
+
+
+def analysis_key(record_id, final):
+    return record_id, frozenset(final.items())
+
+
+@pytest.fixture()
+def counted(monkeypatch):
+    """The analyses ``evaluate_traces`` hands to ``evaluate_analysis``."""
+    calls = []
+
+    def counting(work, target=None, **kwargs):
+        calls.append(analysis_key(target.meta.record_id, work))
+        return evaluate_analysis(work, target=target, **kwargs)
+
+    monkeypatch.setattr(evaluation, "evaluate_analysis", counting)
+    return calls
+
+
+class TestReportMemo:
+    @pytest.fixture(scope="class")
+    def small(self, corpus):
+        return dict(list(corpus.items())[:8])
+
+    @pytest.mark.parametrize("noisy", [False, True], ids=["oracle", "noisy"])
+    def test_rows_equal_a_memo_free_loop(self, small, noisy):
+        backend = (NoisyOracleBackend(list(small.values()), 0.2, seed=0) if noisy
+                   else OracleBackend(small.values()))
+        results = all_chain_traces(small, backend)
+        rows = evaluate_traces(iter(results), small)
+        assert [(row.record_id, row.chain_id, row.report) for row in rows] == [
+            (r.record_id, r.chain_id, evaluate_analysis(r.final, target=small[r.record_id]))
+            for r in results
+        ]
+
+    def test_each_distinct_analysis_is_evaluated_once(self, small, counted):
+        results = all_chain_traces(small, OracleBackend(small.values()))
+        rows = evaluate_traces(results, small)
+        assert len(rows) == 16 * len(small)
+        assert sorted(counted) == sorted({analysis_key(r.record_id, r.final)
+                                          for r in results})
+        # Under the oracle the sixteen finals of a record coincide.
+        assert len(counted) == len(small)
+        assert len({id(row.report) for row in rows}) == len(small)
+
+        counted.clear()
+        results = all_chain_traces(small, NoisyOracleBackend(list(small.values()), 0.2, seed=0))
+        evaluate_traces(results, small)
+        distinct = {analysis_key(r.record_id, r.final) for r in results}
+        assert len(counted) == len(distinct) and set(counted) == distinct
+
+    def test_same_final_under_two_records_is_evaluated_twice(self, small, counted):
+        (id_a, record_a), (id_b, record_b) = list(small.items())[:2]
+        final = run_chain(chain_by_id(1), record_a.source, OracleBackend(small.values()),
+                          with_formalization=True, record_id=id_a).final
+        rows = evaluate_traces(
+            [ChainResult(1, id_a, final, ()), ChainResult(1, id_b, final, ())], small
+        )
+        assert len(counted) == 2
+        assert rows[0].report == evaluate_analysis(final, target=record_a)
+        assert rows[1].report == evaluate_analysis(final, target=record_b)
+        assert rows[0].report != rows[1].report
+
+    def test_insertion_order_of_final_does_not_matter(self, small, counted):
+        record_id, record = next(iter(small.items()))
+        final = run_chain(chain_by_id(2), record.source, OracleBackend(small.values()),
+                          with_formalization=True, record_id=record_id).final
+        reordered = dict(reversed(list(final.items())))
+        assert list(reordered) != list(final)
+        rows = evaluate_traces(
+            [ChainResult(2, record_id, final, ()), ChainResult(3, record_id, reordered, ())],
+            small,
+        )
+        assert len(counted) == 1
+        assert rows[0].report is rows[1].report
 
 
 class TestAggregateTable:

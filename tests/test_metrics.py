@@ -8,6 +8,7 @@ import pytest
 from deepa2.argdown import parse_argdown
 from deepa2.dimensions import DimensionId
 from deepa2.errors import UndefinedMetricError
+from deepa2.formula import parse_formula
 from deepa2.metrics import (
     default_scorer,
     eval_basic_flaws,
@@ -214,6 +215,25 @@ class TestFullSuiteOnReferenceRecord:
         assert report.exe_te_prediction is True
         # Two implicit premises drag the reason-coherence mean down.
         assert report.exe_rss < 0
+
+    def test_each_formalization_is_parsed_once(self, monkeypatch):
+        import deepa2.metrics as metrics
+        from deepa2.metrics import evaluate_analysis, work_dict_of_record
+        from .helpers import dilemma_record
+
+        record = dilemma_record()
+        work = work_dict_of_record(record)
+        expected = evaluate_analysis(work, target=record)
+        texts = []
+
+        def counting(text):
+            texts.append(text)
+            return parse_formula(text)
+
+        monkeypatch.setattr(metrics, "parse_formula", counting)
+        assert evaluate_analysis(work, target=record) == expected
+        formal = [q.text for q in record.premises_form + record.conclusion_form]
+        assert sorted(texts) == sorted(set(formal))
 
 
 class TestGarbageRobustness:
