@@ -217,11 +217,16 @@ def cmd_eval(args) -> int:
         # Streamed: a trace is parsed, scored and dropped before the next
         # line is read; failed traces are counted and skipped.
         with open(args.traces, encoding="utf-8") as fh:
-            for line in fh:
+            for number, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line:
                     continue
-                result = ChainResult.from_dict(json.loads(line))
+                try:
+                    result = ChainResult.from_dict(json.loads(line))
+                except (ValueError, KeyError, TypeError, AttributeError) as err:
+                    raise DeepA2Error(
+                        f"{args.traces}:{number}: malformed trace line ({err!r})"
+                    ) from None
                 counts["traces"] += 1
                 if result.error:
                     counts["failed"] += 1

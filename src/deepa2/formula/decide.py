@@ -1,27 +1,34 @@
 """Validity and satisfiability decisions for the monadic fragment.
 
-A structure for monadic first-order logic without equality is determined,
-up to elementary equivalence, by (i) which predicate profiles (subsets of
-the predicate letters) are realized by at least one element and (ii) the
-profile of each constant's denotation.  Every satisfiable formula set
-therefore has a model whose domain is a set of realized profiles, of size
-at most 2^k for k predicate letters -- within the 2^k + m small-model bound
-that makes the fragment decidable.
+Without equality, a structure is fixed up to elementary equivalence by the
+set S of predicate profiles (subsets of the k predicate letters) that some
+element has, plus the profile of each constant.  Every quantifier can
+therefore be eliminated (Behmann): a closed ``(Ex): b`` whose body mentions
+only ``x`` is true iff S meets the witness set W of profiles satisfying b.
 
-``check_satisfiable`` encodes "some such structure satisfies all formulas"
-as a propositional CNF over one realized-bit per profile plus a one-hot
-profile choice per constant (Tseitin translation) and decides it with a
-small DPLL solver.  ``check_entailment`` reduces to unsatisfiability of
-premises plus negated conclusion.
+Witness-set elimination works innermost quantifier first.  The body of
+``(Ex): b`` is split (Shannon expansion) on each leaf that does not mention
+x -- atoms of outer variables, ground atoms, blocks already built -- until
+only atoms of x are left; its witness set W is then a bitmask over the 2^k
+profiles, computed from per-predicate masks.  The quantifier becomes a block
+"S meets W": false for empty W, true for all profiles (domains are
+non-empty).  ``(x): b`` is ``not (Ex): not b``.  What is left of a formula
+set is a Boolean skeleton over blocks and ground atoms; it is satisfiable
+iff some assignment to those leaves makes it true and is realizable: with S
+all profiles outside every false block, S is non-empty, meets every true
+block, and holds a profile matching each constant's ground literals.
+``check_entailment`` reduces to unsatisfiability of premises plus negated
+conclusion.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 from deepa2.errors import UnsupportedFragmentError
 from deepa2.formula.syntax import (
     And,
     Atom,
-    Const,
     Exists,
     ForAll,
     Formula,
@@ -30,270 +37,193 @@ from deepa2.formula.syntax import (
     Not,
     Or,
     Var,
-    constants_of,
     free_variables,
     predicates_of,
     render_formula,
 )
 
-# 2^10 profiles keeps the translation small; arguments in practice use <= 8
-# predicate letters, anything beyond is malformed model output.
+# Witness sets are masks with one bit per profile, 2^k bits for k letters:
+# 10 letters bound every mask to 1024 bits (128 bytes), so each &, | and ^
+# on them stays cheap.  Arguments in practice use <= 8 predicate letters,
+# anything beyond is malformed model output.
 MAX_PREDICATES = 10
 
-_CACHE_LIMIT = 100_000
-_sat_cache: dict[tuple[str, ...], bool] = {}
+
+@dataclass(frozen=True)
+class _Block:
+    """The eliminated quantifier "some realized profile is in witnesses"."""
+
+    witnesses: int
 
 
-class _Cnf:
-    """CNF builder with Tseitin auxiliaries over integer literals."""
-
-    def __init__(self):
-        self.n_vars = 0
-        self.clauses: list[list[int]] = []
-        self.true_lit = self.new_var()
-        self.clauses.append([self.true_lit])
-
-    def new_var(self) -> int:
-        self.n_vars += 1
-        return self.n_vars
-
-    def add(self, clause: list[int]) -> None:
-        self.clauses.append(clause)
-
-    def const(self, value: bool) -> int:
-        return self.true_lit if value else -self.true_lit
-
-    def mk_and(self, lits: list[int]) -> int:
-        if not lits:
-            return self.const(True)
-        if len(lits) == 1:
-            return lits[0]
-        g = self.new_var()
-        for lit in lits:
-            self.add([-g, lit])
-        self.add([g] + [-lit for lit in lits])
-        return g
-
-    def mk_or(self, lits: list[int]) -> int:
-        if not lits:
-            return self.const(False)
-        if len(lits) == 1:
-            return lits[0]
-        g = self.new_var()
-        for lit in lits:
-            self.add([-lit, g])
-        self.add([-g] + list(lits))
-        return g
-
-    def mk_iff(self, a: int, b: int) -> int:
-        g = self.new_var()
-        self.add([-g, -a, b])
-        self.add([-g, a, -b])
-        self.add([g, a, b])
-        self.add([g, -a, -b])
-        return g
+# A skeleton is True, False, or a formula over And/Or/Not/Iff whose leaves
+# are atoms and blocks and which holds no Boolean constant.
 
 
-class _Encoder:
-    def __init__(self, predicates: list[str], constants: list[str]):
-        self.predicates = predicates
-        self.pred_bit = {p: 1 << i for i, p in enumerate(predicates)}
-        self.n_profiles = 1 << len(predicates)
-        self.cnf = _Cnf()
-        self.realized = [self.cnf.new_var() for _ in range(self.n_profiles)]
-        self.const_profile = {
-            c: [self.cnf.new_var() for _ in range(self.n_profiles)] for c in constants
-        }
-        self._ground_atom_cache: dict[tuple[str, str], int] = {}
-        self._structural_constraints()
-
-    def _structural_constraints(self) -> None:
-        # Non-empty domain.
-        self.cnf.add(list(self.realized))
-        for c, choices in self.const_profile.items():
-            # Each constant denotes an element with exactly one profile,
-            # and that profile must be realized.
-            self.cnf.add(list(choices))
-            self._at_most_one(choices)
-            for p, choice in enumerate(choices):
-                self.cnf.add([-choice, self.realized[p]])
-
-    def _at_most_one(self, lits: list[int]) -> None:
-        # Sequential encoding: prefix[i] means "some of lits[0..i] is true".
-        if len(lits) <= 1:
-            return
-        prev = lits[0]
-        for lit in lits[1:]:
-            self.cnf.add([-prev, -lit])
-            s = self.cnf.new_var()
-            self.cnf.add([-prev, s])
-            self.cnf.add([-lit, s])
-            prev = s
-
-    def assert_formula(self, formula: Formula) -> None:
-        self.cnf.add([self._translate(formula, {})])
-
-    def _translate(self, f: Formula, env: dict[str, int]) -> int:
-        if isinstance(f, Atom):
-            return self._atom(f, env)
-        if isinstance(f, Not):
-            return -self._translate(f.sub, env)
-        if isinstance(f, And):
-            return self.cnf.mk_and(
-                [self._translate(f.left, env), self._translate(f.right, env)]
-            )
-        if isinstance(f, Or):
-            return self.cnf.mk_or(
-                [self._translate(f.left, env), self._translate(f.right, env)]
-            )
-        if isinstance(f, Implies):
-            return self.cnf.mk_or(
-                [-self._translate(f.left, env), self._translate(f.right, env)]
-            )
-        if isinstance(f, Iff):
-            return self.cnf.mk_iff(
-                self._translate(f.left, env), self._translate(f.right, env)
-            )
-        if isinstance(f, ForAll):
-            conds = []
-            for p in range(self.n_profiles):
-                body = self._translate(f.body, {**env, f.var: p})
-                conds.append(self.cnf.mk_or([-self.realized[p], body]))
-            return self.cnf.mk_and(conds)
-        if isinstance(f, Exists):
-            witnesses = []
-            for p in range(self.n_profiles):
-                body = self._translate(f.body, {**env, f.var: p})
-                witnesses.append(self.cnf.mk_and([self.realized[p], body]))
-            return self.cnf.mk_or(witnesses)
-        raise TypeError(f"not a formula node: {f!r}")
-
-    def _atom(self, atom: Atom, env: dict[str, int]) -> int:
-        bit = self.pred_bit[atom.pred]
-        if isinstance(atom.term, Var):
-            profile = env[atom.term.name]
-            return self.cnf.const(bool(profile & bit))
-        key = (atom.term.name, atom.pred)
-        lit = self._ground_atom_cache.get(key)
-        if lit is None:
-            choices = self.const_profile[atom.term.name]
-            lit = self.cnf.mk_or(
-                [choices[p] for p in range(self.n_profiles) if p & bit]
-            )
-            self._ground_atom_cache[key] = lit
-        return lit
+def _not(a):
+    if isinstance(a, bool):
+        return not a
+    return a.sub if isinstance(a, Not) else Not(a)
 
 
-def _dpll(n_vars: int, clauses: list[list[int]]) -> bool:
-    """DPLL with two-watched-literal unit propagation."""
-    units: list[int] = []
-    watched: list[list[int]] = []  # clause id -> the two watched literals
-    kept: list[list[int]] = []
-    watchers: dict[int, list[int]] = {}
-    for clause in clauses:
-        clause = list(dict.fromkeys(clause))
-        if any(-lit in clause for lit in clause):
-            continue  # tautology
-        if len(clause) == 1:
-            units.append(clause[0])
-            continue
-        ci = len(kept)
-        kept.append(clause)
-        watched.append([clause[0], clause[1]])
-        watchers.setdefault(clause[0], []).append(ci)
-        watchers.setdefault(clause[1], []).append(ci)
+def _and(a, b):
+    if a is False or b is False:
+        return False
+    if a is True:
+        return b
+    return a if b is True else And(a, b)
 
-    assign = [0] * (n_vars + 1)  # 0 unknown, +1 true, -1 false
 
-    def value(lit: int) -> int:
-        a = assign[abs(lit)]
-        if a == 0:
-            return 0
-        return 1 if (a > 0) == (lit > 0) else -1
-
-    # Static branching order: most-watched variables first.
-    frequency = [0] * (n_vars + 1)
-    for clause in kept:
-        for lit in clause:
-            frequency[abs(lit)] += 1
-    order = sorted(range(1, n_vars + 1), key=lambda v: -frequency[v])
-
-    def propagate(queue: list[int], trail: list[int]) -> bool:
-        while queue:
-            lit = queue.pop()
-            var = abs(lit)
-            want = 1 if lit > 0 else -1
-            if assign[var] != 0:
-                if assign[var] != want:
-                    return False
-                continue
-            assign[var] = want
-            trail.append(var)
-            falsified = -lit
-            clause_ids = watchers.get(falsified)
-            if not clause_ids:
-                continue
-            still_watching: list[int] = []
-            for i, ci in enumerate(clause_ids):
-                pair = watched[ci]
-                other = pair[1] if pair[0] == falsified else pair[0]
-                if value(other) == 1:
-                    still_watching.append(ci)
-                    continue
-                moved = False
-                for candidate in kept[ci]:
-                    if candidate == falsified or candidate == other:
-                        continue
-                    if value(candidate) != -1:
-                        pair[0], pair[1] = other, candidate
-                        watchers.setdefault(candidate, []).append(ci)
-                        moved = True
-                        break
-                if moved:
-                    continue
-                still_watching.append(ci)
-                v = value(other)
-                if v == -1:
-                    # Conflict: keep the unprocessed tail watching this literal.
-                    watchers[falsified] = still_watching + clause_ids[i + 1 :]
-                    return False
-                if v == 0:
-                    queue.append(other)
-            watchers[falsified] = still_watching
+def _or(a, b):
+    if a is True or b is True:
         return True
+    if a is False:
+        return b
+    return a if b is False else Or(a, b)
 
-    def pick_branch_var(cursor: int) -> tuple[int, int]:
-        for i in range(cursor, len(order)):
-            if assign[order[i]] == 0:
-                return order[i], i
-        return 0, len(order)
 
-    queue = list(units)
-    stack: list[list] = []  # [decision_var, tried_both, trail, cursor]
-    cursor = 0
-    while True:
-        trail: list[int] = []
-        if propagate(queue, trail):
-            var, cursor = pick_branch_var(cursor)
-            if var == 0:
-                return True
-            stack.append([var, False, trail, cursor])
-            queue = [var]
-            continue
-        for v in trail:
-            assign[v] = 0
-        while stack:
-            var, tried_both, prev_trail, saved_cursor = stack[-1]
-            if not tried_both:
-                stack[-1][1] = True
-                cursor = saved_cursor
-                queue = [-var]
-                break
-            for v in prev_trail:
-                assign[v] = 0
-            stack.pop()
+def _iff(a, b):
+    if isinstance(a, bool):
+        return b if a else _not(b)
+    if isinstance(b, bool):
+        return a if b else _not(a)
+    return Iff(a, b)
+
+
+_COMBINE = {And: _and, Or: _or, Iff: _iff}
+
+
+def _assign(s, values: dict):
+    """The skeleton s with each leaf in values replaced by its value."""
+    if isinstance(s, (Atom, _Block)):
+        return values.get(s, s)
+    if isinstance(s, Not):
+        return _not(_assign(s.sub, values))
+    return _COMBINE[type(s)](_assign(s.left, values), _assign(s.right, values))
+
+
+def _leaves(s):
+    """The atoms and blocks of skeleton s, left to right."""
+    stack = [s]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (Atom, _Block)):
+            yield node
+        elif isinstance(node, Not):
+            stack.append(node.sub)
         else:
+            stack += (node.right, node.left)
+
+
+def _forced(s):
+    """(leaf, value) for each leaf or negated leaf conjoined at the top of s."""
+    stack = [s]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, And):
+            stack += (node.right, node.left)
+        elif isinstance(node, (Atom, _Block)):
+            yield node, True
+        elif isinstance(node, Not) and isinstance(node.sub, (Atom, _Block)):
+            yield node.sub, False
+
+
+class _Eliminator:
+    """Quantifier elimination and skeleton search over one component's
+    predicate letters."""
+
+    def __init__(self, predicates: list[str]):
+        n = 1 << len(predicates)
+        self.full = (1 << n) - 1
+        # masks[p]: the profiles that have predicate p, i.e. bit i of the
+        # profile set; built by doubling a run of 2^i ones after 2^i zeros.
+        self.masks = {}
+        for i, p in enumerate(predicates):
+            width = 1 << (i + 1)
+            mask = ((1 << (1 << i)) - 1) << (1 << i)
+            while width < n:
+                mask |= mask << width
+                width <<= 1
+            self.masks[p] = mask
+
+    def reduce(self, f: Formula):
+        """The skeleton of f: every quantifier replaced by a block."""
+        if isinstance(f, Atom):
+            return f
+        if isinstance(f, Not):
+            return _not(self.reduce(f.sub))
+        if isinstance(f, Exists):
+            return self._exists(f.var, self.reduce(f.body))
+        if isinstance(f, ForAll):
+            return _not(self._exists(f.var, _not(self.reduce(f.body))))
+        left, right = self.reduce(f.left), self.reduce(f.right)
+        if isinstance(f, Implies):
+            return _or(_not(left), right)
+        return _COMBINE[type(f)](left, right)
+
+    def _exists(self, var: str, body):
+        if isinstance(body, bool):
+            return body  # domains are non-empty
+        bound = Var(var)
+        leaf = next((a for a in _leaves(body) if isinstance(a, _Block) or a.term != bound), None)
+        if leaf is None:
+            witnesses = self._witnesses(body)
+            if witnesses == 0 or witnesses == self.full:
+                return witnesses != 0
+            return _Block(witnesses)
+        then = self._exists(var, _assign(body, {leaf: True}))
+        other = self._exists(var, _assign(body, {leaf: False}))
+        if then == other:
+            return then
+        return _or(_and(leaf, then), _and(_not(leaf), other))
+
+    def _witnesses(self, s) -> int:
+        """The profiles satisfying s, whose leaves are atoms of one variable."""
+        if isinstance(s, Atom):
+            return self.masks[s.pred]
+        if isinstance(s, Not):
+            return self.full ^ self._witnesses(s.sub)
+        left, right = self._witnesses(s.left), self._witnesses(s.right)
+        if isinstance(s, And):
+            return left & right
+        if isinstance(s, Or):
+            return left | right
+        return self.full ^ left ^ right
+
+    def satisfiable(self, skeleton, excluded: int, needs: dict) -> bool:
+        """Whether some realizable assignment to the skeleton's leaves makes
+        it true.  excluded: the union of the false blocks' witness sets;
+        needs: what the realized profiles must meet so far -- each true
+        block's witness set, and per constant the profiles that match its
+        ground literals."""
+        realized = self.full & ~excluded
+        if skeleton is False or not realized or not all(realized & w for w in needs.values()):
             return False
+        if skeleton is True:
+            return True
+        # Leaves conjoined at the top have one possible value; else branch.
+        forced = {}
+        for leaf, value in _forced(skeleton):
+            if forced.setdefault(leaf, value) != value:
+                return False
+        choices = [forced]
+        if not forced:
+            first = next(_leaves(skeleton))
+            choices = [{first: True}, {first: False}]
+        for values in choices:
+            branch_excluded, branch_needs = excluded, dict(needs)
+            for leaf, value in values.items():
+                if isinstance(leaf, _Block) and not value:
+                    branch_excluded |= leaf.witnesses
+                elif isinstance(leaf, _Block):
+                    branch_needs[leaf] = leaf.witnesses
+                else:
+                    mask = self.masks[leaf.pred] if value else self.full ^ self.masks[leaf.pred]
+                    name = leaf.term.name
+                    branch_needs[name] = branch_needs.get(name, self.full) & mask
+            if self.satisfiable(_assign(skeleton, values), branch_excluded, branch_needs):
+                return True
+        return False
 
 
 def _check_fragment(formulas: list[Formula]) -> None:
@@ -305,34 +235,9 @@ def _check_fragment(formulas: list[Formula]) -> None:
             )
 
 
-def _canonical_key(formulas: list[Formula]) -> tuple[str, ...]:
-    """Rename letters in first-occurrence order so structurally identical
-    checks share one cache entry."""
-    pred_map: dict[str, str] = {}
-    const_map: dict[str, str] = {}
-    pred_alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
-    const_alphabet = "abcdefghijklmnopqrstu"
-
-    def rename(f: Formula) -> Formula:
-        if isinstance(f, Atom):
-            p = pred_map.setdefault(f.pred, pred_alphabet[len(pred_map)])
-            term = f.term
-            if isinstance(term, Const):
-                term = Const(const_map.setdefault(term.name, const_alphabet[len(const_map)]))
-            return Atom(p, term)
-        if isinstance(f, Not):
-            return Not(rename(f.sub))
-        if isinstance(f, (And, Or, Implies, Iff)):
-            return type(f)(rename(f.left), rename(f.right))
-        if isinstance(f, (ForAll, Exists)):
-            return type(f)(f.var, rename(f.body))
-        raise TypeError(f"not a formula node: {f!r}")
-
-    return tuple(render_formula(rename(f)) for f in formulas)
-
-
-def _predicate_components(formulas: list[Formula]) -> list[list[Formula]]:
-    """Group formulas whose predicate sets overlap (transitively).
+def _predicate_components(formulas: list[Formula]) -> list[tuple[list[Formula], set[str]]]:
+    """Group formulas whose predicate sets overlap (transitively); each
+    group comes with its predicate letters.
 
     Without equality, a conjunction over disjoint predicate vocabularies is
     satisfiable iff each group is (shared constants do not couple groups:
@@ -353,201 +258,35 @@ def _predicate_components(formulas: list[Formula]) -> list[list[Formula]]:
                 parent[find(i)] = find(owner[p])
             else:
                 owner[p] = i
-    groups: dict[int, list[Formula]] = {}
+    groups: dict[int, tuple[list[Formula], set[str]]] = {}
     for i, f in enumerate(formulas):
-        groups.setdefault(find(i), []).append(f)
+        group, letters = groups.setdefault(find(i), ([], set()))
+        group.append(f)
+        letters |= preds[i]
     return list(groups.values())
 
 
 def check_satisfiable(formulas: list[Formula]) -> bool:
-    """True iff some structure within the small-model bound satisfies all
-    formulas.  Formulas must be closed and monadic (the AST only admits
-    unary atoms; open formulas raise UnsupportedFragmentError)."""
+    """True iff some structure satisfies all formulas.  Formulas must be
+    closed and monadic (the AST only admits unary atoms; open formulas
+    raise UnsupportedFragmentError)."""
     if not formulas:
         return True
     _check_fragment(formulas)
-    components = _predicate_components(formulas)
-    if len(components) > 1:
-        return all(_component_satisfiable(c) for c in components)
-    return _component_satisfiable(formulas)
+    return all(_component_satisfiable(*c) for c in _predicate_components(formulas))
 
 
-def _component_satisfiable(formulas: list[Formula]) -> bool:
-    key = _canonical_key(formulas)
-    cached = _sat_cache.get(key)
-    if cached is not None:
-        return cached
-
-    predicates = sorted(set().union(*(predicates_of(f) for f in formulas)))
-    constants = sorted(set().union(*(constants_of(f) for f in formulas)))
+def _component_satisfiable(formulas: list[Formula], letters: set[str]) -> bool:
+    predicates = sorted(letters)
     if len(predicates) > MAX_PREDICATES:
         raise UnsupportedFragmentError(
             f"{len(predicates)} distinct predicates exceed the supported bound of {MAX_PREDICATES}"
         )
-
-    result = _prenex_satisfiable(formulas, predicates, constants)
-    if result is None:
-        encoder = _Encoder(predicates, constants)
-        for f in formulas:
-            encoder.assert_formula(f)
-        result = _dpll(encoder.cnf.n_vars, encoder.cnf.clauses)
-
-    if len(_sat_cache) >= _CACHE_LIMIT:
-        _sat_cache.clear()
-    _sat_cache[key] = result
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Direct decision for single-quantifier formulas
-# ---------------------------------------------------------------------------
-#
-# After negation normal form, formulas without nested quantifiers are each a
-# universal, an existential, or ground.  A structure is then a non-empty set
-# S of profiles plus a profile per constant, and the formula set is
-# satisfiable iff for some constant assignment the profiles U passing every
-# universal body are non-empty, contain the constants' profiles, satisfy the
-# ground formulas, and intersect every existential's witness set.  This
-# covers everything the corpus generator and the scheme catalog produce; the
-# CNF path above remains for nested quantifiers.
-
-
-def _nnf(f: Formula, negated: bool) -> Formula:
-    if isinstance(f, Atom):
-        return Not(f) if negated else f
-    if isinstance(f, Not):
-        return _nnf(f.sub, not negated)
-    if isinstance(f, And):
-        node = Or if negated else And
-        return node(_nnf(f.left, negated), _nnf(f.right, negated))
-    if isinstance(f, Or):
-        node = And if negated else Or
-        return node(_nnf(f.left, negated), _nnf(f.right, negated))
-    if isinstance(f, Implies):
-        if negated:
-            return And(_nnf(f.left, False), _nnf(f.right, True))
-        return Or(_nnf(f.left, True), _nnf(f.right, False))
-    if isinstance(f, Iff):
-        left, right = f.left, f.right
-        if negated:
-            return Or(
-                And(_nnf(left, False), _nnf(right, True)),
-                And(_nnf(left, True), _nnf(right, False)),
-            )
-        return Or(
-            And(_nnf(left, False), _nnf(right, False)),
-            And(_nnf(left, True), _nnf(right, True)),
-        )
-    if isinstance(f, ForAll):
-        node = Exists if negated else ForAll
-        return node(f.var, _nnf(f.body, negated))
-    if isinstance(f, Exists):
-        node = ForAll if negated else Exists
-        return node(f.var, _nnf(f.body, negated))
-    raise TypeError(f"not a formula node: {f!r}")
-
-
-def _quantifier_free(f: Formula) -> bool:
-    if isinstance(f, (ForAll, Exists)):
-        return False
-    if isinstance(f, Atom):
-        return True
-    if isinstance(f, Not):
-        return _quantifier_free(f.sub)
-    return _quantifier_free(f.left) and _quantifier_free(f.right)
-
-
-def _split_conjuncts(f: Formula, out: list[Formula]) -> None:
-    if isinstance(f, And):
-        _split_conjuncts(f.left, out)
-        _split_conjuncts(f.right, out)
-    else:
-        out.append(f)
-
-
-def _eval_qf(f: Formula, var_profile: int | None, cmap: dict[str, int],
-             bits: dict[str, int]) -> bool:
-    if isinstance(f, Atom):
-        if isinstance(f.term, Var):
-            profile = var_profile
-        else:
-            profile = cmap[f.term.name]
-        return bool(profile & bits[f.pred])
-    if isinstance(f, Not):
-        return not _eval_qf(f.sub, var_profile, cmap, bits)
-    if isinstance(f, And):
-        return _eval_qf(f.left, var_profile, cmap, bits) and _eval_qf(
-            f.right, var_profile, cmap, bits
-        )
-    if isinstance(f, Or):
-        return _eval_qf(f.left, var_profile, cmap, bits) or _eval_qf(
-            f.right, var_profile, cmap, bits
-        )
-    raise TypeError(f"unexpected node in NNF body: {f!r}")
-
-
-def _prenex_satisfiable(
-    formulas: list[Formula], predicates: list[str], constants: list[str]
-) -> bool | None:
-    """Decide the no-nested-quantifier fragment directly; None when some
-    formula falls outside it."""
-    universals: list[Formula] = []   # quantifier-free bodies over x
-    existentials: list[Formula] = []
-    grounds: list[Formula] = []
-    conjuncts: list[Formula] = []
+    eliminator = _Eliminator(predicates)
+    skeleton = True
     for f in formulas:
-        _split_conjuncts(_nnf(f, False), conjuncts)
-    for f in conjuncts:
-        if isinstance(f, ForAll) and _quantifier_free(f.body):
-            universals.append(f.body)
-        elif isinstance(f, Exists) and _quantifier_free(f.body):
-            existentials.append(f.body)
-        elif _quantifier_free(f):
-            grounds.append(f)
-        else:
-            return None
-
-    bits = {p: 1 << i for i, p in enumerate(predicates)}
-    profiles = range(1 << len(predicates))
-
-    const_free_universals = [u for u in universals if not constants_of(u)]
-    const_universals = [u for u in universals if constants_of(u)]
-    base_domain = [
-        p
-        for p in profiles
-        if all(_eval_qf(u, p, {}, bits) for u in const_free_universals)
-    ]
-    if not constants:
-        if not base_domain:
-            return False
-        return all(
-            any(_eval_qf(e, p, {}, bits) for p in base_domain)
-            for e in existentials
-        )
-
-    from itertools import product
-
-    for assignment in product(base_domain, repeat=len(constants)):
-        cmap = dict(zip(constants, assignment))
-        if not all(_eval_qf(g, None, cmap, bits) for g in grounds):
-            continue
-        if const_universals:
-            domain = [
-                p
-                for p in base_domain
-                if all(_eval_qf(u, p, cmap, bits) for u in const_universals)
-            ]
-            if any(q not in domain for q in assignment):
-                continue
-        else:
-            domain = base_domain
-        if not domain:
-            continue
-        if all(
-            any(_eval_qf(e, p, cmap, bits) for p in domain) for e in existentials
-        ):
-            return True
-    return False
+        skeleton = _and(skeleton, eliminator.reduce(f))
+    return eliminator.satisfiable(skeleton, 0, {})
 
 
 def check_entailment(premises: list[Formula], conclusion: Formula) -> bool:

@@ -1,7 +1,8 @@
 """Brute-force model enumeration used as an independent oracle in tests.
 
 Evaluates formulas by direct recursive semantics over explicitly enumerated
-finite structures.  Shares no code with the CNF/DPLL decision path.
+finite structures.  Shares no code with the witness-set elimination in
+``deepa2.formula.decide``.
 
 Domains are enumerated as sets of predicate profiles.  In a language without
 equality an element is indistinguishable from any other element with the

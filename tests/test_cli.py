@@ -241,6 +241,22 @@ class TestEval:
         assert code == EXIT_VALIDATION
         assert "no traces to evaluate" in caplog.text
 
+    @pytest.mark.parametrize("bad_line", [
+        '{"chain_id": 1, "final": ',
+        '{"record_id": "r", "final": {}}',
+    ], ids=["truncated", "no-chain-id"])
+    def test_malformed_trace_line_exit_4(self, tmp_path, corpus_file, caplog, bad_line):
+        traces = tmp_path / "traces.jsonl"
+        run_cli("run", "--corpus", str(corpus_file), "--chains", "1",
+                "--backend", "oracle", "--out", str(traces))
+        lines = traces.read_text().splitlines(keepends=True)
+        traces.write_text("".join(lines[:3]) + "\n" + bad_line)
+        code = run_cli("eval", "--traces", str(traces), "--corpus", str(corpus_file),
+                       "--out", str(tmp_path / "m.jsonl"))
+        assert code == EXIT_VALIDATION
+        assert f"{traces}:5: malformed trace line" in caplog.text
+        assert not (tmp_path / "m.jsonl").exists()
+
     def test_corpus_mismatch_exit_4(self, tmp_path, corpus_file):
         traces = tmp_path / "traces.jsonl"
         run_cli("run", "--corpus", str(corpus_file), "--chains", "1",

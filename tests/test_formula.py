@@ -1,6 +1,7 @@
 """Parser, printer, and decision-procedure tests for the formula language."""
 
 import random
+import time
 
 import pytest
 
@@ -168,6 +169,17 @@ class TestEntailment:
         with pytest.raises(UnsupportedFragmentError):
             check_satisfiable([Atom("F", Var("x"))])
 
+    def test_disjoint_components_are_bounded_separately(self):
+        # 12 letters in two 6-letter components: each stays within the bound.
+        chains = [
+            ForAll("x", Implies(fx(letters[i]), fx(letters[i + 1])))
+            for letters in ("FGHIJK", "LMNOPQ")
+            for i in range(5)
+        ]
+        assert check_satisfiable(chains) is True
+        assert check_entailment(chains + [fa("F")], fa("K")) is True
+        assert check_entailment(chains + [fa("F")], fa("L")) is False
+
     def test_too_many_predicates_rejected(self):
         formulas = [
             ForAll("x", Implies(fx(chr(ord("A") + i)), fx(chr(ord("A") + i + 1))))
@@ -177,14 +189,26 @@ class TestEntailment:
             check_satisfiable(formulas)
 
     def test_agrees_with_brute_force_oracle(self):
-        rng = random.Random(7)
-        for _ in range(150):
-            premises, conclusion = random_formula_set(rng)
-            expected = brute_force_entails(premises, conclusion)
-            assert check_entailment(premises, conclusion) == expected, (
-                [render_formula(p) for p in premises],
-                render_formula(conclusion),
-            )
+        # The default signature, then two nested-heavy ones (quantifiers
+        # inside quantifiers, with and without constants in their scope).
+        inputs = [
+            (7, 150, {}, 0),
+            (31, 200, dict(constants=("a",), max_depth=5), 100),
+            (37, 300, dict(predicates=("F", "G"), max_depth=6), 180),
+        ]
+        for seed, n_sets, signature, min_nested in inputs:
+            rng = random.Random(seed)
+            nested = 0
+            for _ in range(n_sets):
+                premises, conclusion = random_formula_set(rng, **signature)
+                formulas = premises + [conclusion]
+                nested += any(_quantifier_depth(f) > 1 for f in formulas)
+                expected = brute_force_entails(premises, conclusion)
+                assert check_entailment(premises, conclusion) == expected, (
+                    [render_formula(p) for p in premises],
+                    render_formula(conclusion),
+                )
+            assert nested >= min_nested
 
     def test_agrees_with_oracle_on_constant_heavy_sets(self):
         # Ground facts and mixed quantified/ground sets exercise the
@@ -220,6 +244,99 @@ class TestEntailment:
         for _ in range(200):
             f = random_closed_formula(rng)
             assert check_entailment([f], f) is True
+
+
+def _quantifier_depth(f):
+    if isinstance(f, (ForAll, Exists)):
+        return 1 + _quantifier_depth(f.body)
+    if isinstance(f, Atom):
+        return 0
+    if isinstance(f, Not):
+        return _quantifier_depth(f.sub)
+    return max(_quantifier_depth(f.left), _quantifier_depth(f.right))
+
+
+def _nested_family(k, valid):
+    """``(x): (Ey): P1 x -> P2 y & ... & Pk y`` and ``P1 a`` entail
+    ``(Ex): P2 x & ... & Pk x``, but not with ``& P1 x`` added."""
+    letters = "FGHIJKLMNO"[:k]
+    first, rest = letters[0], letters[1:]
+    premises = [
+        f"(x): (Ey): {first} x -> " + " & ".join(f"{p} y" for p in rest),
+        f"{first} a",
+    ]
+    conclusion = "(Ex): " + " & ".join(f"{p} x" for p in rest)
+    if not valid:
+        conclusion += f" & {first} x"
+    return [parse_formula(p) for p in premises], parse_formula(conclusion)
+
+
+# Three deep, ten predicates each, one component; the valid conclusion is
+# derived in the comment, the invalid one fails in the model described.
+_THREE_DEEP = [
+    # Some z is H, I, J, K (F a, and some G); M or N there, M gives O.
+    # Counter-model: a: F; b: G, L; c: H, I, J, K, N.
+    (
+        [
+            "(x): (y): (Ez): F x & G y -> H z & I z & J z & K z",
+            "F a",
+            "(Ex): G x & L x",
+            "(x): H x & I x -> M x v N x",
+            "(x): M x -> O x",
+        ],
+        "(Ex): H x & I x & J x & K x & (N x v O x)",
+        "(Ex): H x & I x & J x & K x & O x",
+    ),
+    # F a and H b give some y with G and I, hence J and K; J gives L or M,
+    # M gives O.  Counter-model: a: F; b: H; c: G, I, J, K, M, N, O.
+    (
+        [
+            "(x): (Ey): (z): F x -> G y & (H z -> I y)",
+            "F a",
+            "H b",
+            "(x): G x & I x -> J x & K x",
+            "(x): J x -> L x v M x",
+            "(x): not M x v N x & O x",
+        ],
+        "(Ex): K x & (L x v O x)",
+        "(Ex): K x & L x",
+    ),
+    # G a gives some z with H, I and not F; J or K there, both give O.
+    # Counter-model: b: F; a: G; c: H, I, K, M, N, O.
+    (
+        [
+            "(Ex): (y): (Ez): F x & (G y -> H z & I z & not F z)",
+            "G a",
+            "(x): H x & I x -> J x v K x",
+            "(x): J x -> L x",
+            "(x): K x -> M x & N x",
+            "(x): L x v M x -> O x",
+        ],
+        "(Ex): O x & not F x",
+        "(Ex): O x & L x",
+    ),
+]
+
+
+class TestNestedQuantifiers:
+    """Nested quantifiers over up to ten letters decide in bounded time, so
+    a malformed formalization cannot stall eval."""
+
+    def test_nested_families_up_to_ten_predicates(self):
+        start = time.perf_counter()
+        for k in range(3, 11):
+            for valid in (True, False):
+                premises, conclusion = _nested_family(k, valid)
+                assert check_entailment(premises, conclusion) is valid, (k, valid)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("premises, valid, invalid", _THREE_DEEP)
+    def test_three_deep_ten_predicates(self, premises, valid, invalid):
+        premises = [parse_formula(p) for p in premises]
+        start = time.perf_counter()
+        assert check_entailment(premises, parse_formula(valid)) is True
+        assert check_entailment(premises, parse_formula(invalid)) is False
+        assert time.perf_counter() - start < 1.0
 
 
 def test_render_formula_is_parse_inverse_on_paper_style_strings():
