@@ -10,14 +10,15 @@ protocol.
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 import re
 import threading
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Mapping, Protocol
-
-import requests
+from urllib.parse import urlsplit
 
 from deepa2.dimensions import DimensionId, FORMULA_DIMENSIONS, LIST_DIMENSIONS
 from deepa2.errors import BackendError, BackendUnavailableError, MissingDimensionError
@@ -28,6 +29,8 @@ DEFAULT_BEAM_WIDTH = 2
 
 #: The premises-to-formalization mode goes by the task prefix "formalize".
 _FORMALIZE_MODE = mode("P", "F")
+
+_JSON_HEADERS = {"Content-Type": "application/json"}
 
 
 @dataclass(frozen=True)
@@ -180,7 +183,9 @@ class HttpBackend:
     {keyword: text}, "beam_width": n}`` and expects ``{"output": text}``.
     Transient failures are retried with exponential backoff; at most
     ``max_in_flight`` requests run concurrently, each thread on its own
-    connection pool.
+    keep-alive connection.  Once a request has spent all ``max_attempts`` on
+    transport errors, the endpoint is taken for dead: later requests make
+    one attempt each, without backoff, until one succeeds.
     """
 
     endpoint: str
@@ -190,43 +195,93 @@ class HttpBackend:
     backoff: float = 0.25
 
     def __post_init__(self):
+        # http.client loads ssl and email with it, so it is imported only
+        # when an HTTP backend is built.
+        import http.client
+
+        try:
+            parts = urlsplit(self.endpoint)
+            port = parts.port
+        except ValueError as err:
+            raise BackendError(f"endpoint {self.endpoint!r}: {err}") from None
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise BackendError(f"endpoint {self.endpoint!r} is not an http(s) URL")
+        if parts.scheme == "https":
+            self._connect = partial(http.client.HTTPSConnection, parts.hostname, port)
+        else:
+            self._connect = partial(http.client.HTTPConnection, parts.hostname, port)
+        self._transport_errors = (OSError, http.client.HTTPException)
+        self._path = parts.path.rstrip("/") + "/generate"
         self._semaphore = threading.Semaphore(self.max_in_flight)
         self._local = threading.local()
+        self._lock = threading.Lock()
+        self._connections = []  # every thread's, for close()
+        self._endpoint_dead = False
 
-    @property
-    def _session(self) -> requests.Session:
-        if not hasattr(self._local, "session"):
-            self._local.session = requests.Session()
-        return self._local.session
+    def close(self) -> None:
+        """Close the connection of every thread; a later request reopens."""
+        with self._lock:
+            for connection in self._connections:
+                connection.close()
+
+    def _post(self, body: bytes) -> tuple[int, bytes]:
+        """One POST on this thread's connection, read to the end.  A reused
+        connection that fails (the server may have closed it while idle) is
+        closed, and the request resent once on a fresh one."""
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = self._local.connection = self._connect(timeout=self.timeout)
+            with self._lock:
+                self._connections.append(connection)
+        while True:
+            reused = connection.sock is not None
+            try:
+                connection.request("POST", self._path, body=body, headers=_JSON_HEADERS)
+                response = connection.getresponse()
+                return response.status, response.read()
+            except self._transport_errors as err:
+                connection.close()
+                if not reused or isinstance(err, TimeoutError):
+                    raise
 
     def generate(self, request: GenerationRequest) -> str:
-        body = {
+        body = json.dumps({
             "mode": request.mode.output.keyword,
             "inputs": {d.keyword: text for d, text in request.inputs.items()},
             "beam_width": request.beam_width,
-        }
+        }).encode()
         url = self.endpoint.rstrip("/") + "/generate"
+        with self._lock:
+            attempts = 1 if self._endpoint_dead else self.max_attempts
         last_error: str = "no attempt made"
+        transport_errors = 0
         with self._semaphore:
-            for attempt in range(self.max_attempts):
+            for attempt in range(attempts):
                 if attempt:
                     time.sleep(self.backoff * (2 ** (attempt - 1)))
                 try:
-                    response = self._session.post(url, json=body, timeout=self.timeout)
-                except requests.RequestException as err:
+                    status, raw = self._post(body)
+                except self._transport_errors as err:
                     last_error = f"transport error: {err}"
+                    transport_errors += 1
                     continue
-                if response.status_code // 100 == 2:
+                if status // 100 == 2:
                     try:
-                        payload = response.json()
-                        return payload["output"]
-                    except (ValueError, KeyError) as err:
+                        output = json.loads(raw)["output"]
+                    except (ValueError, KeyError, TypeError) as err:
                         raise BackendError(
                             f"malformed response from {url}: {err}"
                         ) from err
-                last_error = f"HTTP {response.status_code}"
+                    with self._lock:
+                        self._endpoint_dead = False
+                    return output
+                last_error = f"HTTP {status}"
+        if transport_errors == self.max_attempts:
+            with self._lock:
+                self._endpoint_dead = True
         raise BackendUnavailableError(
-            f"{url} unavailable after {self.max_attempts} attempts ({last_error})"
+            f"{url} unavailable after {attempts} attempt{'s' if attempts > 1 else ''} "
+            f"({last_error})"
         )
 
 

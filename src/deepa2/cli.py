@@ -12,18 +12,15 @@ Exit codes: 0 success, 2 configuration/usage error, 3 backend failure,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import logging
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from deepa2.backends import GenerationRequest, ModelBackend, make_backend
-from deepa2.chains import ChainResult, chain_by_id, export_training, run_chains
 from deepa2.errors import (
     BackendError,
     ChainDefinitionError,
@@ -31,9 +28,12 @@ from deepa2.errors import (
     DeepA2Error,
     UndefinedMetricError,
 )
-from deepa2.evaluation import aggregate_table, evaluate_traces, render_table
-from deepa2.generator import GeneratorConfig, generate_corpus, subset_census
-from deepa2.records import load_corpus
+
+# Each stage imports the modules it needs when it runs, so that a stage (or
+# ``--help``) does not pay for loading the others.
+if TYPE_CHECKING:
+    from deepa2.backends import GenerationRequest, ModelBackend
+    from deepa2.chains import ChainResult
 
 logger = logging.getLogger("deepa2")
 
@@ -95,6 +95,8 @@ def _atomic_write_json(path: Path, payload) -> None:
 
 
 def _parse_chain_ids(text: str) -> tuple[int, ...]:
+    from deepa2.chains import chain_by_id
+
     if text.strip() == "all":
         return tuple(range(1, 17))
     try:
@@ -109,6 +111,10 @@ def _parse_chain_ids(text: str) -> tuple[int, ...]:
 
 
 def cmd_generate(args) -> int:
+    import hashlib
+
+    from deepa2.generator import GeneratorConfig, generate_corpus, subset_census
+
     if args.config:
         try:
             with open(args.config, encoding="utf-8") as fh:
@@ -144,6 +150,12 @@ def _corpus_lines(records):
 
 
 def cmd_run(args) -> int:
+    from concurrent.futures import ThreadPoolExecutor
+
+    from deepa2.backends import HttpBackend, make_backend
+    from deepa2.chains import chain_by_id, run_chains
+    from deepa2.records import load_corpus
+
     manifest = RunManifest(
         corpus=Path(args.corpus),
         chain_ids=_parse_chain_ids(args.chains),
@@ -184,11 +196,15 @@ def cmd_run(args) -> int:
 
     # A record is the unit of parallel work: its chains share one memo of
     # requests, so each distinct request reaches the backend once.
-    if manifest.jobs > 1:
-        with ThreadPoolExecutor(max_workers=manifest.jobs) as executor:
-            per_record = list(executor.map(execute, records))
-    else:
-        per_record = [execute(record) for record in records]
+    try:
+        if manifest.jobs > 1:
+            with ThreadPoolExecutor(max_workers=manifest.jobs) as executor:
+                per_record = list(executor.map(execute, records))
+        else:
+            per_record = [execute(record) for record in records]
+    finally:
+        if isinstance(backend, HttpBackend):
+            backend.close()
     results = [result for chain_results, _ in per_record for result in chain_results]
     calls = sum(n for _, n in per_record)
     steps = sum(len(r.trace) for r in results)
@@ -210,6 +226,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from deepa2.chains import ChainResult
+    from deepa2.evaluation import aggregate_table, evaluate_traces, render_table
+    from deepa2.records import load_corpus
+
     corpus = {r.meta.record_id: r for r in load_corpus(args.corpus)}
     counts = {"traces": 0, "failed": 0}
 
@@ -259,6 +279,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_export_training(args) -> int:
+    from deepa2.chains import export_training
+    from deepa2.records import load_corpus
+
     records = load_corpus(args.corpus)
     weights = {"aaac": "aaac", "entailment-bank": "entailment_bank"}[args.weights]
     pairs = export_training(records, weights=weights, n_per_record=args.n, seed=args.seed)

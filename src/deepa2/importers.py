@@ -12,11 +12,12 @@ classifier on such vectors.
 from __future__ import annotations
 
 import json
+import math
+import random
 import re
 from dataclasses import dataclass
+from operator import mul, sub, truediv
 from typing import Sequence
-
-import numpy as np
 
 from deepa2.argdown import ArgdownArgument, InferenceStep, final_conclusion_of
 from deepa2.chains import ChainResult
@@ -322,14 +323,15 @@ def extract_hoe_features(
 @dataclass
 class LinearLabelClassifier:
     classes: tuple[str, ...]
-    weights: np.ndarray  # (n_classes, n_features + 1)
-    mean: np.ndarray
-    scale: np.ndarray
+    weights: list[list[float]]  # one row per class: n_features weights, then the bias
+    mean: list[float]
+    scale: list[float]
 
-    def scores(self, features: HoeFeatures) -> np.ndarray:
-        x = (np.asarray(features.values) - self.mean) / self.scale
-        x = np.concatenate([x, [1.0]])
-        return self.weights @ x
+    def scores(self, features: HoeFeatures) -> list[float]:
+        x = [(v - m) / s for v, m, s in zip(features.values, self.mean, self.scale,
+                                            strict=True)]
+        x.append(1.0)
+        return [sum(map(mul, row, x)) for row in self.weights]
 
 
 def fit_label_classifier(
@@ -350,29 +352,40 @@ def fit_label_classifier(
     if thin:
         raise ValueError(f"need at least 3 examples per class, too few for {thin}")
 
-    x = np.asarray([f.values for f in labeled], dtype=float)
-    mean = x.mean(axis=0)
-    scale = x.std(axis=0)
-    scale[scale < 1e-9] = 1.0
-    xs = (x - mean) / scale
-    xs = np.concatenate([xs, np.ones((len(xs), 1))], axis=1)
-    y = np.asarray([classes.index(f.label) for f in labeled])
-    onehot = np.eye(len(classes))[y]
+    # Standardize each feature column (population standard deviation; a
+    # constant column keeps scale 1), then append a bias column of ones.
+    n = len(labeled)
+    columns = list(zip(*(f.values for f in labeled), strict=True))
+    mean = [sum(column) / n for column in columns]
+    scale = [
+        math.sqrt(sum((v - m) ** 2 for v in column) / n)
+        for column, m in zip(columns, mean)
+    ]
+    scale = [s if s >= 1e-9 else 1.0 for s in scale]
+    columns = [[(v - m) / s for v in column] for column, m, s in zip(columns, mean, scale)]
+    columns.append([1.0] * n)
+    rows = list(zip(*columns))
+    onehot = [[1.0 if f.label == c else 0.0 for f in labeled] for c in classes]
 
-    rng = np.random.default_rng(seed)
-    weights = rng.normal(scale=0.01, size=(len(classes), xs.shape[1]))
+    rng = random.Random(seed)
+    weights = [[rng.gauss(0, 0.01) for _ in columns] for _ in classes]
     for _ in range(epochs):
-        logits = xs @ weights.T
-        logits -= logits.max(axis=1, keepdims=True)
-        probs = np.exp(logits)
-        probs /= probs.sum(axis=1, keepdims=True)
-        grad = (probs - onehot).T @ xs / len(xs) + l2 * weights
-        weights -= learning_rate * grad
+        # Per class, a list over examples: logits, then max-shifted softmax
+        # probabilities minus the one-hot targets.
+        logits = [[sum(map(mul, w, row)) for row in rows] for w in weights]
+        tops = list(map(max, *logits))
+        exps = [list(map(math.exp, map(sub, z, tops))) for z in logits]
+        totals = list(map(sum, zip(*exps)))
+        for w, e, y in zip(weights, exps, onehot):
+            residual = list(map(sub, map(truediv, e, totals), y))
+            grads = [sum(map(mul, residual, column)) / n for column in columns]
+            w[:] = [wj - learning_rate * (g + l2 * wj) for wj, g in zip(w, grads)]
     return LinearLabelClassifier(classes, weights, mean, scale)
 
 
 def apply_label_classifier(
     classifier: LinearLabelClassifier, features: HoeFeatures
 ) -> str:
-    """The argmax class for one feature vector."""
-    return classifier.classes[int(np.argmax(classifier.scores(features)))]
+    """The argmax class for one feature vector (the first on a tie)."""
+    scores = classifier.scores(features)
+    return classifier.classes[scores.index(max(scores))]

@@ -11,6 +11,7 @@ out of the training registry (see full_mode_catalog).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from deepa2.dimensions import DimensionId as D
 
@@ -32,7 +33,7 @@ class ModeSpec:
         if self.weight_eb is not None and not 0 < self.weight_eb <= 1:
             raise ValueError("weight_eb must lie in (0, 1]")
 
-    @property
+    @cached_property
     def label(self) -> str:
         left = " ".join(d.letter for d in self.inputs)
         return f"{left} => {self.output.letter}"

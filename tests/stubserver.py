@@ -1,4 +1,12 @@
-"""A tiny inference-service stub used to validate the HTTP backend."""
+"""A tiny inference-service stub used to validate the HTTP backend.
+
+It speaks HTTP/1.1 with keep-alive and counts the connections it accepts.
+``state`` switches its behaviour: ``fail_next`` answers the next requests
+with HTTP 500, ``drop_next`` closes the connection without an answer (a
+transport error at the client), ``close_after_reply`` closes each connection
+after its answer without telling the client, and ``raw_body`` replaces the
+JSON answer.
+"""
 
 from __future__ import annotations
 
@@ -11,6 +19,16 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 class StubHandler(BaseHTTPRequestHandler):
     server_version = "stub/1.0"
+    protocol_version = "HTTP/1.1"
+    # Headers and body go out in separate writes; with Nagle's algorithm on,
+    # the body of each keep-alive answer would wait for a delayed ACK.
+    disable_nagle_algorithm = True
+    timeout = 5  # an idle keep-alive connection cannot hold a thread forever
+
+    def setup(self):
+        super().setup()
+        with self.server.state["lock"]:
+            self.server.state["connections"] += 1
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", "0"))
@@ -21,9 +39,14 @@ class StubHandler(BaseHTTPRequestHandler):
             state["in_flight"] += 1
             state["max_in_flight"] = max(state["max_in_flight"], state["in_flight"])
         try:
+            if state["drop_next"] > 0:
+                state["drop_next"] -= 1
+                self.close_connection = True
+                return
             if state["fail_next"] > 0:
                 state["fail_next"] -= 1
                 self.send_response(500)
+                self.send_header("Content-Length", "0")
                 self.end_headers()
                 return
             time.sleep(state["latency"])
@@ -32,11 +55,15 @@ class StubHandler(BaseHTTPRequestHandler):
             else:
                 output = "ECHO " + json.dumps(body["inputs"], sort_keys=True)
             payload = json.dumps({"output": output}).encode()
+            if state["raw_body"] is not None:
+                payload = state["raw_body"]
             self.send_response(200)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(payload)))
             self.end_headers()
             self.wfile.write(payload)
+            if state["close_after_reply"]:
+                self.close_connection = True
         finally:
             with state["lock"]:
                 state["in_flight"] -= 1
@@ -59,12 +86,17 @@ def start_stub_server() -> ThreadingHTTPServer:
         "lock": threading.Lock(),
         "requests": [],
         "fail_next": 0,
+        "drop_next": 0,
+        "close_after_reply": False,
+        "raw_body": None,
+        "connections": 0,
         "digest": False,
         "latency": 0.0,
         "in_flight": 0,
         "max_in_flight": 0,
     }
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # A short poll interval lets shutdown() return quickly.
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
     server.stub_thread = thread
     return server
@@ -72,4 +104,5 @@ def start_stub_server() -> ThreadingHTTPServer:
 
 def stop_stub_server(server: ThreadingHTTPServer) -> None:
     server.shutdown()
+    server.server_close()
     server.stub_thread.join(timeout=2)

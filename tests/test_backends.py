@@ -1,6 +1,7 @@
 """Prompt formatting and backend behavior tests (oracle, noisy, HTTP)."""
 
 import threading
+import time
 
 import pytest
 
@@ -146,15 +147,29 @@ def stub_server():
     stop_stub_server(server)
 
 
+@pytest.fixture()
+def stub_backend(stub_server):
+    """Builds HTTP backends against the stub and closes them afterwards."""
+    made = []
+
+    def make(path="", **kwargs):
+        url = f"http://127.0.0.1:{stub_server.server_address[1]}{path}"
+        made.append(HttpBackend(url, **kwargs))
+        return made[-1]
+
+    yield make
+    for backend in made:
+        backend.close()
+
+
 class TestHttpBackend:
     def _request(self):
         return GenerationRequest(
             mode("S", "A"), {D.SOURCE: "some text"}, record_id="r1"
         )
 
-    def test_round_trip_schema(self, stub_server):
-        url = f"http://127.0.0.1:{stub_server.server_address[1]}"
-        backend = HttpBackend(url, timeout=5)
+    def test_round_trip_schema(self, stub_server, stub_backend):
+        backend = stub_backend(timeout=5)
         output = backend.generate(self._request())
         assert output == 'ECHO {"source": "some text"}'
         path, body = stub_server.state["requests"][0]
@@ -165,24 +180,21 @@ class TestHttpBackend:
             "beam_width": 2,
         }
 
-    def test_retries_then_succeeds(self, stub_server):
+    def test_retries_then_succeeds(self, stub_server, stub_backend):
         stub_server.state["fail_next"] = 2
-        url = f"http://127.0.0.1:{stub_server.server_address[1]}"
-        backend = HttpBackend(url, timeout=5, backoff=0.01)
+        backend = stub_backend(timeout=5, backoff=0.01)
         assert backend.generate(self._request()).startswith("ECHO")
         assert len(stub_server.state["requests"]) == 3
 
-    def test_unavailable_after_retry_budget(self, stub_server):
+    def test_unavailable_after_retry_budget(self, stub_server, stub_backend):
         stub_server.state["fail_next"] = 3
-        url = f"http://127.0.0.1:{stub_server.server_address[1]}"
-        backend = HttpBackend(url, timeout=5, backoff=0.01)
+        backend = stub_backend(timeout=5, backoff=0.01)
         with pytest.raises(BackendUnavailableError):
             backend.generate(self._request())
 
-    def test_in_flight_bound_respected(self, stub_server):
+    def test_in_flight_bound_respected(self, stub_server, stub_backend):
         stub_server.state["latency"] = 0.05
-        url = f"http://127.0.0.1:{stub_server.server_address[1]}"
-        backend = HttpBackend(url, timeout=5, max_in_flight=2)
+        backend = stub_backend(timeout=5, max_in_flight=2)
         threads = [
             threading.Thread(target=backend.generate, args=(self._request(),))
             for _ in range(8)
@@ -197,6 +209,78 @@ class TestHttpBackend:
         backend = HttpBackend("http://127.0.0.1:1", timeout=0.2, backoff=0.01)
         with pytest.raises(BackendUnavailableError):
             backend.generate(self._request())
+
+    def test_transport_failures_leave_one_attempt_until_a_success(self, stub_server,
+                                                                   stub_backend):
+        state = stub_server.state
+        backend = stub_backend(timeout=5, backoff=0.01)
+        state["drop_next"] = 3
+        with pytest.raises(BackendUnavailableError, match="after 3 attempts"):
+            backend.generate(self._request())
+        assert len(state["requests"]) == 3
+        # Every attempt failed in transport: the next request tries once.
+        state["drop_next"] = 1
+        with pytest.raises(BackendUnavailableError, match="after 1 attempt "):
+            backend.generate(self._request())
+        assert len(state["requests"]) == 4
+        # A success ends the one-attempt mode; the full budget is back.
+        assert backend.generate(self._request()).startswith("ECHO")
+        assert len(state["requests"]) == 5
+        state["drop_next"] = 10
+        with pytest.raises(BackendUnavailableError, match="after 3 attempts"):
+            backend.generate(self._request())
+
+    def test_http_errors_do_not_trigger_fail_fast(self, stub_server, stub_backend):
+        state = stub_server.state
+        backend = stub_backend(timeout=5, backoff=0.01)
+        state["fail_next"] = 3
+        with pytest.raises(BackendUnavailableError, match="after 3 attempts .HTTP 500"):
+            backend.generate(self._request())
+        state["fail_next"] = 2
+        assert backend.generate(self._request()).startswith("ECHO")
+        assert len(state["requests"]) == 6
+
+    def test_one_connection_per_thread(self, stub_server, stub_backend):
+        backend = stub_backend(timeout=5)
+        outputs = []
+
+        def work():
+            for _ in range(3):
+                outputs.append(backend.generate(self._request()))
+
+        threads = [threading.Thread(target=work) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+            assert not t.is_alive()
+        assert len(outputs) == 6
+        assert stub_server.state["connections"] == 2
+
+    def test_idle_connection_closed_by_server_is_replaced(self, stub_server, stub_backend):
+        stub_server.state["close_after_reply"] = True
+        backend = stub_backend(timeout=5, backoff=1.0)
+        backend.generate(self._request())
+        start = time.perf_counter()
+        assert backend.generate(self._request()).startswith("ECHO")
+        assert time.perf_counter() - start < backend.backoff
+        assert stub_server.state["connections"] == 2
+        assert len(stub_server.state["requests"]) == 2
+
+    def test_endpoint_path_prefix_kept(self, stub_server, stub_backend):
+        backend = stub_backend(timeout=5, path="/v1/")
+        backend.generate(self._request())
+        assert stub_server.state["requests"][0][0] == "/v1/generate"
+
+    def test_non_json_success_body_is_malformed(self, stub_server, stub_backend):
+        stub_server.state["raw_body"] = b"<html>not json</html>"
+        backend = stub_backend(timeout=5)
+        with pytest.raises(BackendError, match="malformed response"):
+            backend.generate(self._request())
+
+    def test_endpoint_must_be_an_http_url(self):
+        with pytest.raises(BackendError, match="not an http"):
+            HttpBackend("ftp://127.0.0.1:21")
 
 
 class TestMakeBackend:

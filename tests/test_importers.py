@@ -2,10 +2,10 @@
 
 import dataclasses
 import json
+import math
 import random
 from collections import Counter
 
-import numpy as np
 import pytest
 
 from deepa2.chains import ChainResult
@@ -196,6 +196,33 @@ def toy_features(n_per_class=12, seed=0):
     return out
 
 
+def _reference_weights(features, seed, epochs, learning_rate=0.5, l2=1e-4):
+    """Full-batch gradient descent on the softmax loss, one scalar at a time."""
+    classes = sorted({f.label for f in features})
+    n, d = len(features), len(features[0].values)
+    mean = [sum(f.values[j] for f in features) / n for j in range(d)]
+    scale = []
+    for j in range(d):
+        std = math.sqrt(sum((f.values[j] - mean[j]) ** 2 for f in features) / n)
+        scale.append(std if std >= 1e-9 else 1.0)
+    xs = [[(f.values[j] - mean[j]) / scale[j] for j in range(d)] + [1.0] for f in features]
+    rng = random.Random(seed)
+    weights = [[rng.gauss(0, 0.01) for _ in range(d + 1)] for _ in classes]
+    for _ in range(epochs):
+        grad = [[0.0] * (d + 1) for _ in classes]
+        for x, f in zip(xs, features):
+            logits = [sum(w[j] * x[j] for j in range(d + 1)) for w in weights]
+            exps = [math.exp(z - max(logits)) for z in logits]
+            for k, c in enumerate(classes):
+                residual = exps[k] / sum(exps) - (1.0 if f.label == c else 0.0)
+                for j in range(d + 1):
+                    grad[k][j] += residual * x[j] / n
+        for k in range(len(classes)):
+            for j in range(d + 1):
+                weights[k][j] -= learning_rate * (grad[k][j] + l2 * weights[k][j])
+    return weights
+
+
 class TestClassifier:
     def test_separable_features_fit_perfectly(self):
         features = toy_features()
@@ -207,7 +234,14 @@ class TestClassifier:
         features = toy_features()
         a = fit_label_classifier(features, seed=3)
         b = fit_label_classifier(features, seed=3)
-        assert np.allclose(a.weights, b.weights)
+        assert a.weights == b.weights
+
+    def test_matches_a_plain_loop_reference(self):
+        features = toy_features(n_per_class=4, seed=2)
+        clf = fit_label_classifier(features, seed=5, epochs=7)
+        reference = _reference_weights(features, 5, 7)
+        for row, expected in zip(clf.weights, reference, strict=True):
+            assert row == pytest.approx(expected, abs=1e-12)
 
     def test_single_class_rejected(self):
         features = [f for f in toy_features() if f.label == "valid"]

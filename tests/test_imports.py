@@ -1,0 +1,56 @@
+"""Import hygiene: the package needs no third-party module, and the CLI
+loads a stage's modules only when that stage runs.  Each check runs in a
+fresh interpreter, so modules loaded by other tests cannot hide a fault."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        env=dict(os.environ, PYTHONPATH=pythonpath),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+def test_no_third_party_dependency():
+    code = """
+import pkgutil, sys
+sys.modules["requests"] = sys.modules["numpy"] = None  # importing either fails
+import deepa2
+for info in pkgutil.walk_packages(deepa2.__path__, "deepa2."):
+    __import__(info.name)
+for name in deepa2.__all__:
+    getattr(deepa2, name)
+from deepa2 import GeneratorConfig, fit_label_classifier, HttpBackend
+print(len(deepa2.__all__))
+"""
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) > 60
+
+
+def test_cli_import_loads_no_stage_module():
+    code = """
+import sys
+import deepa2.cli
+stage_modules = ("backends", "chains", "generator", "importers", "metrics")
+print(" ".join(m for m in stage_modules if "deepa2." + m in sys.modules))
+"""
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
+
+
+def test_cli_help_exits_zero():
+    proc = run_python("-m", "deepa2.cli", "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert "generate" in proc.stdout and "export-training" in proc.stdout
