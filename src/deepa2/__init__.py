@@ -25,8 +25,7 @@ _PUBLIC = {
     ),
     "deepa2.chains": (
         "ChainResult", "ChainSpec", "chain_by_id", "chain_by_name", "chain_catalog",
-        "export_training", "formalization_subchain", "pool", "run_chain",
-        "sophistication",
+        "export_training", "formalization_subchain", "run_chain", "sophistication",
     ),
     "deepa2.dimensions": ("DimensionId",),
     "deepa2.evaluation": ("aggregate_table", "evaluate_traces", "oracle_reports"),

@@ -40,12 +40,6 @@ class ArgdownArgument:
     statements: tuple[tuple[int, str], ...]
     inferences: tuple[InferenceStep, ...]
 
-    def text_of(self, number: int) -> str:
-        for num, text in self.statements:
-            if num == number:
-                return text
-        raise KeyError(number)
-
     @property
     def derived_numbers(self) -> set[int]:
         return {inf.derives for inf in self.inferences}

@@ -256,28 +256,20 @@ def default_ranking_key(report: MetricReport) -> tuple:
 
 
 def pool_index(
-    results: Sequence[tuple[object, MetricReport]],
+    reports: Sequence[MetricReport],
     key: Callable[[MetricReport], tuple] = default_ranking_key,
 ) -> int:
-    """Index of the item-wise best (result, report) pair under the ranking
-    key; only the reports are read."""
-    if not results:
-        raise ValueError("pooling needs at least one result")
+    """Index of the item-wise best report under the ranking key; the first
+    of equally ranked reports wins."""
+    if not reports:
+        raise ValueError("pooling needs at least one report")
     best = 0
-    best_key = key(results[0][1])
-    for i in range(1, len(results)):
-        k = key(results[i][1])
+    best_key = key(reports[0])
+    for i in range(1, len(reports)):
+        k = key(reports[i])
         if k > best_key:
             best, best_key = i, k
     return best
-
-
-def pool(
-    results: Sequence[tuple[ChainResult, MetricReport]],
-    key: Callable[[MetricReport], tuple] = default_ranking_key,
-) -> ChainResult:
-    """The result of the item-wise best performing chain."""
-    return results[pool_index(results, key)][0]
 
 
 # ---------------------------------------------------------------------------

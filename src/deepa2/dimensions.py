@@ -28,13 +28,6 @@ class DimensionId(Enum):
         self.keyword = keyword
 
     @classmethod
-    def from_letter(cls, letter: str) -> "DimensionId":
-        try:
-            return _BY_LETTER[letter]
-        except KeyError:
-            raise ValueError(f"unknown dimension letter: {letter!r}") from None
-
-    @classmethod
     def from_keyword(cls, keyword: str) -> "DimensionId":
         try:
             return _BY_KEYWORD[keyword]
@@ -45,7 +38,6 @@ class DimensionId(Enum):
         return f"DimensionId.{self.name}"
 
 
-_BY_LETTER = {d.letter: d for d in DimensionId}
 _BY_KEYWORD = {d.keyword: d for d in DimensionId}
 
 #: Dimensions whose serialized form is a " | "-joined list of statements.

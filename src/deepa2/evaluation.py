@@ -17,7 +17,6 @@ from deepa2.metrics import (
     work_dict_of_record,
 )
 from deepa2.records import DeepA2Record
-from deepa2.schemes import SchemeCatalog, builtin_catalog
 
 METRIC_COLUMNS = (
     "sys_pp", "sys_rp", "sys_rc", "sys_us", "sys_sch", "sys_val",
@@ -40,17 +39,15 @@ class EvaluatedTrace:
 def evaluate_trace(
     result: ChainResult,
     record: DeepA2Record,
-    catalog: SchemeCatalog | None = None,
     scorer: Scorer = default_scorer,
 ) -> EvaluatedTrace:
-    report = evaluate_analysis(result.final, target=record, catalog=catalog, scorer=scorer)
+    report = evaluate_analysis(result.final, target=record, scorer=scorer)
     return EvaluatedTrace(result.record_id, result.chain_id, report)
 
 
 def evaluate_traces(
     results: Iterable[ChainResult],
     corpus: dict[str, DeepA2Record],
-    catalog: SchemeCatalog | None = None,
     scorer: Scorer = default_scorer,
 ) -> list[EvaluatedTrace]:
     """One row per result, in order; ``results`` may be any iterable and is
@@ -59,10 +56,9 @@ def evaluate_traces(
     Each distinct analysis, a record id with the items of a ``final``
     (in any insertion order), is evaluated once per call, and its rows share
     one report.  This is exact because ``evaluate_analysis`` is a function
-    of the analysis, the target record, the catalog and the scorer, so a
-    custom ``scorer`` must be deterministic.
+    of the analysis, the target record and the scorer, so a custom
+    ``scorer`` must be deterministic.
     """
-    catalog = catalog or builtin_catalog()
     reports: dict[tuple[str, frozenset], MetricReport] = {}
     rows = []
     for result in results:
@@ -75,7 +71,7 @@ def evaluate_traces(
         report = reports.get(key)
         if report is None:
             report = reports[key] = evaluate_analysis(
-                result.final, target=record, catalog=catalog, scorer=scorer
+                result.final, target=record, scorer=scorer
             )
         rows.append(EvaluatedTrace(result.record_id, result.chain_id, report))
     if not rows:
@@ -85,15 +81,13 @@ def evaluate_traces(
 
 def oracle_reports(
     records: Sequence[DeepA2Record],
-    catalog: SchemeCatalog | None = None,
     scorer: Scorer = default_scorer,
 ) -> list[tuple[DeepA2Record, MetricReport]]:
     """Metric suite applied to the target data itself."""
-    catalog = catalog or builtin_catalog()
     out = []
     for record in records:
         report = evaluate_analysis(
-            work_dict_of_record(record), target=record, catalog=catalog, scorer=scorer
+            work_dict_of_record(record), target=record, scorer=scorer
         )
         out.append((record, report))
     return out
@@ -138,9 +132,7 @@ def aggregate_table(
         for row in rows:
             by_record.setdefault(row.record_id, []).append(row)
         for record_id, group in by_record.items():
-            best = pool_index(
-                [(row, row.report) for row in group], key=default_ranking_key
-            )
+            best = pool_index([row.report for row in group], key=default_ranking_key)
             pooled_pairs.append((group[best].report, corpus[record_id]))
         table_rows.append({"chain": "pooling", **_aggregate_reports(pooled_pairs)})
 

@@ -11,6 +11,7 @@ spellings on input; the printer always emits the spaced form.
 
 from __future__ import annotations
 
+import copy
 import re
 from dataclasses import dataclass
 
@@ -394,8 +395,32 @@ class _Parser:
         return Atom(pred_tok.text, Const(name))
 
 
+#: text -> its AST or the FormulaParseError it raised, for the whole process.
+#: ASTs are frozen, so every caller can share one.  A race between threads
+#: only parses a text twice, with equal results, so no lock is taken.
+_parsed: dict[str, Formula | FormulaParseError] = {}
+
+
 def parse_formula(text: str) -> Formula:
-    """Parse a closed monadic formula; raises FormulaParseError with position."""
+    """Parse a closed monadic formula; raises FormulaParseError with position.
+
+    Each distinct text is parsed once per process; a remembered error is
+    raised again as a fresh copy with the same message and position."""
+    result = _parsed.get(text)
+    if result is None:
+        try:
+            result = _parse(text)
+        except FormulaParseError as err:
+            result = err.with_traceback(None)
+        _parsed[text] = result
+    if isinstance(result, FormulaParseError):
+        # Raising the stored instance would prepend frames to its traceback
+        # on every raise.
+        raise copy.copy(result)
+    return result
+
+
+def _parse(text: str) -> Formula:
     parser = _Parser(text)
     result = parser.formula(frozenset())
     trailing = parser.peek()

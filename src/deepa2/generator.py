@@ -42,7 +42,6 @@ from deepa2.records import (
     record_to_dict,
 )
 from deepa2.schemes import (
-    SchemeCatalog,
     SchemeVariant,
     _Binding,
     builtin_catalog,
@@ -195,8 +194,8 @@ def _is_plain(variant: SchemeVariant) -> bool:
 
 
 class _Sampler:
-    def __init__(self, catalog: SchemeCatalog):
-        self.variants = catalog.all_variants()
+    def __init__(self):
+        self.variants = builtin_catalog().all_variants()
         self.plain_pool = [v for v in self.variants if _is_plain(v)]
         self.productive = {
             v.label
@@ -212,14 +211,15 @@ class _Sampler:
         return self.variants if intricate_flavor else self.plain_pool
 
 
-_samplers: dict[int, _Sampler] = {}
+_sampler: _Sampler | None = None
 
 
-def _sampler_for(catalog: SchemeCatalog) -> _Sampler:
-    key = id(catalog)
-    if key not in _samplers:
-        _samplers[key] = _Sampler(catalog)
-    return _samplers[key]
+def _builtin_sampler() -> _Sampler:
+    """Sampling pools over the packaged catalog; built once."""
+    global _sampler
+    if _sampler is None:
+        _sampler = _Sampler()
+    return _sampler
 
 
 class _LetterAllocator:
@@ -283,10 +283,8 @@ def _new_letters_needed(
     return total
 
 
-def _try_sample_tree(
-    config: GeneratorConfig, rng: random.Random, catalog: SchemeCatalog
-) -> ArgumentTree:
-    sampler = _sampler_for(catalog)
+def _try_sample_tree(config: GeneratorConfig, rng: random.Random) -> ArgumentTree:
+    sampler = _builtin_sampler()
     n_steps = rng.choices(range(1, len(config.step_weights) + 1),
                           weights=config.step_weights)[0]
     intricate_flavor = rng.random() < config.p_intricate
@@ -353,14 +351,12 @@ def _try_sample_tree(
 def sample_argument(
     config: GeneratorConfig,
     rng: random.Random,
-    catalog: SchemeCatalog | None = None,
     max_attempts: int = 60,
 ) -> ArgumentTree:
     """Sample a valid argument tree; bounded resampling on dead ends."""
-    catalog = catalog or builtin_catalog()
     for _ in range(max_attempts):
         try:
-            return _try_sample_tree(config, rng, catalog)
+            return _try_sample_tree(config, rng)
         except _DeadEnd:
             continue
     raise GenerationError("argument sampling kept hitting unification dead ends")
@@ -674,13 +670,11 @@ def generate_with_details(
     config: GeneratorConfig,
     n: int,
     seed: int | None = None,
-    catalog: SchemeCatalog | None = None,
     max_failure_rate: float = 0.01,
 ) -> list[tuple[DeepA2Record, GenerationDetails]]:
     """Generate n validated records plus their construction details."""
     if n < 1:
         raise GenerationError("n must be at least 1")
-    catalog = catalog or builtin_catalog()
     lexicon = builtin_lexicon(config.lexicon_id)
     seed = config.seed if seed is None else seed
     out = []
@@ -694,7 +688,7 @@ def generate_with_details(
         built = None
         for _attempt in range(120):
             try:
-                built = _generate_record(config, rng, catalog, lexicon, record_id)
+                built = _generate_record(config, rng, lexicon, record_id)
                 break
             except _RecordRejected as rejected:
                 last_problems = rejected.args[0] if rejected.args else None
@@ -715,11 +709,10 @@ def generate_corpus(
     config: GeneratorConfig,
     n: int,
     seed: int | None = None,
-    catalog: SchemeCatalog | None = None,
 ) -> list[DeepA2Record]:
     """Generate n records, each internally validated; deterministic under
     (config, n, seed)."""
-    return [record for record, _ in generate_with_details(config, n, seed, catalog)]
+    return [record for record, _ in generate_with_details(config, n, seed)]
 
 
 class _RecordRejected(Exception):
@@ -729,12 +722,11 @@ class _RecordRejected(Exception):
 def _generate_record(
     config: GeneratorConfig,
     rng: random.Random,
-    catalog: SchemeCatalog,
     lexicon: DomainLexicon,
     record_id: str,
 ) -> tuple[DeepA2Record, GenerationDetails]:
     try:
-        tree = _try_sample_tree(config, rng, catalog)
+        tree = _try_sample_tree(config, rng)
         verbalized = verbalize_argument(tree, lexicon, rng)
     except (_DeadEnd, GenerationError) as err:
         raise _RecordRejected(str(err) or "sampling dead end") from None
@@ -756,7 +748,7 @@ def _generate_record(
         meta=meta,
     )
     details = GenerationDetails(tree, plan, distractors)
-    problems = validate_record(record, config, catalog, details)
+    problems = validate_record(record, config, details)
     if problems:
         raise _RecordRejected(problems)
     return record, details
@@ -765,12 +757,11 @@ def _generate_record(
 def validate_record(
     record: DeepA2Record,
     config: GeneratorConfig,
-    catalog: SchemeCatalog,
     details: GenerationDetails | None = None,
 ) -> list[str]:
     """Internal validity checks; an empty list means the record is sound."""
     problems: list[str] = []
-    report = evaluate_analysis(work_dict_of_record(record), record, catalog)
+    report = evaluate_analysis(work_dict_of_record(record), record)
     if report.basic_flaw_bits != (1, 1, 1, 1):
         problems.append(f"basic flaws {report.basic_flaw_bits}")
     if report.sys_val != 1:

@@ -26,7 +26,7 @@ from deepa2.dimensions import DimensionId
 from deepa2.errors import DeepA2Error, UndefinedMetricError
 from deepa2.formula import Formula, check_entailment, parse_formula
 from deepa2.records import DeepA2Record, QuotedStatement, parse_statements
-from deepa2.schemes import SchemeCatalog, builtin_catalog, sys_sch_ratio
+from deepa2.schemes import builtin_catalog, sys_sch_ratio
 from deepa2.textnorm import normalize_ws, token_f1
 
 logger = logging.getLogger(__name__)
@@ -65,40 +65,19 @@ def eval_basic_flaws(arg: ArgdownArgument) -> tuple[int, int, int, int]:
     return sys_pp, sys_rp, sys_rc, sys_us
 
 
-def _parse_once(parsed: dict[str, Formula | DeepA2Error], text: str) -> Formula:
-    """``parse_formula`` through a text-keyed memo: each text is parsed at
-    most once, and a parse error is remembered and raised again."""
-    formula = parsed.get(text)
-    if formula is None:
-        try:
-            formula = parse_formula(text)
-        except DeepA2Error as err:
-            formula = err
-        parsed[text] = formula
-    if isinstance(formula, DeepA2Error):
-        raise formula
-    return formula
-
-
 def eval_sys_val(
     premises_form: Sequence[QuotedStatement],
     conclusion_form: Sequence[QuotedStatement],
     diagnostics: list[str] | None = None,
-    *,
-    parsed: dict[str, Formula | DeepA2Error] | None = None,
 ) -> int:
-    """1 iff all formalizations parse and the premises entail the conclusion.
-
-    ``parsed`` is a text -> parse memo the caller shares with its other
-    uses of the same formalizations."""
+    """1 iff all formalizations parse and the premises entail the conclusion."""
     diag = diagnostics if diagnostics is not None else []
-    parsed = parsed if parsed is not None else {}
     if len(conclusion_form) != 1:
         diag.append(f"conclusion_form must hold exactly one formula, got {len(conclusion_form)}")
         return 0
     try:
-        premises = [_parse_once(parsed, q.text) for q in premises_form]
-        conclusion = _parse_once(parsed, conclusion_form[0].text)
+        premises = [parse_formula(q.text) for q in premises_form]
+        conclusion = parse_formula(conclusion_form[0].text)
         return 1 if check_entailment(premises, conclusion) else 0
     except DeepA2Error as err:
         diag.append(f"sys_val: {err}")
@@ -304,12 +283,10 @@ def _parse_quotes(text: str | None, dim: DimensionId, diag: list[str]):
 def evaluate_analysis(
     work: Mapping[DimensionId, str],
     target: DeepA2Record | None = None,
-    catalog: SchemeCatalog | None = None,
     scorer: Scorer = default_scorer,
 ) -> MetricReport:
     """Apply the full metric suite to one analysis given as raw dimension
     texts (e.g. the final dictionary of a generative chain)."""
-    catalog = catalog or builtin_catalog()
     diag: list[str] = []
 
     arg: ArgdownArgument | None = None
@@ -340,26 +317,24 @@ def evaluate_analysis(
     conclusion_form = _parse_quotes(
         work.get(DimensionId.CONCLUSION_FORM), DimensionId.CONCLUSION_FORM, diag
     )
-    # Each formalization text is parsed once, for sys_val and the scheme check.
-    parsed: dict[str, Formula | DeepA2Error] = {}
     if premises_form is None or conclusion_form is None:
         sys_val = 0
     else:
-        sys_val = eval_sys_val(premises_form, conclusion_form, diag, parsed=parsed)
+        sys_val = eval_sys_val(premises_form, conclusion_form, diag)
 
     forms: dict[int, Formula] = {}
     if arg is not None:
         for q in (*(premises_form or ()), *(conclusion_form or ())):
             if q.ref is not None:
                 try:
-                    forms[q.ref] = _parse_once(parsed, q.text)
+                    forms[q.ref] = parse_formula(q.text)
                 except DeepA2Error:
                     pass
 
     if arg is None:
         sys_sch: float | None = 0.0
     else:
-        sys_sch = sys_sch_ratio(arg, catalog, forms)
+        sys_sch = sys_sch_ratio(arg, builtin_catalog(), forms)
 
     source = work.get(DimensionId.SOURCE, "")
     if reasons is None or conjectures is None:

@@ -16,7 +16,7 @@ from typing import Iterable, Iterator
 
 from deepa2.argdown import ArgdownArgument, parse_argdown, render_argdown
 from deepa2.dimensions import FORMULA_DIMENSIONS, LIST_DIMENSIONS, DimensionId
-from deepa2.errors import DimensionParseError, MissingDimensionError
+from deepa2.errors import DeepA2Error, DimensionParseError, MissingDimensionError
 from deepa2.formula import parse_formula
 from deepa2.textnorm import normalize_ws
 
@@ -106,10 +106,6 @@ class DeepA2Record:
     def present_dimensions(self) -> list[DimensionId]:
         return [d for d in DimensionId if self.has(d)]
 
-    @property
-    def key_map(self) -> dict[str, str]:
-        return dict(self.keys or ())
-
 
 # ---------------------------------------------------------------------------
 # Dimension serialization
@@ -153,6 +149,10 @@ def parse_statements(text: str, validate_formulas: bool = False) -> tuple[Quoted
         body = raw
         if m:
             ref = int(m.group(1))
+            if ref < 1:
+                raise DimensionParseError(
+                    f"statement reference must be positive, got {ref}", offset
+                )
             body = raw[: m.start()]
         body = normalize_ws(_unescape(body))
         if not body:
@@ -249,10 +249,17 @@ def load_corpus(path) -> list[DeepA2Record]:
 
 def iter_corpus(path) -> Iterator[DeepA2Record]:
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
-            if line:
-                yield record_from_dict(json.loads(line))
+            if not line:
+                continue
+            try:
+                record = record_from_dict(json.loads(line))
+            except (DeepA2Error, ValueError, KeyError, TypeError, AttributeError) as err:
+                raise DeepA2Error(
+                    f"{path}:{number}: malformed corpus line ({err!r})"
+                ) from None
+            yield record
 
 
 # ---------------------------------------------------------------------------

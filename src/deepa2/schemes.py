@@ -128,11 +128,6 @@ class SchemeCatalog:
         flush()
         return cls.from_variants(variants)
 
-    @classmethod
-    def load(cls, path) -> "SchemeCatalog":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_text(fh.read())
-
 
 _builtin_catalog: SchemeCatalog | None = None
 

@@ -292,8 +292,7 @@ def test_criterion_08_pooling_dominance(corpus1000):
     from deepa2.chains import default_ranking_key, pool_index
 
     for record_id, group in by_record.items():
-        candidates = [(None, row.report) for row in group]
-        best = pool_index(candidates, key=default_ranking_key)
+        best = pool_index([row.report for row in group], key=default_ranking_key)
         assert group[best].report.sys_val == max(r.report.sys_val for r in group)
 
     # Corpus-wise: pooled mean dominates every chain's mean.

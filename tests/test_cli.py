@@ -257,6 +257,22 @@ class TestEval:
         assert f"{traces}:5: malformed trace line" in caplog.text
         assert not (tmp_path / "m.jsonl").exists()
 
+    def test_reference_to_statement_zero_is_scored(self, tmp_path, corpus_file):
+        traces = tmp_path / "traces.jsonl"
+        run_cli("run", "--corpus", str(corpus_file), "--chains", "1",
+                "--backend", "oracle", "--out", str(traces))
+        lines = traces.read_text().splitlines(keepends=True)
+        row = json.loads(lines[0])
+        row["final"]["reasons"] += " (ref: (0))"
+        traces.write_text(json.dumps(row) + "\n" + "".join(lines[1:]))
+        metrics = tmp_path / "m.jsonl"
+        code = run_cli("eval", "--traces", str(traces), "--corpus", str(corpus_file),
+                       "--out", str(metrics))
+        assert code == EXIT_OK
+        first = json.loads(metrics.read_text().splitlines()[0])
+        assert any("statement reference must be positive" in d
+                   for d in first["diagnostics"])
+
     def test_corpus_mismatch_exit_4(self, tmp_path, corpus_file):
         traces = tmp_path / "traces.jsonl"
         run_cli("run", "--corpus", str(corpus_file), "--chains", "1",
@@ -266,6 +282,20 @@ class TestEval:
         code = run_cli("eval", "--traces", str(traces), "--corpus", str(other),
                        "--out", str(tmp_path / "m.jsonl"))
         assert code == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("stage", ["run", "eval", "export-training"])
+def test_malformed_corpus_line_exit_4(tmp_path, corpus_file, caplog, stage):
+    lines = corpus_file.read_text().splitlines(keepends=True)
+    corpus_file.write_text("".join(lines[:3]) + lines[3][: len(lines[3]) // 2])
+    traces = tmp_path / "traces.jsonl"
+    traces.write_text("")
+    extra = {"run": (), "eval": ("--traces", str(traces)), "export-training": ()}
+    out = tmp_path / "out.jsonl"
+    code = run_cli(stage, "--corpus", str(corpus_file), *extra[stage], "--out", str(out))
+    assert code == EXIT_VALIDATION
+    assert f"{corpus_file}:4: malformed corpus line" in caplog.text
+    assert not out.exists()
 
 
 class TestExportTraining:

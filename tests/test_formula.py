@@ -2,6 +2,7 @@
 
 import random
 import time
+import traceback
 
 import pytest
 
@@ -105,6 +106,22 @@ class TestParse:
     def test_reserved_v_not_a_constant(self):
         with pytest.raises(FormulaParseError):
             parse_formula("F v")
+
+    def test_remembered_error_is_raised_as_a_fresh_copy(self, monkeypatch):
+        from deepa2.formula import syntax
+
+        monkeypatch.setattr(syntax, "_parsed", {})
+        with pytest.raises(FormulaParseError) as first:
+            parse_formula("F a @ G a")
+        depth = len(traceback.extract_tb(first.value.__traceback__))
+        for _ in range(3):
+            with pytest.raises(FormulaParseError) as again:
+                parse_formula("F a @ G a")
+            assert again.value is not first.value
+            assert str(again.value) == str(first.value)
+            assert again.value.position == first.value.position == 4
+            assert len(traceback.extract_tb(again.value.__traceback__)) == depth
+        assert syntax._parsed["F a @ G a"].__traceback__ is None
 
 
 class TestRender:

@@ -19,7 +19,6 @@ from deepa2.generator import (
 from deepa2.lexicon import builtin_lexicon
 from deepa2.metrics import evaluate_analysis, work_dict_of_record
 from deepa2.records import classify_subsets, record_to_dict
-from deepa2.schemes import builtin_catalog
 
 
 def small_corpus(n=40, seed=11, **overrides):
@@ -99,7 +98,7 @@ class TestComposeAndValidate:
     def test_generated_records_validate(self):
         config = GeneratorConfig()
         for record, details in generate_with_details(config, 30, seed=21):
-            assert validate_record(record, config, builtin_catalog(), details) == []
+            assert validate_record(record, config, details) == []
 
     def test_plain_records_quote_every_statement(self):
         for record in small_corpus(120, seed=22):

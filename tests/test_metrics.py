@@ -8,7 +8,6 @@ import pytest
 from deepa2.argdown import parse_argdown
 from deepa2.dimensions import DimensionId
 from deepa2.errors import UndefinedMetricError
-from deepa2.formula import parse_formula
 from deepa2.metrics import (
     default_scorer,
     eval_basic_flaws,
@@ -217,20 +216,23 @@ class TestFullSuiteOnReferenceRecord:
         assert report.exe_rss < 0
 
     def test_each_formalization_is_parsed_once(self, monkeypatch):
-        import deepa2.metrics as metrics
+        from deepa2.formula import syntax
         from deepa2.metrics import evaluate_analysis, work_dict_of_record
         from .helpers import dilemma_record
 
         record = dilemma_record()
         work = work_dict_of_record(record)
         expected = evaluate_analysis(work, target=record)
+        uncached = syntax._parse
         texts = []
 
         def counting(text):
             texts.append(text)
-            return parse_formula(text)
+            return uncached(text)
 
-        monkeypatch.setattr(metrics, "parse_formula", counting)
+        monkeypatch.setattr(syntax, "_parsed", {})
+        monkeypatch.setattr(syntax, "_parse", counting)
+        assert evaluate_analysis(work, target=record) == expected
         assert evaluate_analysis(work, target=record) == expected
         formal = [q.text for q in record.premises_form + record.conclusion_form]
         assert sorted(texts) == sorted(set(formal))
@@ -253,6 +255,27 @@ class TestGarbageRobustness:
         assert -1.0 <= report.exe_jss <= 1.0
         assert report.exe_meq in (0, 1)
         assert report.diagnostics
+
+    @pytest.mark.parametrize("dim", [
+        DimensionId.REASONS, DimensionId.CONJECTURES,
+        DimensionId.PREMISES_FORM, DimensionId.CONCLUSION_FORM,
+    ], ids=lambda dim: dim.keyword)
+    def test_reference_to_statement_zero_is_a_diagnostic(self, dim):
+        from deepa2.metrics import work_dict_of_record
+        from .helpers import dilemma_record
+
+        record = dilemma_record()
+        work = work_dict_of_record(record)
+        work[dim] += " (ref: (0))"
+        report = evaluate_analysis(work, target=record)
+        assert report.sys_pp in (0, 1) and report.sys_val in (0, 1)
+        assert report.sys_sch is None or 0.0 <= report.sys_sch <= 1.0
+        assert -1.0 <= report.exe_rss <= 1.0
+        assert -1.0 <= report.exe_jss <= 1.0
+        assert any(
+            d.startswith(f"{dim.keyword}: statement reference must be positive, got 0")
+            for d in report.diagnostics
+        )
 
     def test_empty_work_dict(self):
         report = evaluate_analysis({})

@@ -15,7 +15,6 @@ from deepa2.chains import (
     default_ranking_key,
     export_training,
     formalization_subchain,
-    pool,
     pool_index,
     run_chain,
     run_chains,
@@ -210,33 +209,15 @@ class TestPooling:
         return MetricReport(**base)
 
     def test_single_result_is_returned(self):
-        record = dilemma_record()
-        backend = OracleBackend([record])
-        result = run_chain(chain_by_id(1), record.source, backend,
-                           record_id=record.meta.record_id)
-        assert pool([(result, self._report())]) is result
+        assert pool_index([self._report()]) == 0
 
     def test_validity_dominates(self):
-        record = dilemma_record()
-        backend = OracleBackend([record])
-        good = run_chain(chain_by_id(1), record.source, backend,
-                         record_id=record.meta.record_id)
-        bad = run_chain(chain_by_id(9), record.source, backend,
-                        record_id=record.meta.record_id)
-        picked = pool_index(
-            [(bad, self._report(sys_val=0, exe_rss=1.0)), (good, self._report())]
-        )
+        picked = pool_index([self._report(sys_val=0, exe_rss=1.0), self._report()])
         assert picked == 1
 
     def test_key_is_injectable(self):
-        record = dilemma_record()
-        backend = OracleBackend([record])
-        r1 = run_chain(chain_by_id(1), record.source, backend,
-                       record_id=record.meta.record_id)
-        r2 = run_chain(chain_by_id(9), record.source, backend,
-                       record_id=record.meta.record_id)
-        results = [(r1, self._report(exe_rss=0.9)), (r2, self._report(exe_rss=0.1))]
-        assert pool_index(results, key=lambda rep: -rep.exe_rss) == 1
+        reports = [self._report(exe_rss=0.9), self._report(exe_rss=0.1)]
+        assert pool_index(reports, key=lambda rep: -rep.exe_rss) == 1
 
 
 class TestExportTraining:
