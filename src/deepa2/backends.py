@@ -21,7 +21,12 @@ from typing import Iterable, Mapping, Protocol
 from urllib.parse import urlsplit
 
 from deepa2.dimensions import DimensionId, FORMULA_DIMENSIONS, LIST_DIMENSIONS
-from deepa2.errors import BackendError, BackendUnavailableError, MissingDimensionError
+from deepa2.errors import (
+    BackendError,
+    BackendUnavailableError,
+    ConfigError,
+    MissingDimensionError,
+)
 from deepa2.modes import ModeSpec, mode
 from deepa2.records import DeepA2Record, serialize_dimension
 
@@ -297,7 +302,14 @@ def make_backend(spec: str, records: Iterable[DeepA2Record] | None = None,
     if spec.startswith("noisy:"):
         if records is None:
             raise BackendError("noisy oracle backend needs a target corpus")
-        rate = float(spec.split(":", 1)[1])
+        try:
+            rate = float(spec.split(":", 1)[1])
+        except ValueError:
+            rate = None
+        if rate is None or not 0 <= rate <= 1:
+            raise ConfigError(
+                f"bad backend spec {spec!r}: the corruption rate must be a number in [0, 1]"
+            )
         return NoisyOracleBackend(records, rate, seed)
     if spec.startswith(("http://", "https://")):
         return HttpBackend(spec, timeout=timeout, max_in_flight=max_in_flight)

@@ -253,8 +253,11 @@ def cmd_eval(args) -> int:
                 else:
                     yield result
 
+    # One memo for the traces and the oracle row: under the oracle backend
+    # every final is its target's own analysis, scored once.
+    memo = {}
     try:
-        rows = evaluate_traces(usable_results(), corpus)
+        rows = evaluate_traces(usable_results(), corpus, memo=memo)
     except UndefinedMetricError:
         if not counts["traces"]:
             raise DeepA2Error("traces file is empty") from None
@@ -264,7 +267,7 @@ def cmd_eval(args) -> int:
         out,
         (json.dumps(row.to_dict(), ensure_ascii=False) + "\n" for row in rows),
     )
-    table = aggregate_table(rows, corpus)
+    table = aggregate_table(rows, corpus, memo=memo)
     aggregate_path = out.with_suffix(out.suffix + ".aggregate.json")
     _atomic_write_json(aggregate_path, table)
     print(render_table(table))

@@ -45,10 +45,30 @@ def evaluate_trace(
     return EvaluatedTrace(result.record_id, result.chain_id, report)
 
 
+#: Reports of distinct analyses, keyed by record id and the items of a final.
+ReportMemo = dict[tuple[str, frozenset], MetricReport]
+
+
+def _memoized_report(
+    memo: ReportMemo,
+    record_id: str,
+    final: dict,
+    record: DeepA2Record,
+    scorer: Scorer,
+) -> MetricReport:
+    key = (record_id, frozenset(final.items()))
+    report = memo.get(key)
+    if report is None:
+        report = memo[key] = evaluate_analysis(final, target=record, scorer=scorer)
+    return report
+
+
 def evaluate_traces(
     results: Iterable[ChainResult],
     corpus: dict[str, DeepA2Record],
     scorer: Scorer = default_scorer,
+    *,
+    memo: ReportMemo | None = None,
 ) -> list[EvaluatedTrace]:
     """One row per result, in order; ``results`` may be any iterable and is
     read once.
@@ -57,9 +77,10 @@ def evaluate_traces(
     (in any insertion order), is evaluated once per call, and its rows share
     one report.  This is exact because ``evaluate_analysis`` is a function
     of the analysis, the target record and the scorer, so a custom
-    ``scorer`` must be deterministic.
+    ``scorer`` must be deterministic.  Pass a ``memo`` to keep the reports
+    for a later ``aggregate_table`` over the same corpus and scorer.
     """
-    reports: dict[tuple[str, frozenset], MetricReport] = {}
+    memo = {} if memo is None else memo
     rows = []
     for result in results:
         record = corpus.get(result.record_id)
@@ -67,12 +88,7 @@ def evaluate_traces(
             raise DeepA2Error(
                 f"trace for unknown record {result.record_id!r}; corpus mismatch"
             )
-        key = (result.record_id, frozenset(result.final.items()))
-        report = reports.get(key)
-        if report is None:
-            report = reports[key] = evaluate_analysis(
-                result.final, target=record, scorer=scorer
-            )
+        report = _memoized_report(memo, result.record_id, result.final, record, scorer)
         rows.append(EvaluatedTrace(result.record_id, result.chain_id, report))
     if not rows:
         raise UndefinedMetricError("no traces to evaluate")
@@ -82,13 +98,21 @@ def evaluate_traces(
 def oracle_reports(
     records: Sequence[DeepA2Record],
     scorer: Scorer = default_scorer,
+    *,
+    memo: ReportMemo | None = None,
 ) -> list[tuple[DeepA2Record, MetricReport]]:
-    """Metric suite applied to the target data itself."""
+    """Metric suite applied to the target data itself.
+
+    With a ``memo`` (records then need ids), a target whose work dict was
+    already scored as some trace's final reuses that report.
+    """
     out = []
     for record in records:
-        report = evaluate_analysis(
-            work_dict_of_record(record), target=record, scorer=scorer
-        )
+        work = work_dict_of_record(record)
+        if memo is None:
+            report = evaluate_analysis(work, target=record, scorer=scorer)
+        else:
+            report = _memoized_report(memo, record.meta.record_id, work, record, scorer)
         out.append((record, report))
     return out
 
@@ -113,9 +137,12 @@ def aggregate_table(
     rows: Sequence[EvaluatedTrace],
     corpus: dict[str, DeepA2Record],
     include_oracle: bool = True,
+    *,
+    memo: ReportMemo | None = None,
 ) -> dict:
     """Per-chain mean rows plus a pooling row (item-wise best chain) and an
-    oracle row (metrics on the target data)."""
+    oracle row (metrics on the target data).  The oracle row reuses the
+    reports in ``memo``, the one ``evaluate_traces`` filled for ``rows``."""
     chains = sorted({row.chain_id for row in rows})
     table_rows = []
     for chain_id in chains:
@@ -140,7 +167,8 @@ def aggregate_table(
         oracle_pairs = [
             (report, record)
             for record, report in oracle_reports(
-                [corpus[rid] for rid in sorted({r.record_id for r in rows})]
+                [corpus[rid] for rid in sorted({r.record_id for r in rows})],
+                memo=memo,
             )
         ]
         table_rows.append({"chain": "oracle", **_aggregate_reports(oracle_pairs)})

@@ -15,8 +15,11 @@ words, and records the verbatim reason/conjecture quotes.
 
 from __future__ import annotations
 
+import os
 import random
+import threading
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Iterable
 
 from deepa2.argdown import ArgdownArgument, InferenceStep
@@ -672,37 +675,17 @@ def generate_with_details(
     seed: int | None = None,
     max_failure_rate: float = 0.01,
 ) -> list[tuple[DeepA2Record, GenerationDetails]]:
-    """Generate n validated records plus their construction details."""
-    if n < 1:
-        raise GenerationError("n must be at least 1")
-    lexicon = builtin_lexicon(config.lexicon_id)
-    seed = config.seed if seed is None else seed
-    out = []
-    failures = 0
-    last_problems: object = None
-    index = 0
-    while len(out) < n:
-        rng = random.Random(f"{config.lexicon_id}:{seed}:{index}")
-        record_id = f"{config.lexicon_id}-{seed}-{index:05d}"
-        index += 1
-        built = None
-        for _attempt in range(120):
-            try:
-                built = _generate_record(config, rng, lexicon, record_id)
-                break
-            except _RecordRejected as rejected:
-                last_problems = rejected.args[0] if rejected.args else None
-                continue
-        if built is None:
-            failures += 1
-            if failures > max(1, int(max_failure_rate * n)):
-                raise GenerationError(
-                    f"generation failure rate exceeded {max_failure_rate:.0%}; "
-                    f"last rejection: {last_problems}"
-                )
-            continue
-        out.append(built)
-    return out
+    """Generate n validated records plus their construction details.
+
+    Record ``i`` draws only from its own generator, seeded with the
+    lexicon, the seed and ``i``, so records are built independently.  With
+    two or more CPUs available to the process and ``n >= 50``, they are
+    built on a ``fork`` process pool, one worker per CPU but at most one
+    per 25 records; a caller with other threads running stays serial.
+    Results are read back in index order, so the output does not depend on
+    the CPU count.
+    """
+    return _generate(config, n, seed, max_failure_rate, details=True)
 
 
 def generate_corpus(
@@ -712,7 +695,100 @@ def generate_corpus(
 ) -> list[DeepA2Record]:
     """Generate n records, each internally validated; deterministic under
     (config, n, seed)."""
-    return [record for record, _ in generate_with_details(config, n, seed)]
+    return _generate(config, n, seed, 0.01, details=False)
+
+
+# Consecutive indices per pool task; a pool gets one worker per full chunk,
+# as fewer records do not repay starting it.
+_CHUNK = 25
+
+
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+@dataclass(frozen=True)
+class _Rejection:
+    """An index whose every attempt was rejected; the last reason."""
+
+    problems: object
+
+
+def _record_at(config: GeneratorConfig, seed: int, index: int, details: bool = True):
+    """Record ``index`` of the corpus (with its details, if asked for), or
+    a ``_Rejection`` after 120 rejected attempts."""
+    lexicon = builtin_lexicon(config.lexicon_id)
+    rng = random.Random(f"{config.lexicon_id}:{seed}:{index}")
+    record_id = f"{config.lexicon_id}-{seed}-{index:05d}"
+    problems: object = None
+    for _attempt in range(120):
+        try:
+            built = _generate_record(config, rng, lexicon, record_id)
+        except _RecordRejected as rejected:
+            problems = rejected.args[0] if rejected.args else None
+            continue
+        return built if details else built[0]
+    return _Rejection(problems)
+
+
+def _generate(
+    config: GeneratorConfig,
+    n: int,
+    seed: int | None,
+    max_failure_rate: float,
+    details: bool,
+) -> list:
+    if n < 1:
+        raise GenerationError("n must be at least 1")
+    seed = config.seed if seed is None else seed
+    build = partial(_record_at, config, seed, details=details)
+    workers = min(_available_cpus(), n // _CHUNK)
+    mapper, pool = map, None
+    # ``fork`` keeps registered paraphrase hooks and skips a re-import per
+    # worker, but copies only the calling thread: a lock another thread
+    # holds would stay held in the workers, so threaded callers stay serial.
+    if workers >= 2 and threading.active_count() == 1:
+        import multiprocessing
+        import signal
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            # Workers inherit these copy-on-write instead of each building them.
+            _builtin_sampler()
+            builtin_lexicon(config.lexicon_id)
+            # Ctrl-C reaches the parent, which terminates the workers.
+            pool = multiprocessing.get_context("fork").Pool(
+                workers, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN)
+            )
+            mapper = partial(pool.imap, chunksize=_CHUNK)
+    try:
+        out: list = []
+        failures = 0
+        start = 0
+        while len(out) < n:
+            # Exactly as many indices as records still missing, so no index
+            # past the n-th record is built.
+            stop = start + n - len(out)
+            for result in mapper(build, range(start, stop)):
+                if not isinstance(result, _Rejection):
+                    out.append(result)
+                    continue
+                failures += 1
+                if failures > max(1, int(max_failure_rate * n)):
+                    raise GenerationError(
+                        f"generation failure rate exceeded {max_failure_rate:.0%}; "
+                        f"last rejection: {result.problems}"
+                    )
+            start = stop
+        return out
+    finally:
+        # Every result is read by now, or an exception (Ctrl-C included)
+        # makes the rest unwanted: no worker may outlive the call.
+        if pool is not None:
+            pool.terminate()
+            pool.join()
 
 
 class _RecordRejected(Exception):

@@ -248,6 +248,9 @@ def load_corpus(path) -> list[DeepA2Record]:
 
 
 def iter_corpus(path) -> Iterator[DeepA2Record]:
+    """The records of a JSON-lines corpus, in file order; a malformed line
+    or a repeated ``meta.record_id`` raises ``DeepA2Error``."""
+    first_line: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for number, line in enumerate(fh, 1):
             line = line.strip()
@@ -259,6 +262,14 @@ def iter_corpus(path) -> Iterator[DeepA2Record]:
                 raise DeepA2Error(
                     f"{path}:{number}: malformed corpus line ({err!r})"
                 ) from None
+            record_id = record.meta.record_id
+            if record_id is not None:
+                first = first_line.setdefault(record_id, number)
+                if first != number:
+                    raise DeepA2Error(
+                        f"{path}:{number}: duplicate record id '{record_id}' "
+                        f"(first at line {first})"
+                    )
             yield record
 
 

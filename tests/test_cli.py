@@ -5,10 +5,13 @@ import json
 
 import pytest
 
+from deepa2 import evaluation
 from deepa2.backends import GenerationRequest, NoisyOracleBackend, OracleBackend
-from deepa2.chains import chain_catalog, formalization_subchain
+from deepa2.chains import ChainResult, chain_catalog, formalization_subchain
 from deepa2.cli import EXIT_BACKEND, EXIT_CONFIG, EXIT_OK, EXIT_VALIDATION, main
 from deepa2.dimensions import DimensionId
+from deepa2.evaluation import aggregate_table
+from deepa2.metrics import evaluate_analysis
 from deepa2.records import load_corpus
 
 from .stubserver import digest_echo, start_stub_server, stop_stub_server
@@ -126,6 +129,14 @@ class TestRun:
                        "--backend", "oracle", "--out", str(tmp_path / "t.jsonl"))
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("spec", ["noisy:abc", "noisy:1.5"])
+    def test_bad_noisy_rate_exits_2(self, tmp_path, corpus_file, caplog, spec):
+        code = run_cli("run", "--corpus", str(corpus_file), "--chains", "1",
+                       "--backend", spec, "--out", str(tmp_path / "t.jsonl"))
+        assert code == EXIT_CONFIG
+        assert f"bad backend spec {spec!r}" in caplog.text
+        assert "[0, 1]" in caplog.text
+
     def test_dead_http_endpoint_preserves_partial_traces(self, tmp_path, corpus_file):
         traces = tmp_path / "traces.jsonl"
         code = run_cli("run", "--corpus", str(corpus_file), "--chains", "1",
@@ -194,6 +205,30 @@ class TestEval:
         by_chain = {r["chain"]: r for r in table["rows"]}
         assert by_chain["oracle"]["sys_val"] == 1.0
         assert by_chain["pooling"]["sys_val"] >= by_chain["1"]["sys_val"]
+
+    def test_oracle_row_reuses_the_trace_reports(self, tmp_path, corpus_file, monkeypatch):
+        traces = tmp_path / "traces.jsonl"
+        run_cli("run", "--corpus", str(corpus_file), "--chains", "all",
+                "--backend", "oracle", "--with-formalization", "--out", str(traces))
+        targets = []
+
+        def counting(work, target=None, **kwargs):
+            targets.append(target.meta.record_id)
+            return evaluate_analysis(work, target=target, **kwargs)
+
+        monkeypatch.setattr(evaluation, "evaluate_analysis", counting)
+        metrics = tmp_path / "metrics.jsonl"
+        assert run_cli("eval", "--traces", str(traces), "--corpus", str(corpus_file),
+                       "--out", str(metrics)) == EXIT_OK
+        corpus = {r.meta.record_id: r for r in load_corpus(corpus_file)}
+        assert sorted(targets) == sorted(corpus)
+        # The same table as with the oracle row scored from scratch.
+        monkeypatch.undo()
+        results = [ChainResult.from_dict(json.loads(line))
+                   for line in traces.read_text().splitlines()]
+        table = aggregate_table(evaluation.evaluate_traces(results, corpus), corpus)
+        aggregate = tmp_path / "metrics.jsonl.aggregate.json"
+        assert aggregate.read_text() == json.dumps(table, indent=2)
 
     def test_empty_traces_exit_4(self, tmp_path, corpus_file, caplog):
         traces = tmp_path / "traces.jsonl"
@@ -295,6 +330,25 @@ def test_malformed_corpus_line_exit_4(tmp_path, corpus_file, caplog, stage):
     code = run_cli(stage, "--corpus", str(corpus_file), *extra[stage], "--out", str(out))
     assert code == EXIT_VALIDATION
     assert f"{corpus_file}:4: malformed corpus line" in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("stage", ["run", "eval", "export-training"])
+def test_duplicate_record_id_exit_4(tmp_path, corpus_file, caplog, stage):
+    lines = corpus_file.read_text().splitlines(keepends=True)
+    first = json.loads(lines[0])
+    copy = json.loads(lines[2])
+    copy["meta"]["record_id"] = first["meta"]["record_id"]
+    lines[2] = json.dumps(copy) + "\n"
+    corpus_file.write_text("".join(lines))
+    traces = tmp_path / "traces.jsonl"
+    traces.write_text("")
+    extra = {"run": (), "eval": ("--traces", str(traces)), "export-training": ()}
+    out = tmp_path / "out.jsonl"
+    code = run_cli(stage, "--corpus", str(corpus_file), *extra[stage], "--out", str(out))
+    assert code == EXIT_VALIDATION
+    assert (f"{corpus_file}:3: duplicate record id '{first['meta']['record_id']}' "
+            "(first at line 1)") in caplog.text
     assert not out.exists()
 
 

@@ -1,16 +1,21 @@
 """Corpus generator tests: sampling, verbalization, composition, corpora."""
 
 import json
+import multiprocessing
+import multiprocessing.pool
 import random
+import threading
 
 import pytest
 
-from deepa2.errors import ConfigError
+from deepa2 import generator
+from deepa2.errors import ConfigError, GenerationError
 from deepa2.formula import check_entailment, parse_formula, predicates_of
 from deepa2.generator import (
     GeneratorConfig,
     generate_corpus,
     generate_with_details,
+    register_paraphrase_hook,
     sample_argument,
     subset_census,
     validate_record,
@@ -203,3 +208,92 @@ class TestConfig:
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError):
             GeneratorConfig.from_dict({"nonsense": 1})
+
+
+def serial_reference(config, n, seed):
+    """The first n records built index by index in this process."""
+    records, index = [], 0
+    while len(records) < n:
+        result = generator._record_at(config, seed, index, details=False)
+        index += 1
+        if not isinstance(result, generator._Rejection):
+            records.append(result)
+    return records
+
+
+def always_rejected(config, rng, lexicon, record_id):
+    raise generator._RecordRejected(["always rejected"])
+
+
+class TestPool:
+    @pytest.fixture()
+    def pool_maps(self, monkeypatch):
+        """Two CPUs for the generator; the chunk sizes of every pool map."""
+        maps = []
+        imap = multiprocessing.pool.Pool.imap
+
+        def recording_imap(pool, func, iterable, chunksize=1):
+            maps.append(chunksize)
+            return imap(pool, func, iterable, chunksize)
+
+        monkeypatch.setattr(generator, "_available_cpus", lambda: 2)
+        monkeypatch.setattr(multiprocessing.pool.Pool, "imap", recording_imap)
+        yield maps
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("preset", ["aaac01", "aaac02"])
+    def test_pool_matches_a_serial_loop(self, pool_maps, preset):
+        config = GeneratorConfig.preset(preset)
+        pooled = generate_corpus(config, 120, seed=3)
+        assert pool_maps == [generator._CHUNK]
+        assert [record_to_dict(r) for r in pooled] == [
+            record_to_dict(r) for r in serial_reference(config, 120, 3)
+        ]
+
+    def test_details_come_back_through_the_pool(self, pool_maps):
+        config = GeneratorConfig()
+        built = generate_with_details(config, 50, seed=4)
+        assert pool_maps
+        assert [record for record, _ in built] == serial_reference(config, 50, 4)
+        for record, details in built:
+            assert len(details.distractors) == record.meta.n_distractors
+
+    def test_failure_rate_overrun_reads_as_in_serial(self, pool_maps, monkeypatch):
+        monkeypatch.setattr(generator, "_generate_record", always_rejected)
+        with pytest.raises(GenerationError) as pooled:
+            generate_corpus(GeneratorConfig(), 120, seed=5)
+        assert pool_maps
+        assert multiprocessing.active_children() == []
+        monkeypatch.setattr(generator, "_available_cpus", lambda: 1)
+        with pytest.raises(GenerationError) as serial:
+            generate_corpus(GeneratorConfig(), 120, seed=5)
+        assert len(pool_maps) == 1
+        assert str(pooled.value) == str(serial.value)
+        assert "last rejection: ['always rejected']" in str(serial.value)
+
+    def test_unknown_paraphrase_hook_is_a_config_error(self, pool_maps):
+        with pytest.raises(ConfigError, match="unknown paraphrase hook 'nope'"):
+            generate_corpus(GeneratorConfig(paraphrase="nope"), 60, seed=6)
+        assert pool_maps
+
+    def test_registered_hook_applies_in_workers(self, pool_maps, monkeypatch):
+        monkeypatch.setattr(generator, "_PARAPHRASE_HOOKS", {})
+        register_paraphrase_hook("coda", lambda text: text + " That is all.")
+        records = generate_corpus(GeneratorConfig(paraphrase="coda"), 60, seed=7)
+        assert pool_maps
+        assert all(r.source.endswith(" That is all.") for r in records)
+
+    def test_small_corpora_stay_serial(self, pool_maps):
+        generate_corpus(GeneratorConfig(), 49, seed=8)
+        assert pool_maps == []
+
+    def test_threaded_callers_stay_serial(self, pool_maps):
+        config, built = GeneratorConfig(), []
+        thread = threading.Thread(
+            target=lambda: built.append(generate_corpus(config, 60, seed=9))
+        )
+        thread.start()
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+        assert pool_maps == []
+        assert built == [serial_reference(config, 60, 9)]

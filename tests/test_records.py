@@ -5,12 +5,14 @@ import random
 import pytest
 
 from deepa2.dimensions import DimensionId
-from deepa2.errors import DimensionParseError, MissingDimensionError
+from deepa2.errors import DeepA2Error, DimensionParseError, MissingDimensionError
 from deepa2.records import (
     DeepA2Record,
     QuotedStatement,
     RecordMeta,
     classify_subsets,
+    dump_corpus,
+    load_corpus,
     parse_dimension,
     record_from_dict,
     record_to_dict,
@@ -189,3 +191,18 @@ class TestClassifySubsets:
             tags = classify_subsets(meta)
             assert not {"plain", "mutilated"} <= tags
             assert not {"simple", "complex"} <= tags
+
+
+class TestCorpusFiles:
+    def test_records_without_ids_may_repeat(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        records = [make_record(), make_record(), make_record(meta=RecordMeta("a"))]
+        dump_corpus(records, path)
+        assert load_corpus(path) == records
+
+    def test_repeated_id_names_both_lines(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        dump_corpus([make_record(meta=RecordMeta(rid)) for rid in "abcb"], path)
+        with pytest.raises(DeepA2Error, match=r"c.jsonl:4: duplicate record id 'b' "
+                                              r"\(first at line 2\)"):
+            load_corpus(path)
