@@ -11,11 +11,11 @@ spellings on input; the printer always emits the spaced form.
 
 from __future__ import annotations
 
-import copy
 import re
 from dataclasses import dataclass
 
 from deepa2.errors import FormulaParseError
+from deepa2.memo import parse_once, process_memo
 
 VARIABLE_NAMES = ("x", "y", "z")
 
@@ -396,9 +396,8 @@ class _Parser:
 
 
 #: text -> its AST or the FormulaParseError it raised, for the whole process.
-#: ASTs are frozen, so every caller can share one.  A race between threads
-#: only parses a text twice, with equal results, so no lock is taken.
-_parsed: dict[str, Formula | FormulaParseError] = {}
+#: ASTs are frozen, so every caller can share one.
+_parsed: dict[str, Formula | FormulaParseError] = process_memo()
 
 
 def parse_formula(text: str) -> Formula:
@@ -406,18 +405,7 @@ def parse_formula(text: str) -> Formula:
 
     Each distinct text is parsed once per process; a remembered error is
     raised again as a fresh copy with the same message and position."""
-    result = _parsed.get(text)
-    if result is None:
-        try:
-            result = _parse(text)
-        except FormulaParseError as err:
-            result = err.with_traceback(None)
-        _parsed[text] = result
-    if isinstance(result, FormulaParseError):
-        # Raising the stored instance would prepend frames to its traceback
-        # on every raise.
-        raise copy.copy(result)
-    return result
+    return parse_once(_parsed, _parse, text, FormulaParseError)
 
 
 def _parse(text: str) -> Formula:

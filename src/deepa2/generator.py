@@ -182,7 +182,11 @@ class _DeadEnd(Exception):
     pass
 
 
-def _pattern_letters(pattern: Formula) -> tuple[tuple[str, ...], tuple[str, ...]]:
+#: The predicate letters and the constant letters of a pattern.
+_Letters = tuple[tuple[str, ...], tuple[str, ...]]
+
+
+def _pattern_letters(pattern: Formula) -> _Letters:
     shape = shape_of(pattern)
     return shape.pred_letters, shape.const_letters
 
@@ -208,6 +212,12 @@ class _Sampler:
                 for w in self.variants
                 for slot in range(len(w.premises))
             )
+        }
+        #: variant label -> the letters of each of its patterns, premises
+        #: first, then the conclusion
+        self.letters = {
+            v.label: tuple(_pattern_letters(p) for p in (*v.premises, v.conclusion))
+            for v in self.variants
         }
 
     def pool(self, intricate_flavor: bool) -> list[SchemeVariant]:
@@ -249,14 +259,14 @@ def _instantiate_step(
     variant: SchemeVariant,
     consumed: tuple[int, Formula] | None,
     alloc: _LetterAllocator,
+    letters: tuple[_Letters, ...],
 ) -> tuple[list[Formula], Formula]:
     binding = _Binding()
     if consumed is not None:
         slot, formula = consumed
         if not match_pattern(variant.premises[slot], formula, binding):
             raise _DeadEnd
-    for pattern in list(variant.premises) + [variant.conclusion]:
-        preds, consts = _pattern_letters(pattern)
+    for preds, consts in letters:
         for letter in preds:
             if letter not in binding.preds:
                 binding.preds[letter] = alloc.next_letter()
@@ -269,19 +279,21 @@ def _instantiate_step(
 
 
 def _new_letters_needed(
-    variant: SchemeVariant, consumed: tuple[int, Formula] | None
+    variant: SchemeVariant,
+    consumed: tuple[int, Formula] | None,
+    letters: tuple[_Letters, ...],
 ) -> int:
     binding = _Binding()
     if consumed is not None:
         slot, formula = consumed
         if not match_pattern(variant.premises[slot], formula, binding):
             return 1 << 30
-    letters = set(binding.preds)
+    seen = set(binding.preds)
     total = 0
-    for pattern in list(variant.premises) + [variant.conclusion]:
-        for letter in _pattern_letters(pattern)[0]:
-            if letter not in letters:
-                letters.add(letter)
+    for preds, _ in letters:
+        for letter in preds:
+            if letter not in seen:
+                seen.add(letter)
                 total += 1
     return total
 
@@ -322,7 +334,9 @@ def _try_sample_tree(config: GeneratorConfig, rng: random.Random) -> ArgumentTre
                         block = (v, slot)
                         if (
                             len(alloc.letters)
-                            + _new_letters_needed(v, (slot, prev_formula))
+                            + _new_letters_needed(
+                                v, (slot, prev_formula), sampler.letters[v.label]
+                            )
                             <= MAX_PREDICATE_LETTERS
                         ):
                             candidates.append(block)
@@ -330,7 +344,9 @@ def _try_sample_tree(config: GeneratorConfig, rng: random.Random) -> ArgumentTre
             raise _DeadEnd
         variant, slot = rng.choice(candidates)
         consumed = None if slot is None else (slot, prev_formula)
-        premises, conclusion = _instantiate_step(variant, consumed, alloc)
+        premises, conclusion = _instantiate_step(
+            variant, consumed, alloc, sampler.letters[variant.label]
+        )
         from_numbers: list[int] = []
         for idx, formula in enumerate(premises):
             if slot is not None and idx == slot:

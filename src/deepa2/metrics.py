@@ -20,12 +20,19 @@ from deepa2.argdown import (
     ArgdownArgument,
     conclusions_of,
     final_conclusion_of,
+    parse_argdown,
     premises_of,
 )
 from deepa2.dimensions import DimensionId
 from deepa2.errors import DeepA2Error, UndefinedMetricError
 from deepa2.formula import Formula, check_entailment, parse_formula
-from deepa2.records import DeepA2Record, QuotedStatement, parse_statements
+from deepa2.memo import process_memo
+from deepa2.records import (
+    DeepA2Record,
+    QuotedStatement,
+    parse_statements,
+    serialize_dimension,
+)
 from deepa2.schemes import builtin_catalog, sys_sch_ratio
 from deepa2.textnorm import normalize_ws, token_f1
 
@@ -65,23 +72,43 @@ def eval_basic_flaws(arg: ArgdownArgument) -> tuple[int, int, int, int]:
     return sys_pp, sys_rp, sys_rc, sys_us
 
 
+#: (premise formula texts, conclusion formula text) -> (sys_val, diagnostic
+#: or None), for the whole process.
+_verdicts: dict[tuple[tuple[str, ...], str], tuple[int, str | None]] = process_memo()
+
+
 def eval_sys_val(
     premises_form: Sequence[QuotedStatement],
     conclusion_form: Sequence[QuotedStatement],
     diagnostics: list[str] | None = None,
 ) -> int:
-    """1 iff all formalizations parse and the premises entail the conclusion."""
+    """1 iff all formalizations parse and the premises entail the conclusion.
+
+    Each distinct formalization is decided once per process; a repeated one
+    replays its verdict and its diagnostic."""
     diag = diagnostics if diagnostics is not None else []
     if len(conclusion_form) != 1:
         diag.append(f"conclusion_form must hold exactly one formula, got {len(conclusion_form)}")
         return 0
+    key = (tuple(q.text for q in premises_form), conclusion_form[0].text)
+    verdict = _verdicts.get(key)
+    if verdict is None:
+        verdict = _verdicts[key] = _decide_sys_val(*key)
+    value, message = verdict
+    if message is not None:
+        diag.append(message)
+    return value
+
+
+def _decide_sys_val(
+    premise_texts: tuple[str, ...], conclusion_text: str
+) -> tuple[int, str | None]:
     try:
-        premises = [parse_formula(q.text) for q in premises_form]
-        conclusion = parse_formula(conclusion_form[0].text)
-        return 1 if check_entailment(premises, conclusion) else 0
+        premises = [parse_formula(text) for text in premise_texts]
+        conclusion = parse_formula(conclusion_text)
+        return (1 if check_entailment(premises, conclusion) else 0), None
     except DeepA2Error as err:
-        diag.append(f"sys_val: {err}")
-        return 0
+        return 0, f"sys_val: {err}"
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +322,6 @@ def evaluate_analysis(
         diag.append("argdown: absent")
     else:
         try:
-            from deepa2.argdown import parse_argdown
-
             arg = parse_argdown(argdown_text)
         except DeepA2Error as err:
             diag.append(f"argdown: {err}")
@@ -376,6 +401,4 @@ def evaluate_analysis(
 
 def work_dict_of_record(record: DeepA2Record) -> dict[DimensionId, str]:
     """A record's own dimensions as raw texts (oracle-style evaluation input)."""
-    from deepa2.records import serialize_dimension
-
     return {dim: serialize_dimension(record, dim) for dim in record.present_dimensions()}

@@ -18,6 +18,7 @@ from deepa2.argdown import ArgdownArgument, parse_argdown, render_argdown
 from deepa2.dimensions import FORMULA_DIMENSIONS, LIST_DIMENSIONS, DimensionId
 from deepa2.errors import DeepA2Error, DimensionParseError, MissingDimensionError
 from deepa2.formula import parse_formula
+from deepa2.memo import parse_once, process_memo
 from deepa2.textnorm import normalize_ws
 
 
@@ -140,7 +141,42 @@ def serialize_statements(items: Iterable[QuotedStatement]) -> str:
     return " | ".join(parts)
 
 
+#: text -> its statements or the DimensionParseError it raised, for the whole
+#: process, parsed without formula checks.  Statement tuples are frozen, so
+#: every caller can share one.
+_parsed: dict[str, tuple[QuotedStatement, ...] | DimensionParseError] = process_memo()
+
+
 def parse_statements(text: str, validate_formulas: bool = False) -> tuple[QuotedStatement, ...]:
+    """The items of a list dimension; raises DimensionParseError at the offset
+    of the first malformed item.
+
+    Each distinct text is parsed once per process, without formula checks;
+    ``validate_formulas`` then parses each item with the memoized
+    ``parse_formula``, so validated and unvalidated calls share one entry."""
+    try:
+        items = parse_once(_parsed, _parse_statements, text, DimensionParseError)
+    except DimensionParseError as err:
+        if validate_formulas and err.position:
+            # Items are checked in order, so a bad formula in an item before
+            # the malformed one is the error to report.  Those items are the
+            # text up to the separator in front of the malformed item.
+            parse_statements(text[: err.position - 3], validate_formulas=True)
+        raise
+    if validate_formulas:
+        offset = 0
+        for item, raw in zip(items, _split_items(text)):
+            try:
+                parse_formula(item.text)
+            except DimensionParseError as err:
+                raise DimensionParseError(
+                    f"bad formula {item.text!r}: {err}", offset
+                ) from err
+            offset += len(raw) + 3
+    return items
+
+
+def _parse_statements(text: str) -> tuple[QuotedStatement, ...]:
     items = []
     offset = 0
     for raw in _split_items(text):
@@ -157,13 +193,6 @@ def parse_statements(text: str, validate_formulas: bool = False) -> tuple[Quoted
         body = normalize_ws(_unescape(body))
         if not body:
             raise DimensionParseError("empty statement text", offset)
-        if validate_formulas:
-            try:
-                parse_formula(body)
-            except DimensionParseError as err:
-                raise DimensionParseError(
-                    f"bad formula {body!r}: {err}", offset
-                ) from err
         items.append(QuotedStatement(body, ref))
         offset += len(raw) + 3
     return tuple(items)

@@ -1,5 +1,7 @@
 """Argument-block parsing and rendering tests."""
 
+import traceback
+
 import pytest
 
 from deepa2.argdown import (
@@ -90,6 +92,37 @@ class TestParse:
     def test_dangling_separator_rejected(self):
         with pytest.raises(ArgdownParseError):
             parse_argdown("(1) a.\n(2) b.\n----")
+
+    def test_remembered_error_is_raised_as_a_fresh_copy(self):
+        from deepa2 import argdown
+
+        bad = "(1) a.\n(2) b.\nnot a statement"
+        with pytest.raises(ArgdownParseError) as first:
+            parse_argdown(bad)
+        depth = len(traceback.extract_tb(first.value.__traceback__))
+        for _ in range(3):
+            with pytest.raises(ArgdownParseError) as again:
+                parse_argdown(bad)
+            assert again.value is not first.value
+            assert str(again.value) == str(first.value)
+            assert again.value.position is first.value.position is None
+            assert len(traceback.extract_tb(again.value.__traceback__)) == depth
+        assert argdown._parsed[bad].__traceback__ is None
+
+    def test_each_text_is_parsed_once(self, monkeypatch):
+        from deepa2 import argdown
+
+        texts = []
+        uncached = argdown._parse
+
+        def counting(text):
+            texts.append(text)
+            return uncached(text)
+
+        monkeypatch.setattr(argdown, "_parse", counting)
+        first = parse_argdown(EMBRYO_BLOCK)
+        assert parse_argdown(EMBRYO_BLOCK) is first
+        assert texts == [EMBRYO_BLOCK]
 
 
 class TestAccessors:

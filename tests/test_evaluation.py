@@ -14,7 +14,9 @@ from deepa2.evaluation import (
     render_table,
 )
 from deepa2.generator import GeneratorConfig, generate_corpus
+from deepa2.memo import clear_memos
 from deepa2.metrics import evaluate_analysis
+from deepa2.records import dump_corpus, load_corpus
 
 
 @pytest.fixture(scope="module")
@@ -180,3 +182,46 @@ def test_oracle_reports_match_targets(corpus):
     for record, report in oracle_reports(list(corpus.values())[:10]):
         assert report.sys_val == 1
         assert report.exe_te_prediction == record.meta.final_conclusion_explicit
+
+
+class TestProcessMemos:
+    def test_oracle_row_parses_no_loaded_text_again(self, corpus, tmp_path, monkeypatch):
+        import deepa2.argdown as argdown
+        import deepa2.formula.syntax as syntax
+        import deepa2.records as records
+
+        path = tmp_path / "corpus.jsonl"
+        dump_corpus(list(corpus.values())[:10], path)
+        loaded = load_corpus(path)
+        parsed = []
+        for module, name in ((argdown, "_parse"), (records, "_parse_statements"),
+                             (syntax, "_parse")):
+            uncached = getattr(module, name)
+
+            def counting(text, uncached=uncached):
+                parsed.append(text)
+                return uncached(text)
+
+            monkeypatch.setattr(module, name, counting)
+        reports = oracle_reports(loaded)
+        assert parsed == []
+        assert all(report.sys_val == 1 for _, report in reports)
+
+    def test_noisy_reports_are_equal_with_cold_and_warm_memos(self, corpus):
+        small = dict(list(corpus.items())[:6])
+        backend = NoisyOracleBackend(list(small.values()), 0.2, seed=0)
+        results = all_chain_traces(small, backend)
+
+        def reports():
+            return [evaluate_analysis(r.final, target=small[r.record_id]) for r in results]
+
+        cold = []
+        for result in results:
+            clear_memos()
+            cold.append(evaluate_analysis(result.final, target=small[result.record_id]))
+        clear_memos()
+        filling = reports()
+        assert reports() == filling == cold
+        # The run reaches the error paths whose diagnostics the memos replay.
+        assert any(any(d.startswith("sys_val: ") for d in r.diagnostics) for r in cold)
+        assert any(any(d.startswith("argdown: ") for d in r.diagnostics) for r in cold)

@@ -107,10 +107,9 @@ class TestParse:
         with pytest.raises(FormulaParseError):
             parse_formula("F v")
 
-    def test_remembered_error_is_raised_as_a_fresh_copy(self, monkeypatch):
+    def test_remembered_error_is_raised_as_a_fresh_copy(self):
         from deepa2.formula import syntax
 
-        monkeypatch.setattr(syntax, "_parsed", {})
         with pytest.raises(FormulaParseError) as first:
             parse_formula("F a @ G a")
         depth = len(traceback.extract_tb(first.value.__traceback__))

@@ -8,6 +8,8 @@ import pytest
 from deepa2.argdown import parse_argdown
 from deepa2.dimensions import DimensionId
 from deepa2.errors import UndefinedMetricError
+from deepa2.formula import check_entailment
+from deepa2.memo import clear_memos
 from deepa2.metrics import (
     default_scorer,
     eval_basic_flaws,
@@ -93,6 +95,38 @@ class TestSysVal:
         diag = []
         assert eval_sys_val((qs("F x y"),), (qs("G a"),), diag) == 0
         assert diag
+
+    def test_each_formalization_is_decided_once(self, monkeypatch):
+        import deepa2.metrics as metrics
+
+        decided = []
+
+        def counting(premises, conclusion):
+            decided.append((tuple(premises), conclusion))
+            return check_entailment(premises, conclusion)
+
+        monkeypatch.setattr(metrics, "check_entailment", counting)
+        premises = (qs("(x): F x -> G x", 1), qs("F a", 2))
+        for ref in (3, 4):
+            assert eval_sys_val(premises, (qs("G a", ref),)) == 1
+        assert eval_sys_val(premises, (qs("H a"),)) == 0
+        assert len(decided) == 2
+
+        diagnostics = []
+        for _ in range(2):
+            diag = ["earlier"]
+            assert eval_sys_val((qs("F x y"),), (qs("G a"),), diag) == 0
+            diagnostics.append(diag)
+        assert diagnostics[0] == diagnostics[1]
+        assert len(diagnostics[0]) == 2 and diagnostics[0][1].startswith("sys_val: ")
+        assert len(decided) == 2
+
+    def test_conclusion_count_is_checked_before_the_memo(self):
+        premises = (qs("F a"),)
+        assert eval_sys_val(premises, (qs("F a"),)) == 1
+        diag = []
+        assert eval_sys_val(premises, (qs("F a"), qs("F a")), diag) == 0
+        assert diag == ["conclusion_form must hold exactly one formula, got 2"]
 
 
 class TestMeq:
@@ -230,7 +264,7 @@ class TestFullSuiteOnReferenceRecord:
             texts.append(text)
             return uncached(text)
 
-        monkeypatch.setattr(syntax, "_parsed", {})
+        clear_memos()
         monkeypatch.setattr(syntax, "_parse", counting)
         assert evaluate_analysis(work, target=record) == expected
         assert evaluate_analysis(work, target=record) == expected

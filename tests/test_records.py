@@ -1,6 +1,7 @@
 """Record model, dimension serialization, and subset classification tests."""
 
 import random
+import traceback
 
 import pytest
 
@@ -14,6 +15,7 @@ from deepa2.records import (
     dump_corpus,
     load_corpus,
     parse_dimension,
+    parse_statements,
     record_from_dict,
     record_to_dict,
     serialize_dimension,
@@ -92,6 +94,52 @@ class TestParseDimension:
         assert good[0].ref == 1
         with pytest.raises(DimensionParseError):
             parse_dimension("F x y (ref: (1))", DimensionId.PREMISES_FORM)
+
+    def test_remembered_error_is_raised_as_a_fresh_copy(self):
+        from deepa2 import records
+
+        bad = "first item | (ref: (2)) | third item"
+        with pytest.raises(DimensionParseError) as first:
+            parse_statements(bad)
+        depth = len(traceback.extract_tb(first.value.__traceback__))
+        for _ in range(3):
+            with pytest.raises(DimensionParseError) as again:
+                parse_statements(bad)
+            assert again.value is not first.value
+            assert str(again.value) == str(first.value)
+            assert again.value.position == first.value.position == 13
+            assert len(traceback.extract_tb(again.value.__traceback__)) == depth
+        assert records._parsed[bad].__traceback__ is None
+
+    @pytest.mark.parametrize("validated_first", [True, False])
+    def test_formula_check_does_not_depend_on_call_order(self, validated_first):
+        text = "F a (ref: (1)) | F x y (ref: (2))"
+
+        def validated():
+            with pytest.raises(DimensionParseError) as err:
+                parse_statements(text, validate_formulas=True)
+            assert "bad formula 'F x y'" in str(err.value)
+            assert err.value.position == 17
+
+        def unvalidated():
+            assert parse_statements(text) == (
+                QuotedStatement("F a", 1), QuotedStatement("F x y", 2)
+            )
+
+        calls = [validated, unvalidated] if validated_first else [unvalidated, validated]
+        for call in calls + calls:
+            call()
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_bad_formula_before_a_malformed_item_is_reported_first(self, warm):
+        text = "F a | F x y | G a | "
+        if warm:
+            with pytest.raises(DimensionParseError, match="empty statement text"):
+                parse_statements(text)
+        with pytest.raises(DimensionParseError) as err:
+            parse_statements(text, validate_formulas=True)
+        assert "bad formula 'F x y'" in str(err.value)
+        assert err.value.position == 6
 
     def test_keys_parse(self):
         text = "F: admirer of Chico | G: admirer of Laguna Beach"
