@@ -14,10 +14,10 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -44,17 +44,6 @@ EXIT_VALIDATION = 4
 
 ENV_ENDPOINT = "DEEPA2_ENDPOINT"
 ENV_TIMEOUT_MS = "DEEPA2_TIMEOUT_MS"
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    corpus: Path
-    chain_ids: tuple[int, ...]
-    backend_spec: str
-    seed: int
-    out: Path
-    with_formalization: bool
-    jobs: int = 1
 
 
 class _CountingBackend:
@@ -92,6 +81,17 @@ def _atomic_write_lines(path: Path, lines) -> None:
 
 def _atomic_write_json(path: Path, payload) -> None:
     _atomic_write(path, lambda fh: json.dump(payload, fh, indent=2))
+
+
+def _timeout_ms() -> float:
+    text = os.environ.get(ENV_TIMEOUT_MS, "30000")
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"{ENV_TIMEOUT_MS} must be a finite number > 0, got {text!r}")
+    return value
 
 
 def _parse_chain_ids(text: str) -> tuple[int, ...]:
@@ -156,18 +156,10 @@ def cmd_run(args) -> int:
     from deepa2.chains import chain_by_id, run_chains
     from deepa2.records import load_corpus
 
-    manifest = RunManifest(
-        corpus=Path(args.corpus),
-        chain_ids=_parse_chain_ids(args.chains),
-        backend_spec=args.backend,
-        seed=args.seed,
-        out=Path(args.out),
-        with_formalization=args.with_formalization,
-        jobs=args.jobs,
-    )
-    records = load_corpus(manifest.corpus)
-    timeout_ms = float(os.environ.get(ENV_TIMEOUT_MS, "30000"))
-    backend_spec = manifest.backend_spec
+    chain_ids = _parse_chain_ids(args.chains)
+    records = load_corpus(args.corpus)
+    timeout_ms = _timeout_ms()
+    backend_spec = args.backend
     if backend_spec == "http":
         endpoint = os.environ.get(ENV_ENDPOINT)
         if not endpoint:
@@ -176,12 +168,12 @@ def cmd_run(args) -> int:
     backend = make_backend(
         backend_spec,
         records,
-        seed=manifest.seed,
+        seed=args.seed,
         timeout=timeout_ms / 1000.0,
-        max_in_flight=max(1, manifest.jobs),
+        max_in_flight=max(1, args.jobs),
     )
 
-    chains = [chain_by_id(chain_id) for chain_id in manifest.chain_ids]
+    chains = [chain_by_id(chain_id) for chain_id in chain_ids]
 
     def execute(record) -> tuple[list[ChainResult], int]:
         counted = _CountingBackend(backend)
@@ -189,7 +181,7 @@ def cmd_run(args) -> int:
             chains,
             record.source or "",
             counted,
-            with_formalization=manifest.with_formalization,
+            with_formalization=args.with_formalization,
             record_id=record.meta.record_id,
         )
         return results, counted.calls
@@ -197,8 +189,8 @@ def cmd_run(args) -> int:
     # A record is the unit of parallel work: its chains share one memo of
     # requests, so each distinct request reaches the backend once.
     try:
-        if manifest.jobs > 1:
-            with ThreadPoolExecutor(max_workers=manifest.jobs) as executor:
+        if args.jobs > 1:
+            with ThreadPoolExecutor(max_workers=args.jobs) as executor:
                 per_record = list(executor.map(execute, records))
         else:
             per_record = [execute(record) for record in records]
@@ -211,11 +203,11 @@ def cmd_run(args) -> int:
 
     failed = [r for r in results if r.error]
     _atomic_write_lines(
-        manifest.out,
+        Path(args.out),
         (json.dumps(r.to_dict(), ensure_ascii=False) + "\n" for r in results),
     )
     print(
-        f"wrote {len(results)} traces to {manifest.out} ({len(failed)} failed; "
+        f"wrote {len(results)} traces to {args.out} ({len(failed)} failed; "
         f"{calls} backend calls for {steps} steps)"
     )
     if failed:
@@ -253,11 +245,8 @@ def cmd_eval(args) -> int:
                 else:
                     yield result
 
-    # One memo for the traces and the oracle row: under the oracle backend
-    # every final is its target's own analysis, scored once.
-    memo = {}
     try:
-        rows = evaluate_traces(usable_results(), corpus, memo=memo)
+        rows = evaluate_traces(usable_results(), corpus)
     except UndefinedMetricError:
         if not counts["traces"]:
             raise DeepA2Error("traces file is empty") from None
@@ -267,7 +256,7 @@ def cmd_eval(args) -> int:
         out,
         (json.dumps(row.to_dict(), ensure_ascii=False) + "\n" for row in rows),
     )
-    table = aggregate_table(rows, corpus, memo=memo)
+    table = aggregate_table(rows, corpus)
     aggregate_path = out.with_suffix(out.suffix + ".aggregate.json")
     _atomic_write_json(aggregate_path, table)
     print(render_table(table))

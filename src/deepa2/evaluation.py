@@ -8,10 +8,9 @@ from typing import Iterable, Sequence
 
 from deepa2.chains import ChainResult, default_ranking_key, pool_index
 from deepa2.errors import DeepA2Error, UndefinedMetricError
+from deepa2.memo import process_memo
 from deepa2.metrics import (
     MetricReport,
-    Scorer,
-    default_scorer,
     eval_exe_te,
     evaluate_analysis,
     work_dict_of_record,
@@ -36,51 +35,34 @@ class EvaluatedTrace:
         return data
 
 
-def evaluate_trace(
-    result: ChainResult,
-    record: DeepA2Record,
-    scorer: Scorer = default_scorer,
-) -> EvaluatedTrace:
-    report = evaluate_analysis(result.final, target=record, scorer=scorer)
-    return EvaluatedTrace(result.record_id, result.chain_id, report)
+#: Reports of distinct analyses, keyed by the target record and the items
+#: of a final, for the whole process.  The key holds the record itself, not
+#: its id: two corpora in one process may share ids.
+_reports: dict[tuple[DeepA2Record, frozenset], MetricReport] = process_memo()
 
 
-#: Reports of distinct analyses, keyed by record id and the items of a final.
-ReportMemo = dict[tuple[str, frozenset], MetricReport]
+def _report(final: dict, record: DeepA2Record) -> MetricReport:
+    """``evaluate_analysis(final, target=record)``, computed once per process
+    for each distinct analysis (a ``final``'s items in any insertion order).
 
-
-def _memoized_report(
-    memo: ReportMemo,
-    record_id: str,
-    final: dict,
-    record: DeepA2Record,
-    scorer: Scorer,
-) -> MetricReport:
-    key = (record_id, frozenset(final.items()))
-    report = memo.get(key)
+    This is exact because the metric suite is a function of the analysis
+    and the target record alone."""
+    key = (record, frozenset(final.items()))
+    report = _reports.get(key)
     if report is None:
-        report = memo[key] = evaluate_analysis(final, target=record, scorer=scorer)
+        report = _reports[key] = evaluate_analysis(final, target=record)
     return report
 
 
+def evaluate_trace(result: ChainResult, record: DeepA2Record) -> EvaluatedTrace:
+    return EvaluatedTrace(result.record_id, result.chain_id, _report(result.final, record))
+
+
 def evaluate_traces(
-    results: Iterable[ChainResult],
-    corpus: dict[str, DeepA2Record],
-    scorer: Scorer = default_scorer,
-    *,
-    memo: ReportMemo | None = None,
+    results: Iterable[ChainResult], corpus: dict[str, DeepA2Record]
 ) -> list[EvaluatedTrace]:
     """One row per result, in order; ``results`` may be any iterable and is
-    read once.
-
-    Each distinct analysis, a record id with the items of a ``final``
-    (in any insertion order), is evaluated once per call, and its rows share
-    one report.  This is exact because ``evaluate_analysis`` is a function
-    of the analysis, the target record and the scorer, so a custom
-    ``scorer`` must be deterministic.  Pass a ``memo`` to keep the reports
-    for a later ``aggregate_table`` over the same corpus and scorer.
-    """
-    memo = {} if memo is None else memo
+    read once.  Rows of one distinct analysis share one report."""
     rows = []
     for result in results:
         record = corpus.get(result.record_id)
@@ -88,8 +70,7 @@ def evaluate_traces(
             raise DeepA2Error(
                 f"trace for unknown record {result.record_id!r}; corpus mismatch"
             )
-        report = _memoized_report(memo, result.record_id, result.final, record, scorer)
-        rows.append(EvaluatedTrace(result.record_id, result.chain_id, report))
+        rows.append(evaluate_trace(result, record))
     if not rows:
         raise UndefinedMetricError("no traces to evaluate")
     return rows
@@ -97,24 +78,10 @@ def evaluate_traces(
 
 def oracle_reports(
     records: Sequence[DeepA2Record],
-    scorer: Scorer = default_scorer,
-    *,
-    memo: ReportMemo | None = None,
 ) -> list[tuple[DeepA2Record, MetricReport]]:
-    """Metric suite applied to the target data itself.
-
-    With a ``memo`` (records then need ids), a target whose work dict was
-    already scored as some trace's final reuses that report.
-    """
-    out = []
-    for record in records:
-        work = work_dict_of_record(record)
-        if memo is None:
-            report = evaluate_analysis(work, target=record, scorer=scorer)
-        else:
-            report = _memoized_report(memo, record.meta.record_id, work, record, scorer)
-        out.append((record, report))
-    return out
+    """Metric suite applied to the target data itself; a target whose work
+    dict was already scored as some trace's final reuses that report."""
+    return [(record, _report(work_dict_of_record(record), record)) for record in records]
 
 
 def _aggregate_reports(
@@ -136,13 +103,9 @@ def _aggregate_reports(
 def aggregate_table(
     rows: Sequence[EvaluatedTrace],
     corpus: dict[str, DeepA2Record],
-    include_oracle: bool = True,
-    *,
-    memo: ReportMemo | None = None,
 ) -> dict:
     """Per-chain mean rows plus a pooling row (item-wise best chain) and an
-    oracle row (metrics on the target data).  The oracle row reuses the
-    reports in ``memo``, the one ``evaluate_traces`` filled for ``rows``."""
+    oracle row (metrics on the target data)."""
     chains = sorted({row.chain_id for row in rows})
     table_rows = []
     for chain_id in chains:
@@ -163,15 +126,13 @@ def aggregate_table(
             pooled_pairs.append((group[best].report, corpus[record_id]))
         table_rows.append({"chain": "pooling", **_aggregate_reports(pooled_pairs)})
 
-    if include_oracle:
-        oracle_pairs = [
-            (report, record)
-            for record, report in oracle_reports(
-                [corpus[rid] for rid in sorted({r.record_id for r in rows})],
-                memo=memo,
-            )
-        ]
-        table_rows.append({"chain": "oracle", **_aggregate_reports(oracle_pairs)})
+    oracle_pairs = [
+        (report, record)
+        for record, report in oracle_reports(
+            [corpus[rid] for rid in sorted({r.record_id for r in rows})]
+        )
+    ]
+    table_rows.append({"chain": "oracle", **_aggregate_reports(oracle_pairs)})
     return {"columns": list(METRIC_COLUMNS), "rows": table_rows}
 
 

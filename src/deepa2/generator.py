@@ -85,7 +85,6 @@ class GeneratorConfig:
     distractor_weights: tuple[float, ...] = (0.40, 0.25, 0.35)
     imprecise_rendition: bool = False
     paraphrase: str | None = None
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("step_weights", "implicit_premise_weights", "distractor_weights"):
@@ -107,7 +106,6 @@ class GeneratorConfig:
             "distractor_weights": list(self.distractor_weights),
             "imprecise_rendition": self.imprecise_rendition,
             "paraphrase": self.paraphrase,
-            "seed": self.seed,
         }
 
     @classmethod
@@ -688,8 +686,7 @@ class GenerationDetails:
 def generate_with_details(
     config: GeneratorConfig,
     n: int,
-    seed: int | None = None,
-    max_failure_rate: float = 0.01,
+    seed: int = 0,
 ) -> list[tuple[DeepA2Record, GenerationDetails]]:
     """Generate n validated records plus their construction details.
 
@@ -701,22 +698,26 @@ def generate_with_details(
     Results are read back in index order, so the output does not depend on
     the CPU count.
     """
-    return _generate(config, n, seed, max_failure_rate, details=True)
+    return _generate(config, n, seed, details=True)
 
 
 def generate_corpus(
     config: GeneratorConfig,
     n: int,
-    seed: int | None = None,
+    seed: int = 0,
 ) -> list[DeepA2Record]:
     """Generate n records, each internally validated; deterministic under
     (config, n, seed)."""
-    return _generate(config, n, seed, 0.01, details=False)
+    return _generate(config, n, seed, details=False)
 
 
 # Consecutive indices per pool task; a pool gets one worker per full chunk,
 # as fewer records do not repay starting it.
 _CHUNK = 25
+
+#: Share of indices whose every attempt may be rejected before generation
+#: gives up (at least one is always allowed).
+_MAX_FAILURE_RATE = 0.01
 
 
 def _available_cpus() -> int:
@@ -750,16 +751,9 @@ def _record_at(config: GeneratorConfig, seed: int, index: int, details: bool = T
     return _Rejection(problems)
 
 
-def _generate(
-    config: GeneratorConfig,
-    n: int,
-    seed: int | None,
-    max_failure_rate: float,
-    details: bool,
-) -> list:
+def _generate(config: GeneratorConfig, n: int, seed: int, details: bool) -> list:
     if n < 1:
         raise GenerationError("n must be at least 1")
-    seed = config.seed if seed is None else seed
     build = partial(_record_at, config, seed, details=details)
     workers = min(_available_cpus(), n // _CHUNK)
     mapper, pool = map, None
@@ -792,9 +786,9 @@ def _generate(
                     out.append(result)
                     continue
                 failures += 1
-                if failures > max(1, int(max_failure_rate * n)):
+                if failures > max(1, int(_MAX_FAILURE_RATE * n)):
                     raise GenerationError(
-                        f"generation failure rate exceeded {max_failure_rate:.0%}; "
+                        f"generation failure rate exceeded {_MAX_FAILURE_RATE:.0%}; "
                         f"last rejection: {result.problems}"
                     )
             start = stop

@@ -23,7 +23,7 @@ from deepa2.argdown import ArgdownArgument, InferenceStep, final_conclusion_of
 from deepa2.chains import ChainResult
 from deepa2.dimensions import DimensionId
 from deepa2.errors import DeepA2Error, ImportFormatError
-from deepa2.metrics import MetricReport, Scorer, default_scorer
+from deepa2.metrics import MetricReport, default_scorer
 from deepa2.records import DeepA2Record, QuotedStatement, RecordMeta, parse_statements
 
 SOURCE_TEMPLATE_GLUE = "All this entails:"
@@ -274,7 +274,6 @@ def _final_conclusion_text(result: ChainResult) -> str:
 def extract_hoe_features(
     results: Sequence[tuple[ChainResult, MetricReport]],
     label: str | None = None,
-    scorer: Scorer = default_scorer,
 ) -> HoeFeatures:
     """Feature vector over >= 2 chains' reconstructions of one record:
     mean pairwise similarity of final conclusions, then the per-chain
@@ -288,7 +287,7 @@ def extract_hoe_features(
 
     conclusions = [_final_conclusion_text(r) for r, _ in ordered]
     pairs = [
-        scorer(conclusions[i], conclusions[j])
+        default_scorer(conclusions[i], conclusions[j])
         for i in range(len(conclusions))
         for j in range(i + 1, len(conclusions))
     ]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from deepa2.argdown import (
     ArgdownArgument,
@@ -37,8 +37,6 @@ from deepa2.schemes import builtin_catalog, sys_sch_ratio
 from deepa2.textnorm import normalize_ws, token_f1
 
 logger = logging.getLogger(__name__)
-
-Scorer = Callable[[str, str], float]
 
 #: Minimum token-overlap F1 for a predicted statement to count as matching a
 #: target statement in the predictive-performance metrics.
@@ -145,7 +143,6 @@ def eval_exe_meq(
 def _counterpart_mean(
     quotes: Sequence[QuotedStatement],
     counterparts: list[tuple[int, str]],
-    scorer: Scorer,
 ) -> float:
     """Shared core of the reason/conjecture coherence metrics.
 
@@ -162,7 +159,8 @@ def _counterpart_mean(
         matching = [q for q in quotes if q.ref == number]
         if matching:
             contributions.extend(
-                scorer(normalize_ws(q.text), normalize_ws(text)) for q in matching
+                default_scorer(normalize_ws(q.text), normalize_ws(text))
+                for q in matching
             )
         else:
             contributions.append(-1.0)
@@ -175,32 +173,24 @@ def _counterpart_mean(
 
 
 def eval_exe_rss(
-    reasons: Sequence[QuotedStatement],
-    arg: ArgdownArgument | None,
-    scorer: Scorer = default_scorer,
+    reasons: Sequence[QuotedStatement], arg: ArgdownArgument | None
 ) -> float:
     """Mean coherence of reason quotes with their counterpart premises."""
     counterparts = premises_of(arg) if arg is not None else []
-    return _counterpart_mean(reasons, counterparts, scorer)
+    return _counterpart_mean(reasons, counterparts)
 
 
 def eval_exe_jss(
-    conjectures: Sequence[QuotedStatement],
-    arg: ArgdownArgument | None,
-    scorer: Scorer = default_scorer,
+    conjectures: Sequence[QuotedStatement], arg: ArgdownArgument | None
 ) -> float:
     """Mean coherence of conjecture quotes with their counterpart conclusions."""
     counterparts = conclusions_of(arg) if arg is not None else []
-    return _counterpart_mean(conjectures, counterparts, scorer)
+    return _counterpart_mean(conjectures, counterparts)
 
 
-def eval_exe_ppr(
-    predicted: Sequence[str],
-    target: Sequence[str],
-    threshold: float = MATCH_THRESHOLD,
-) -> float:
-    """F1 for identifying target statements, greedy one-to-one matching at a
-    token-overlap threshold.  Also used for conjectures (EXE-PPJ)."""
+def eval_exe_ppr(predicted: Sequence[str], target: Sequence[str]) -> float:
+    """F1 for identifying target statements, greedy one-to-one matching at
+    ``MATCH_THRESHOLD`` token overlap.  Also used for conjectures (EXE-PPJ)."""
     predicted = [normalize_ws(t) for t in predicted]
     target = [normalize_ws(t) for t in target]
     if not predicted and not target:
@@ -211,7 +201,7 @@ def eval_exe_ppr(
     true_positives = 0
     for p in predicted:
         for j in unmatched:
-            if token_f1(p, target[j]) >= threshold:
+            if token_f1(p, target[j]) >= MATCH_THRESHOLD:
                 unmatched.remove(j)
                 true_positives += 1
                 break
@@ -310,7 +300,6 @@ def _parse_quotes(text: str | None, dim: DimensionId, diag: list[str]):
 def evaluate_analysis(
     work: Mapping[DimensionId, str],
     target: DeepA2Record | None = None,
-    scorer: Scorer = default_scorer,
 ) -> MetricReport:
     """Apply the full metric suite to one analysis given as raw dimension
     texts (e.g. the final dictionary of a generative chain)."""
@@ -367,8 +356,8 @@ def evaluate_analysis(
     else:
         exe_meq = eval_exe_meq(source, reasons, conjectures)
 
-    exe_rss = eval_exe_rss(reasons or (), arg, scorer)
-    exe_jss = eval_exe_jss(conjectures or (), arg, scorer)
+    exe_rss = eval_exe_rss(reasons or (), arg)
+    exe_jss = eval_exe_jss(conjectures or (), arg)
     prediction = te_prediction(conjectures or (), arg)
 
     exe_ppr: float | None = None

@@ -259,7 +259,7 @@ def test_criterion_07_degradation_monotonicity(corpus1000):
                 ],
                 corpus,
             )
-            table = aggregate_table(rows, corpus, include_oracle=False)
+            table = aggregate_table(rows, corpus)
             row = table["rows"][0]
             means[rate] = (row["sys_val"], row["exe_ppr"], row["exe_meq"])
         for metric_index in range(3):
@@ -284,7 +284,7 @@ def test_criterion_08_pooling_dominance(corpus1000):
     by_record: dict[str, list] = {}
     for row in rows:
         by_record.setdefault(row.record_id, []).append(row)
-    table = aggregate_table(rows, corpus, include_oracle=False)
+    table = aggregate_table(rows, corpus)
     by_chain = {r["chain"]: r for r in table["rows"]}
     pooled_row = by_chain["pooling"]
 

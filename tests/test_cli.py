@@ -11,6 +11,7 @@ from deepa2.chains import ChainResult, chain_catalog, formalization_subchain
 from deepa2.cli import EXIT_BACKEND, EXIT_CONFIG, EXIT_OK, EXIT_VALIDATION, main
 from deepa2.dimensions import DimensionId
 from deepa2.evaluation import aggregate_table
+from deepa2.memo import clear_memos
 from deepa2.metrics import evaluate_analysis
 from deepa2.records import load_corpus
 
@@ -111,6 +112,15 @@ class TestGenerate:
         assert run_cli("generate", "-n", "5", "--config", str(config),
                        "--out", str(tmp_path / "c.jsonl")) == EXIT_CONFIG
 
+    def test_seed_in_config_file_exits_2(self, tmp_path, caplog):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": 5}))
+        out = tmp_path / "c.jsonl"
+        assert run_cli("generate", "-n", "5", "--config", str(config),
+                       "--out", str(out)) == EXIT_CONFIG
+        assert "seed" in caplog.text
+        assert not out.exists()
+
     def test_unknown_preset_exits_2(self, tmp_path):
         assert run_cli("generate", "-n", "5", "--preset", "nope",
                        "--out", str(tmp_path / "c.jsonl")) == EXIT_CONFIG
@@ -136,6 +146,18 @@ class TestRun:
         assert code == EXIT_CONFIG
         assert f"bad backend spec {spec!r}" in caplog.text
         assert "[0, 1]" in caplog.text
+
+    @pytest.mark.parametrize("value", ["abc", "-5", "0", "nan"])
+    @pytest.mark.parametrize("backend", ["oracle", "http://127.0.0.1:1"])
+    def test_bad_timeout_exits_2(self, tmp_path, corpus_file, caplog, monkeypatch,
+                                 value, backend):
+        monkeypatch.setenv("DEEPA2_TIMEOUT_MS", value)
+        traces = tmp_path / "t.jsonl"
+        code = run_cli("run", "--corpus", str(corpus_file), "--chains", "1",
+                       "--backend", backend, "--out", str(traces))
+        assert code == EXIT_CONFIG
+        assert "DEEPA2_TIMEOUT_MS" in caplog.text and repr(value) in caplog.text
+        assert not traces.exists()
 
     def test_dead_http_endpoint_preserves_partial_traces(self, tmp_path, corpus_file):
         traces = tmp_path / "traces.jsonl"
@@ -222,8 +244,9 @@ class TestEval:
                        "--out", str(metrics)) == EXIT_OK
         corpus = {r.meta.record_id: r for r in load_corpus(corpus_file)}
         assert sorted(targets) == sorted(corpus)
-        # The same table as with the oracle row scored from scratch.
+        # The same table as with every report scored from scratch.
         monkeypatch.undo()
+        clear_memos()
         results = [ChainResult.from_dict(json.loads(line))
                    for line in traces.read_text().splitlines()]
         table = aggregate_table(evaluation.evaluate_traces(results, corpus), corpus)

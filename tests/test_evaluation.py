@@ -109,6 +109,7 @@ class TestReportMemo:
         assert len({id(row.report) for row in rows}) == len(small)
 
         counted.clear()
+        clear_memos()
         results = all_chain_traces(small, NoisyOracleBackend(list(small.values()), 0.2, seed=0))
         evaluate_traces(results, small)
         distinct = {analysis_key(r.record_id, r.final) for r in results}
@@ -139,6 +140,32 @@ class TestReportMemo:
         assert len(counted) == 1
         assert rows[0].report is rows[1].report
 
+    def test_corpora_sharing_record_ids_keep_their_own_reports(self, small, counted):
+        record_id, record = next(iter(small.items()))
+        # Same lexicon and seed, so the same ids, but other records.
+        other = {r.meta.record_id: r
+                 for r in generate_corpus(GeneratorConfig(p_intricate=0.0), 1, seed=51)}
+        assert other[record_id] != record
+        final = run_chain(chain_by_id(1), record.source, OracleBackend(small.values()),
+                          with_formalization=True, record_id=record_id).final
+        trace = ChainResult(1, record_id, final, ())
+        first = evaluate_traces([trace], small)[0].report
+        second = evaluate_traces([trace], other)[0].report
+        assert len(counted) == 2
+        assert first == evaluate_analysis(final, target=record)
+        assert second == evaluate_analysis(final, target=other[record_id])
+        assert first != second
+
+    def test_oracle_reports_reuse_the_trace_reports(self, small, counted):
+        results = all_chain_traces(small, OracleBackend(small.values()))
+        rows = evaluate_traces(results, small)
+        assert len(counted) == len(small)
+        reports = oracle_reports(list(small.values()))
+        assert len(counted) == len(small)
+        by_record = {row.record_id: row.report for row in rows}
+        assert all(report is by_record[record.meta.record_id]
+                   for record, report in reports)
+
 
 class TestAggregateTable:
     def test_shape_and_rows(self, corpus):
@@ -155,7 +182,7 @@ class TestAggregateTable:
     def test_pooling_dominates_on_validity(self, corpus):
         backend = NoisyOracleBackend(list(corpus.values()), 0.4, seed=5)
         rows = evaluate_traces(traces_for(corpus, backend, [1, 9, 13]), corpus)
-        table = aggregate_table(rows, corpus, include_oracle=False)
+        table = aggregate_table(rows, corpus)
         by_chain = {r["chain"]: r for r in table["rows"]}
         for chain in ("1", "9", "13"):
             assert by_chain["pooling"]["sys_val"] >= by_chain[chain]["sys_val"]
@@ -166,7 +193,7 @@ class TestAggregateTable:
         by_record = {}
         for row in rows:
             by_record.setdefault(row.record_id, []).append(row.report.sys_val)
-        table = aggregate_table(rows, corpus, include_oracle=False)
+        table = aggregate_table(rows, corpus)
         pooled = next(r for r in table["rows"] if r["chain"] == "pooling")
         expected = sum(max(vals) for vals in by_record.values()) / len(by_record)
         assert pooled["sys_val"] == pytest.approx(expected)
