@@ -196,13 +196,6 @@ def final_conclusion_of(arg: ArgdownArgument) -> tuple[int, str]:
     return arg.statements[-1]
 
 
-def intermediate_conclusions_of(arg: ArgdownArgument) -> list[tuple[int, str]]:
-    """Derived statements other than the final conclusion."""
-    final_number = arg.statements[-1][0]
-    derived = arg.derived_numbers
-    return [(n, t) for n, t in arg.statements if n in derived and n != final_number]
-
-
 def conclusions_of(arg: ArgdownArgument) -> list[tuple[int, str]]:
     """All derived statements (intermediate and final), in numeric order."""
     derived = arg.derived_numbers

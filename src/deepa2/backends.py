@@ -30,7 +30,8 @@ from deepa2.errors import (
 from deepa2.modes import ModeSpec, mode
 from deepa2.records import DeepA2Record, serialize_dimension
 
-DEFAULT_BEAM_WIDTH = 2
+#: The beam width every HTTP request asks for.
+_BEAM_WIDTH = 2
 
 #: The premises-to-formalization mode goes by the task prefix "formalize".
 _FORMALIZE_MODE = mode("P", "F")
@@ -40,9 +41,11 @@ _JSON_HEADERS = {"Content-Type": "application/json"}
 
 @dataclass(frozen=True)
 class GenerationRequest:
+    """One mode's inputs for one record; ``record_id`` names the target
+    record for the oracle backends."""
+
     mode: ModeSpec
     inputs: Mapping[DimensionId, str]
-    beam_width: int = DEFAULT_BEAM_WIDTH
     record_id: str | None = None
 
     def __post_init__(self):
@@ -185,7 +188,7 @@ class HttpBackend:
     """Client for an external inference service.
 
     POSTs ``{endpoint}/generate`` with ``{"mode": keyword, "inputs":
-    {keyword: text}, "beam_width": n}`` and expects ``{"output": text}``.
+    {keyword: text}, "beam_width": 2}`` and expects ``{"output": text}``.
     Transient failures are retried with exponential backoff; at most
     ``max_in_flight`` requests run concurrently, each thread on its own
     keep-alive connection.  Once a request has spent all ``max_attempts`` on
@@ -253,7 +256,7 @@ class HttpBackend:
         body = json.dumps({
             "mode": request.mode.output.keyword,
             "inputs": {d.keyword: text for d, text in request.inputs.items()},
-            "beam_width": request.beam_width,
+            "beam_width": _BEAM_WIDTH,
         }).encode()
         url = self.endpoint.rstrip("/") + "/generate"
         with self._lock:
@@ -293,8 +296,8 @@ class HttpBackend:
 def make_backend(spec: str, records: Iterable[DeepA2Record] | None = None,
                  seed: int = 0, timeout: float = 30.0,
                  max_in_flight: int = 4) -> ModelBackend:
-    """Build a backend from a CLI-style spec: ``oracle``, ``noisy:<rate>``,
-    or ``http:<url>`` / a bare URL."""
+    """Build a backend from a CLI-style spec: ``oracle``, ``noisy:<rate>``
+    or an ``http://`` / ``https://`` URL."""
     if spec == "oracle":
         if records is None:
             raise BackendError("oracle backend needs a target corpus")
@@ -313,6 +316,4 @@ def make_backend(spec: str, records: Iterable[DeepA2Record] | None = None,
         return NoisyOracleBackend(records, rate, seed)
     if spec.startswith(("http://", "https://")):
         return HttpBackend(spec, timeout=timeout, max_in_flight=max_in_flight)
-    if spec.startswith("http:"):
-        return HttpBackend(spec.split(":", 1)[1], timeout=timeout, max_in_flight=max_in_flight)
     raise BackendError(f"unknown backend spec {spec!r}")

@@ -170,7 +170,7 @@ def cmd_run(args) -> int:
         records,
         seed=args.seed,
         timeout=timeout_ms / 1000.0,
-        max_in_flight=max(1, args.jobs),
+        max_in_flight=args.jobs,
     )
 
     chains = [chain_by_id(chain_id) for chain_id in chain_ids]
@@ -288,6 +288,21 @@ def cmd_export_training(args) -> int:
     return EXIT_OK
 
 
+def _int_at_least(minimum: int):
+    """An argparse ``type``: an integer no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="deepa2",
@@ -299,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="generate a synthetic corpus")
     p.add_argument("--preset", default="aaac01", help="config preset (aaac01, aaac02)")
     p.add_argument("--config", help="JSON generator-config file (overrides --preset)")
-    p.add_argument("-n", type=int, required=True, help="number of records")
+    p.add_argument("-n", type=_int_at_least(0), required=True, help="number of records")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="corpus JSON-lines path")
     p.add_argument("--census", help="census JSON path (default: <out>.census.json)")
@@ -316,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--with-formalization", action="store_true",
                    help="append the formalization sub-chain")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.add_argument("--out", required=True, help="traces JSON-lines path")
     p.set_defaults(func=cmd_run)
 
@@ -329,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export-training", help="emit seq2seq training pairs")
     p.add_argument("--corpus", required=True)
     p.add_argument("--weights", choices=("aaac", "entailment-bank"), default="aaac")
-    p.add_argument("-n", type=int, default=14, help="pairs per record")
+    p.add_argument("-n", type=_int_at_least(0), default=14, help="pairs per record")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_export_training)

@@ -54,10 +54,6 @@ def _report(final: dict, record: DeepA2Record) -> MetricReport:
     return report
 
 
-def evaluate_trace(result: ChainResult, record: DeepA2Record) -> EvaluatedTrace:
-    return EvaluatedTrace(result.record_id, result.chain_id, _report(result.final, record))
-
-
 def evaluate_traces(
     results: Iterable[ChainResult], corpus: dict[str, DeepA2Record]
 ) -> list[EvaluatedTrace]:
@@ -70,7 +66,9 @@ def evaluate_traces(
             raise DeepA2Error(
                 f"trace for unknown record {result.record_id!r}; corpus mismatch"
             )
-        rows.append(evaluate_trace(result, record))
+        rows.append(
+            EvaluatedTrace(result.record_id, result.chain_id, _report(result.final, record))
+        )
     if not rows:
         raise UndefinedMetricError("no traces to evaluate")
     return rows

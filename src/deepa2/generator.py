@@ -20,7 +20,7 @@ import random
 import threading
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Iterable
+from typing import Iterable
 
 from deepa2.argdown import ArgdownArgument, InferenceStep
 from deepa2.errors import ConfigError, GenerationError
@@ -84,7 +84,6 @@ class GeneratorConfig:
     p_final_explicit: float = 0.70
     distractor_weights: tuple[float, ...] = (0.40, 0.25, 0.35)
     imprecise_rendition: bool = False
-    paraphrase: str | None = None
 
     def __post_init__(self):
         for name in ("step_weights", "implicit_premise_weights", "distractor_weights"):
@@ -105,7 +104,6 @@ class GeneratorConfig:
             "p_final_explicit": self.p_final_explicit,
             "distractor_weights": list(self.distractor_weights),
             "imprecise_rendition": self.imprecise_rendition,
-            "paraphrase": self.paraphrase,
         }
 
     @classmethod
@@ -126,15 +124,6 @@ class GeneratorConfig:
         if name == "aaac02":
             return cls(lexicon_id="sports_clubs", imprecise_rendition=True)
         raise ConfigError(f"unknown preset {name!r} (have: aaac01, aaac02)")
-
-
-# Paraphrase hooks rewrite the finished source text; an external backend
-# can register here.  Quote verbatim-ness is the hook's responsibility.
-_PARAPHRASE_HOOKS: dict[str, Callable[[str], str]] = {}
-
-
-def register_paraphrase_hook(name: str, hook: Callable[[str], str]) -> None:
-    _PARAPHRASE_HOOKS[name] = hook
 
 
 # ---------------------------------------------------------------------------
@@ -365,13 +354,16 @@ def _try_sample_tree(config: GeneratorConfig, rng: random.Random) -> ArgumentTre
     return tree
 
 
-def sample_argument(
-    config: GeneratorConfig,
-    rng: random.Random,
-    max_attempts: int = 60,
-) -> ArgumentTree:
+#: Dead ends ``sample_argument`` resamples past before it gives up.
+_SAMPLE_ATTEMPTS = 60
+
+#: Template draws ``verbalize_argument`` makes for distinct statement texts.
+_VERBALIZE_ATTEMPTS = 20
+
+
+def sample_argument(config: GeneratorConfig, rng: random.Random) -> ArgumentTree:
     """Sample a valid argument tree; bounded resampling on dead ends."""
-    for _ in range(max_attempts):
+    for _ in range(_SAMPLE_ATTEMPTS):
         try:
             return _try_sample_tree(config, rng)
         except _DeadEnd:
@@ -401,7 +393,6 @@ def verbalize_argument(
     tree: ArgumentTree,
     lexicon: DomainLexicon,
     rng: random.Random,
-    max_attempts: int = 20,
 ) -> VerbalizedArgument:
     """Assign phrases and render every statement; the argument block and
     the premise/conclusion/formalization dimensions are side products."""
@@ -410,7 +401,7 @@ def verbalize_argument(
     names = rng.sample(lexicon.names, max(1, len(tree.constants)))
     const_names = dict(zip(tree.constants, names)) if tree.constants else {}
 
-    for _ in range(max_attempts):
+    for _ in range(_VERBALIZE_ATTEMPTS):
         for statement in tree.statements:
             template = rng.choice(templates_for(statement.formula))
             statement.text = render_statement(
@@ -632,11 +623,6 @@ def compose_source(
             conjectures.append(quote)
 
     source = " ".join(sentences)
-    if config.paraphrase:
-        hook = _PARAPHRASE_HOOKS.get(config.paraphrase)
-        if hook is None:
-            raise ConfigError(f"unknown paraphrase hook {config.paraphrase!r}")
-        source = hook(source)
 
     intermediates = [s.number for s in tree.statements if s.role == "intermediate"]
     n_implicit_concl = sum(1 for n in intermediates if n in plan.omitted)
@@ -757,9 +743,9 @@ def _generate(config: GeneratorConfig, n: int, seed: int, details: bool) -> list
     build = partial(_record_at, config, seed, details=details)
     workers = min(_available_cpus(), n // _CHUNK)
     mapper, pool = map, None
-    # ``fork`` keeps registered paraphrase hooks and skips a re-import per
-    # worker, but copies only the calling thread: a lock another thread
-    # holds would stay held in the workers, so threaded callers stay serial.
+    # ``fork`` skips a re-import per worker, but copies only the calling
+    # thread: a lock another thread holds would stay held in the workers,
+    # so threaded callers stay serial.
     if workers >= 2 and threading.active_count() == 1:
         import multiprocessing
         import signal
@@ -843,7 +829,7 @@ def _generate_record(
 def validate_record(
     record: DeepA2Record,
     config: GeneratorConfig,
-    details: GenerationDetails | None = None,
+    details: GenerationDetails,
 ) -> list[str]:
     """Internal validity checks; an empty list means the record is sound."""
     problems: list[str] = []
@@ -854,7 +840,7 @@ def validate_record(
         problems.append("target formalization not valid")
     if report.sys_sch != 1.0:
         problems.append(f"scheme ratio {report.sys_sch}")
-    if config.paraphrase is None and report.exe_meq != 1:
+    if report.exe_meq != 1:
         problems.append("quotes not mutually exclusive verbatim")
     if report.exe_ppr != 1.0 or report.exe_ppj != 1.0:
         problems.append("self-prediction below 1")
@@ -889,7 +875,7 @@ def validate_record(
     if record_from_dict(record_to_dict(record)) != record:
         problems.append("serialization round trip failed")
 
-    if details is not None and details.distractors:
+    if details.distractors:
         premise_forms = [parse_formula(q.text) for q in record.premises_form]
         conclusion_form = parse_formula(record.conclusion_form[0].text)
         extended = premise_forms + [d.formula for d in details.distractors]

@@ -55,11 +55,6 @@ class DomainLexicon:
         except KeyError as err:
             raise ConfigError(f"lexicon misses field {err}") from None
 
-    @classmethod
-    def load(cls, path) -> "DomainLexicon":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_text(fh.read())
-
 
 def _split(value: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in value.split(",") if part.strip())

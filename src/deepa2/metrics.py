@@ -33,7 +33,7 @@ from deepa2.records import (
     parse_statements,
     serialize_dimension,
 )
-from deepa2.schemes import builtin_catalog, sys_sch_ratio
+from deepa2.schemes import sys_sch_ratio
 from deepa2.textnorm import normalize_ws, token_f1
 
 logger = logging.getLogger(__name__)
@@ -348,7 +348,7 @@ def evaluate_analysis(
     if arg is None:
         sys_sch: float | None = 0.0
     else:
-        sys_sch = sys_sch_ratio(arg, builtin_catalog(), forms)
+        sys_sch = sys_sch_ratio(arg, forms)
 
     source = work.get(DimensionId.SOURCE, "")
     if reasons is None or conjectures is None:

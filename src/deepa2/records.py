@@ -203,10 +203,6 @@ def serialize_dimension(record: DeepA2Record, dim: DimensionId) -> str:
     value = record.get(dim)
     if value is None:
         raise MissingDimensionError(f"dimension {dim.keyword} is absent")
-    return serialize_dimension_value(value, dim)
-
-
-def serialize_dimension_value(value, dim: DimensionId) -> str:
     if dim is DimensionId.SOURCE:
         return value
     if dim is DimensionId.ARGDOWN:

@@ -70,10 +70,6 @@ class SchemeCatalog:
     def get(self, name: str) -> SchemeSpec | None:
         return self.schemes.get(name)
 
-    @property
-    def names(self) -> list[str]:
-        return list(self.schemes)
-
     def all_variants(self) -> list[SchemeVariant]:
         return [v for spec in self.schemes.values() for v in spec.variants]
 
@@ -232,8 +228,8 @@ def patterns_unify(producer_conclusion: Formula, consumer_premise: Formula) -> b
 # ---------------------------------------------------------------------------
 
 
-def _candidate_variants(step: InferenceStep, catalog: SchemeCatalog) -> list[SchemeVariant]:
-    spec = catalog.get(step.scheme_name)
+def _candidate_variants(step: InferenceStep) -> list[SchemeVariant]:
+    spec = builtin_catalog().get(step.scheme_name)
     if spec is None:
         return []
     exact = spec.variant_named(step.variant)
@@ -313,25 +309,23 @@ def _match_nl(variant: SchemeVariant, premise_texts: list[str], conclusion_text:
 def check_scheme_instantiation(
     step: InferenceStep,
     arg: ArgdownArgument,
-    catalog: SchemeCatalog,
     forms: dict[int, Formula] | None = None,
 ) -> bool:
     """True iff the step's statements instantiate its declared scheme."""
-    matched, _derived = match_step(step, arg, catalog, forms or {})
+    matched, _derived = match_step(step, arg, forms or {})
     return matched
 
 
 def match_step(
     step: InferenceStep,
     arg: ArgdownArgument,
-    catalog: SchemeCatalog,
     formulas_by_number: dict[int, Formula],
 ) -> tuple[bool, Formula | None]:
     """Check one step; on a formal-level match also returns the instantiated
     conclusion formula so downstream steps can use it."""
     if step.scheme_name is None:
         return False, None
-    candidates = _candidate_variants(step, catalog)
+    candidates = _candidate_variants(step)
     if not candidates:
         logger.debug("unknown scheme %r declared by step deriving (%d)",
                      step.scheme_name, step.derives)
@@ -357,7 +351,6 @@ def match_step(
 
 def sys_sch_ratio(
     arg: ArgdownArgument,
-    catalog: SchemeCatalog,
     forms: dict[int, Formula] | None = None,
 ) -> float | None:
     """Share of scheme-declaring steps that instantiate their scheme.
@@ -372,7 +365,7 @@ def sys_sch_ratio(
         if step.scheme_name is None:
             continue
         checkable += 1
-        ok, derived = match_step(step, arg, catalog, formulas)
+        ok, derived = match_step(step, arg, formulas)
         if ok:
             matched += 1
             if derived is not None and step.derives not in formulas:

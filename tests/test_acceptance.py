@@ -31,7 +31,7 @@ from deepa2.chains import (
 )
 from deepa2.dimensions import DimensionId
 from deepa2.errors import BackendUnavailableError
-from deepa2.evaluation import aggregate_table, evaluate_trace, evaluate_traces, oracle_reports
+from deepa2.evaluation import aggregate_table, evaluate_traces, oracle_reports
 from deepa2.formula import check_entailment, parse_formula, render_formula
 from deepa2.generator import GeneratorConfig, generate_corpus
 from deepa2.importers import (
@@ -279,7 +279,7 @@ def test_criterion_08_pooling_dominance(corpus1000):
             result = run_chain(chain, record.source, backend,
                                with_formalization=True,
                                record_id=record.meta.record_id)
-            rows.append(evaluate_trace(result, record))
+            rows.append(evaluate_traces([result], {record.meta.record_id: record})[0])
 
     by_record: dict[str, list] = {}
     for row in rows:
@@ -372,7 +372,8 @@ def _hoe_features(records, seed):
             result = run_chain(chain_by_id(chain_id), record.source, backend,
                                with_formalization=True,
                                record_id=record.meta.record_id)
-            results.append((result, evaluate_trace(result, record).report))
+            [row] = evaluate_traces([result], {record.meta.record_id: record})
+            results.append((result, row.report))
         features.append(extract_hoe_features(results, label=label))
     return features
 

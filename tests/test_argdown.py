@@ -7,7 +7,6 @@ import pytest
 from deepa2.argdown import (
     InferenceStep,
     final_conclusion_of,
-    intermediate_conclusions_of,
     parse_argdown,
     premises_of,
     render_argdown,
@@ -138,7 +137,6 @@ class TestAccessors:
         )
         arg = parse_argdown(block)
         assert [n for n, _ in premises_of(arg)] == [1, 2, 4]
-        assert [n for n, _ in intermediate_conclusions_of(arg)] == [3]
 
     def test_single_inference_premises(self):
         arg = parse_argdown(BARE_BLOCK)

@@ -295,3 +295,5 @@ class TestMakeBackend:
     def test_unknown_spec(self):
         with pytest.raises(BackendError):
             make_backend("carrier-pigeon")
+        with pytest.raises(BackendError, match="unknown backend spec"):
+            make_backend("http:localhost:8000")

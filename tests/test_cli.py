@@ -121,6 +121,15 @@ class TestGenerate:
         assert "seed" in caplog.text
         assert not out.exists()
 
+    def test_paraphrase_in_config_file_exits_2(self, tmp_path, caplog):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"paraphrase": "x"}))
+        out = tmp_path / "c.jsonl"
+        assert run_cli("generate", "-n", "5", "--config", str(config),
+                       "--out", str(out)) == EXIT_CONFIG
+        assert "bad generator config" in caplog.text
+        assert not out.exists()
+
     def test_unknown_preset_exits_2(self, tmp_path):
         assert run_cli("generate", "-n", "5", "--preset", "nope",
                        "--out", str(tmp_path / "c.jsonl")) == EXIT_CONFIG
@@ -340,6 +349,19 @@ class TestEval:
         code = run_cli("eval", "--traces", str(traces), "--corpus", str(other),
                        "--out", str(tmp_path / "m.jsonl"))
         assert code == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("argv, minimum", [
+    (("generate", "-n", "-5"), 0),
+    (("export-training", "--corpus", "c.jsonl", "-n", "-3"), 0),
+    (("run", "--corpus", "c.jsonl", "--jobs", "-4"), 1),
+    (("run", "--corpus", "c.jsonl", "--jobs", "0"), 1),
+])
+def test_counts_below_their_minimum_exit_2(tmp_path, capsys, argv, minimum):
+    out = tmp_path / "out.jsonl"
+    assert run_cli(*argv, "--out", str(out)) == EXIT_CONFIG
+    assert f"must be at least {minimum}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("stage", ["run", "eval", "export-training"])

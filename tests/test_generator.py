@@ -15,7 +15,6 @@ from deepa2.generator import (
     GeneratorConfig,
     generate_corpus,
     generate_with_details,
-    register_paraphrase_hook,
     sample_argument,
     subset_census,
     validate_record,
@@ -225,6 +224,10 @@ def always_rejected(config, rng, lexicon, record_id):
     raise generator._RecordRejected(["always rejected"])
 
 
+def always_failing(config, rng, lexicon, record_id):
+    raise ConfigError("boom")
+
+
 class TestPool:
     @pytest.fixture()
     def pool_maps(self, monkeypatch):
@@ -271,17 +274,11 @@ class TestPool:
         assert str(pooled.value) == str(serial.value)
         assert "last rejection: ['always rejected']" in str(serial.value)
 
-    def test_unknown_paraphrase_hook_is_a_config_error(self, pool_maps):
-        with pytest.raises(ConfigError, match="unknown paraphrase hook 'nope'"):
-            generate_corpus(GeneratorConfig(paraphrase="nope"), 60, seed=6)
+    def test_worker_errors_reach_the_caller(self, pool_maps, monkeypatch):
+        monkeypatch.setattr(generator, "_generate_record", always_failing)
+        with pytest.raises(ConfigError, match="boom"):
+            generate_corpus(GeneratorConfig(), 60, seed=6)
         assert pool_maps
-
-    def test_registered_hook_applies_in_workers(self, pool_maps, monkeypatch):
-        monkeypatch.setattr(generator, "_PARAPHRASE_HOOKS", {})
-        register_paraphrase_hook("coda", lambda text: text + " That is all.")
-        records = generate_corpus(GeneratorConfig(paraphrase="coda"), 60, seed=7)
-        assert pool_maps
-        assert all(r.source.endswith(" That is all.") for r in records)
 
     def test_small_corpora_stay_serial(self, pool_maps):
         generate_corpus(GeneratorConfig(), 49, seed=8)

@@ -58,7 +58,7 @@ class TestFormalMatching:
     def test_appendix_style_dilemma_step(self):
         arg = parse_argdown(DILEMMA_BLOCK)
         step = arg.inferences[0]
-        assert check_scheme_instantiation(step, arg, builtin_catalog(), DILEMMA_FORMS)
+        assert check_scheme_instantiation(step, arg, DILEMMA_FORMS)
 
     def test_wrong_scheme_shape_rejected(self):
         block = (
@@ -71,7 +71,7 @@ class TestFormalMatching:
             2: parse_formula("(x): G x -> H x"),
             3: parse_formula("(x): F x -> H x"),
         }
-        assert not check_scheme_instantiation(arg.inferences[0], arg, builtin_catalog(), forms)
+        assert not check_scheme_instantiation(arg.inferences[0], arg, forms)
 
     def test_transposition_unification(self):
         block = "(1) p.\n-- with transposition from (1) --\n(2) c."
@@ -80,7 +80,7 @@ class TestFormalMatching:
             1: parse_formula("(x): F x -> G x"),
             2: parse_formula("(x): not G x -> not F x"),
         }
-        assert check_scheme_instantiation(arg.inferences[0], arg, builtin_catalog(), forms)
+        assert check_scheme_instantiation(arg.inferences[0], arg, forms)
 
     def test_premise_order_insensitive(self):
         block = "(1) p1.\n(2) p2.\n-- with instantiation from (1) (2) --\n(3) c."
@@ -90,12 +90,12 @@ class TestFormalMatching:
             2: parse_formula("(x): F x -> G x"),
             3: parse_formula("G a"),
         }
-        assert check_scheme_instantiation(arg.inferences[0], arg, builtin_catalog(), forms)
+        assert check_scheme_instantiation(arg.inferences[0], arg, forms)
 
     def test_unknown_scheme_is_false(self):
         block = "(1) p1.\n(2) p2.\n-- with wishful thinking from (1) (2) --\n(3) c."
         arg = parse_argdown(block)
-        assert not check_scheme_instantiation(arg.inferences[0], arg, builtin_catalog(), {})
+        assert not check_scheme_instantiation(arg.inferences[0], arg, {})
 
     def test_intermediate_formula_derived_for_downstream_step(self):
         block = (
@@ -111,7 +111,7 @@ class TestFormalMatching:
             4: parse_formula("(x): H x -> I x"),
             5: parse_formula("(x): F x -> I x"),
         }
-        assert sys_sch_ratio(arg, builtin_catalog(), forms) == 1.0
+        assert sys_sch_ratio(arg, forms) == 1.0
 
 
 class TestNaturalLanguageMatching:
@@ -123,7 +123,7 @@ class TestNaturalLanguageMatching:
             "(3) If someone is an admirer of Chico, then they are a fan of Modesto."
         )
         arg = parse_argdown(block)
-        assert check_scheme_instantiation(arg.inferences[0], arg, builtin_catalog())
+        assert check_scheme_instantiation(arg.inferences[0], arg)
 
     def test_inconsistent_middle_phrase_rejected(self):
         block = (
@@ -133,7 +133,7 @@ class TestNaturalLanguageMatching:
             "(3) If someone is an admirer of Chico, then they are a fan of Modesto."
         )
         arg = parse_argdown(block)
-        assert not check_scheme_instantiation(arg.inferences[0], arg, builtin_catalog())
+        assert not check_scheme_instantiation(arg.inferences[0], arg)
 
     def test_dilemma_matched_from_sentence_templates(self):
         block = (
@@ -144,7 +144,7 @@ class TestNaturalLanguageMatching:
             "(4) If someone is an admirer of Chico, then they are not a critic of Vallejo."
         )
         arg = parse_argdown(block)
-        assert check_scheme_instantiation(arg.inferences[0], arg, builtin_catalog())
+        assert check_scheme_instantiation(arg.inferences[0], arg)
 
     def test_free_text_gives_false_negative_not_error(self):
         block = (
@@ -154,7 +154,7 @@ class TestNaturalLanguageMatching:
             "(3) And an untemplated conclusion."
         )
         arg = parse_argdown(block)
-        assert not check_scheme_instantiation(arg.inferences[0], arg, builtin_catalog())
+        assert not check_scheme_instantiation(arg.inferences[0], arg)
 
 
 class TestRatio:
@@ -172,17 +172,17 @@ class TestRatio:
             4: parse_formula("(x): H x -> I x"),
             5: parse_formula("(x): F x -> I x"),
         }
-        assert sys_sch_ratio(arg, builtin_catalog(), forms) == 0.5
+        assert sys_sch_ratio(arg, forms) == 0.5
 
     def test_undeclared_schemes_fall_out_of_denominator(self):
         block = "(1) a.\n(2) b.\n----\n(3) c."
         arg = parse_argdown(block)
-        assert sys_sch_ratio(arg, builtin_catalog(), {}) is None
+        assert sys_sch_ratio(arg, {}) is None
 
     def test_matched_step_entails_its_conclusion(self):
         arg = parse_argdown(DILEMMA_BLOCK)
         step = arg.inferences[0]
-        assert check_scheme_instantiation(step, arg, builtin_catalog(), DILEMMA_FORMS)
+        assert check_scheme_instantiation(step, arg, DILEMMA_FORMS)
         premises = [DILEMMA_FORMS[n] for n in step.from_numbers]
         assert check_entailment(premises, DILEMMA_FORMS[step.derives])
 
