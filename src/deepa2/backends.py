@@ -81,10 +81,12 @@ def format_prompt(mode_spec: ModeSpec, inputs: Mapping[DimensionId, str]) -> str
 
 
 class OracleBackend:
-    """Answers every request with the target record's output dimension."""
+    """Answers every request with the target record's output dimension,
+    serialized once per record and dimension."""
 
     def __init__(self, records: Iterable[DeepA2Record]):
         self._records: dict[str, DeepA2Record] = {}
+        self._answers: dict[tuple[str, str], str] = {}
         for record in records:
             record_id = record.meta.record_id
             if record_id is None:
@@ -100,8 +102,13 @@ class OracleBackend:
     def generate(self, request: GenerationRequest) -> str:
         if request.record_id is None:
             raise BackendError("oracle backend needs a record id on each request")
-        record = self.target(request.record_id)
-        return serialize_dimension(record, request.mode.output)
+        dim = request.mode.output
+        key = (request.record_id, dim.keyword)
+        answer = self._answers.get(key)
+        if answer is None:
+            answer = serialize_dimension(self.target(request.record_id), dim)
+            self._answers[key] = answer
+        return answer
 
 
 _JUNK_WORDS = ("quasar", "marzipan", "flotsam", "kumquat", "zephyr", "borogove")

@@ -5,15 +5,24 @@ nine dimensions.  The dictionary starts with the source text; each mode
 reads its input dimensions and overwrites its output dimension, so later
 modes can revise earlier results.  For evaluation a fixed formalization
 sub-chain can be appended to derive the formal dimensions.
+
+A chain set runs as one compiled dataflow plan (``compile_plan``).  A node
+of the plan is a mode together with the slots that hold its inputs; slot 0
+holds the source and node ``i`` fills slot ``i + 1``.  Chains that share a
+prefix of steps share its nodes, so under the catalogue with formalization
+a record's 175 steps come from 127 nodes.  ``run_plan`` fills each node's
+slot at most once per record, and a content memo over (mode, input texts)
+decides which nodes reach the backend.  ``trace_lines`` writes a record's
+results as JSON lines, encoding each distinct text and each step once.
 """
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from deepa2.backends import GenerationRequest, ModelBackend, format_prompt
 from deepa2.dimensions import DimensionId
 from deepa2.errors import (
     BackendError,
@@ -21,9 +30,15 @@ from deepa2.errors import (
     GenerationError,
     InternalInvariantError,
 )
-from deepa2.metrics import MetricReport
 from deepa2.modes import ModeSpec, TRAINING_MODES, mode
 from deepa2.records import DeepA2Record, serialize_dimension
+
+# For type checking only, so that ``eval`` loads no backend and ``run`` and
+# ``export-training`` load no metric suite; ``run_plan`` and
+# ``export_training`` import what they call from the backends when called.
+if TYPE_CHECKING:
+    from deepa2.backends import ModelBackend
+    from deepa2.metrics import MetricReport
 
 
 @dataclass(frozen=True)
@@ -165,6 +180,110 @@ class ChainResult:
         )
 
 
+@dataclass(frozen=True)
+class ChainPlan:
+    """A chain set compiled into one dataflow graph (see the module notes).
+
+    ``nodes[i]`` is the mode that fills slot ``i + 1`` and the slots of its
+    inputs, in topological order.  ``paths[c]`` lists the slot of each step
+    of chain ``c``, and ``finals[c]`` pairs each dimension of its final
+    dictionary with the slot that last wrote it, in first-assignment order."""
+
+    chain_ids: tuple[int, ...]
+    nodes: tuple[tuple[ModeSpec, tuple[int, ...]], ...]
+    paths: tuple[tuple[int, ...], ...]
+    finals: tuple[tuple[tuple[DimensionId, int], ...], ...]
+
+
+def compile_plan(
+    chains: Sequence[ChainSpec], with_formalization: bool = False
+) -> ChainPlan:
+    """Compile the chains, in order, into one plan; a step whose mode and
+    input slots equal an earlier step's, in any chain, reuses its node."""
+    suffix = formalization_subchain() if with_formalization else ()
+    nodes: list[tuple[ModeSpec, tuple[int, ...]]] = []
+    slot_of: dict[tuple[ModeSpec, tuple[int, ...]], int] = {}
+    paths, finals = [], []
+    for chain in chains:
+        work = {DimensionId.SOURCE: 0}
+        path = []
+        for m in chain.modes + suffix:
+            missing = [d for d in m.inputs if d not in work]
+            if missing:
+                raise InternalInvariantError(
+                    f"chain {chain.id}: inputs {[d.keyword for d in missing]} absent "
+                    f"for mode {m.label}"
+                )
+            node = (m, tuple(work[d] for d in m.inputs))
+            slot = slot_of.get(node)
+            if slot is None:
+                nodes.append(node)
+                slot = slot_of[node] = len(nodes)
+            work[m.output] = slot
+            path.append(slot)
+        paths.append(tuple(path))
+        finals.append(tuple(work.items()))
+    return ChainPlan(
+        tuple(chain.id for chain in chains), tuple(nodes), tuple(paths), tuple(finals)
+    )
+
+
+def run_plan(
+    plan: ChainPlan,
+    source: str,
+    backend: ModelBackend,
+    record_id: str | None = None,
+) -> list[ChainResult]:
+    """Execute the plan's chains over one source text, in order (see
+    ``run_chains``).
+
+    Each chain walks its path and fills the slots still empty; a filled
+    slot holds the output every later step of that node gets.  A backend
+    failure leaves its slot empty, so a later chain through that node asks
+    again."""
+    from deepa2.backends import GenerationRequest
+
+    outputs: list[str | None] = [source] + [None] * len(plan.nodes)
+    steps: list[TraceStep | None] = [None] * len(outputs)
+    memo: dict[tuple[str, tuple[str, ...]], str] = {}
+    results = []
+    for chain_id, path, final in zip(plan.chain_ids, plan.paths, plan.finals):
+        for done, slot in enumerate(path):
+            if outputs[slot] is not None:
+                continue
+            m, input_slots = plan.nodes[slot - 1]
+            texts = tuple([outputs[i] for i in input_slots])
+            key = (m.label, texts)
+            output = memo.get(key)
+            if output is None:
+                request = GenerationRequest(
+                    mode=m, inputs=dict(zip(m.inputs, texts)), record_id=record_id
+                )
+                try:
+                    output = backend.generate(request)
+                except BackendError as err:
+                    # The dictionary as the steps before this one left it.
+                    work = {DimensionId.SOURCE: source}
+                    for s in path[:done]:
+                        work[plan.nodes[s - 1][0].output] = outputs[s]
+                    trace = tuple([steps[s] for s in path[:done]])
+                    results.append(
+                        ChainResult(chain_id, record_id, work, trace, error=str(err))
+                    )
+                    break
+                memo[key] = output
+            outputs[slot] = output
+            steps[slot] = TraceStep(m.label, output)
+        else:
+            results.append(ChainResult(
+                chain_id,
+                record_id,
+                {d: outputs[slot] for d, slot in final},
+                tuple([steps[slot] for slot in path]),
+            ))
+    return results
+
+
 def run_chains(
     chains: Sequence[ChainSpec],
     source: str,
@@ -181,11 +300,7 @@ def run_chains(
     the chain that hit it, with its partial trace preserved and the error
     recorded; failures are not remembered, so a later chain asks again.
     """
-    memo: dict[tuple[str, tuple[str, ...]], str] = {}
-    return [
-        _run_one(chain, source, backend, with_formalization, record_id, memo)
-        for chain in chains
-    ]
+    return run_plan(compile_plan(chains, with_formalization), source, backend, record_id)
 
 
 def run_chain(
@@ -200,42 +315,46 @@ def run_chain(
     return result
 
 
-def _run_one(
-    chain: ChainSpec,
-    source: str,
-    backend: ModelBackend,
-    with_formalization: bool,
-    record_id: str | None,
-    memo: dict[tuple[str, tuple[str, ...]], str],
-) -> ChainResult:
-    work: dict[DimensionId, str] = {DimensionId.SOURCE: source}
-    trace: list[TraceStep] = []
-    modes: tuple[ModeSpec, ...] = chain.modes
-    if with_formalization:
-        modes = modes + formalization_subchain()
-    for m in modes:
-        missing = [d for d in m.inputs if d not in work]
-        if missing:
-            raise InternalInvariantError(
-                f"chain {chain.id}: inputs {[d.keyword for d in missing]} absent "
-                f"for mode {m.label}"
-            )
-        key = (m.label, tuple(work[d] for d in m.inputs))
-        output = memo.get(key)
-        if output is None:
-            request = GenerationRequest(
-                mode=m, inputs={d: work[d] for d in m.inputs}, record_id=record_id
-            )
-            try:
-                output = backend.generate(request)
-            except BackendError as err:
-                return ChainResult(
-                    chain.id, record_id, dict(work), tuple(trace), error=str(err)
+_encode = json.JSONEncoder(ensure_ascii=False).encode
+
+
+def trace_lines(results: Iterable[ChainResult]) -> list[str]:
+    """Each result's line, ``json.dumps(result.to_dict(), ensure_ascii=False)``
+    plus a newline, byte for byte.
+
+    Each distinct text and each distinct step is encoded once per call, so
+    one record's results, which share most of their texts, go in one call.
+    """
+    texts: dict[str, str] = {}
+    fragments: dict[tuple[str, str], str] = {}
+
+    def text(value: str) -> str:
+        encoded = texts.get(value)
+        if encoded is None:
+            encoded = texts[value] = _encode(value)
+        return encoded
+
+    lines = []
+    for result in results:
+        final = ", ".join(
+            [f"{text(d.keyword)}: {text(value)}" for d, value in result.final.items()]
+        )
+        steps = []
+        for step in result.trace:
+            key = (step.mode_label, step.output)
+            fragment = fragments.get(key)
+            if fragment is None:
+                fragment = fragments[key] = (
+                    f'{{"mode": {text(step.mode_label)}, "output": {text(step.output)}}}'
                 )
-            memo[key] = output
-        work[m.output] = output
-        trace.append(TraceStep(m.label, output))
-    return ChainResult(chain.id, record_id, dict(work), tuple(trace))
+            steps.append(fragment)
+        record_id = "null" if result.record_id is None else text(result.record_id)
+        error = "null" if result.error is None else text(result.error)
+        lines.append(
+            f'{{"chain_id": {result.chain_id}, "record_id": {record_id}, '
+            f'"final": {{{final}}}, "steps": [{", ".join(steps)}], "error": {error}}}\n'
+        )
+    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +452,8 @@ def export_training(
     """Sequence-to-sequence pairs: per record, sample modes with probability
     proportional to the chosen weight column and emit (prompt, target
     dimension text)."""
+    from deepa2.backends import format_prompt
+
     rng = random.Random(seed)
     pairs: list[tuple[str, str]] = []
     for record in records:

@@ -153,7 +153,7 @@ def cmd_run(args) -> int:
     from concurrent.futures import ThreadPoolExecutor
 
     from deepa2.backends import HttpBackend, make_backend
-    from deepa2.chains import chain_by_id, run_chains
+    from deepa2.chains import chain_by_id, compile_plan, run_plan, trace_lines
     from deepa2.records import load_corpus
 
     chain_ids = _parse_chain_ids(args.chains)
@@ -173,21 +173,17 @@ def cmd_run(args) -> int:
         max_in_flight=args.jobs,
     )
 
-    chains = [chain_by_id(chain_id) for chain_id in chain_ids]
+    plan = compile_plan(
+        [chain_by_id(chain_id) for chain_id in chain_ids], args.with_formalization
+    )
 
     def execute(record) -> tuple[list[ChainResult], int]:
         counted = _CountingBackend(backend)
-        results = run_chains(
-            chains,
-            record.source or "",
-            counted,
-            with_formalization=args.with_formalization,
-            record_id=record.meta.record_id,
-        )
+        results = run_plan(plan, record.source or "", counted, record.meta.record_id)
         return results, counted.calls
 
-    # A record is the unit of parallel work: its chains share one memo of
-    # requests, so each distinct request reaches the backend once.
+    # A record is the unit of parallel work: its chains share one plan run,
+    # so each distinct request reaches the backend once.
     try:
         if args.jobs > 1:
             with ThreadPoolExecutor(max_workers=args.jobs) as executor:
@@ -202,9 +198,11 @@ def cmd_run(args) -> int:
     steps = sum(len(r.trace) for r in results)
 
     failed = [r for r in results if r.error]
+    # One record's results share most of their texts: each distinct one is
+    # encoded once per record.
     _atomic_write_lines(
         Path(args.out),
-        (json.dumps(r.to_dict(), ensure_ascii=False) + "\n" for r in results),
+        (line for chain_results, _ in per_record for line in trace_lines(chain_results)),
     )
     print(
         f"wrote {len(results)} traces to {args.out} ({len(failed)} failed; "

@@ -1,4 +1,4 @@
-"""Process-wide memos: each distinct text is parsed or judged once per process.
+"""Process-wide memos: one parse, tokenization or verdict per distinct text.
 
 A memo maps a key to a frozen value, or to the error its computation raised,
 and keeps every entry for the life of the process; nothing is evicted.  A

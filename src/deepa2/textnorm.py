@@ -5,6 +5,8 @@ from __future__ import annotations
 import re
 from collections import Counter
 
+from deepa2.memo import process_memo
+
 _TOKEN_RE = re.compile(r"[a-z0-9']+")
 
 
@@ -18,15 +20,27 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
+#: Each compared text's token multiset and token count, for the whole process.
+_token_counts: dict[str, tuple[Counter, int]] = process_memo()
+
+
+def _counted_tokens(text: str) -> tuple[Counter, int]:
+    entry = _token_counts.get(text)
+    if entry is None:
+        tokens = Counter(tokenize(text))
+        entry = _token_counts[text] = (tokens, sum(tokens.values()))
+    return entry
+
+
 def token_f1(a: str, b: str) -> float:
     """Unigram-multiset F1 between two texts; 1.0 when both are empty."""
-    ta, tb = Counter(tokenize(a)), Counter(tokenize(b))
-    na, nb = sum(ta.values()), sum(tb.values())
+    ta, na = _counted_tokens(a)
+    tb, nb = _counted_tokens(b)
     if na == 0 and nb == 0:
         return 1.0
     if na == 0 or nb == 0:
         return 0.0
-    overlap = sum((ta & tb).values())
+    overlap = sum(min(n, tb[t]) for t, n in ta.items() if t in tb)
     if overlap == 0:
         return 0.0
     precision = overlap / na

@@ -72,6 +72,30 @@ class TestOracle:
         )
         assert backend.generate(request) == serialize_dimension(record, D.ARGDOWN)
 
+    def test_serializes_each_dimension_once(self, monkeypatch):
+        import deepa2.backends
+
+        serialized = []
+
+        def counting(record, dim):
+            serialized.append(dim)
+            return serialize_dimension(record, dim)
+
+        monkeypatch.setattr(deepa2.backends, "serialize_dimension", counting)
+        record = dilemma_record()
+        record_id = record.meta.record_id
+        backend = OracleBackend([record])
+        noisy = NoisyOracleBackend([record], 0.5, seed=1)
+        for m, inputs in (
+            (mode("S", "A"), {D.SOURCE: "x"}),
+            (mode("SR", "A"), {D.SOURCE: "x", D.REASONS: "y"}),
+            (mode("S", "R"), {D.SOURCE: "x"}),
+        ):
+            request = GenerationRequest(m, inputs, record_id=record_id)
+            assert backend.generate(request) == serialize_dimension(record, m.output)
+            noisy.generate(request)
+        assert serialized == [D.ARGDOWN, D.ARGDOWN, D.REASONS, D.REASONS]
+
     def test_unknown_record_id(self):
         backend = OracleBackend([dilemma_record()])
         request = GenerationRequest(mode("S", "A"), {D.SOURCE: "x"}, record_id="nope")

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -66,3 +68,49 @@ print(" ".join(m for m in sys.modules if m.split(".")[0] == "multiprocessing"))
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1].strip() == ""
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    """A two-record corpus and its oracle traces, made in this process."""
+    from deepa2.cli import main
+
+    tmp = tmp_path_factory.mktemp("tiny")
+    corpus, traces = tmp / "corpus.jsonl", tmp / "traces.jsonl"
+    assert main(["generate", "-n", "2", "--seed", "1", "--out", str(corpus)]) == 0
+    assert main(["run", "--corpus", str(corpus), "--chains", "all",
+                 "--with-formalization", "--out", str(traces)]) == 0
+    return tmp, corpus, traces
+
+
+def stage_modules(*argv: str) -> set[str]:
+    """The deepa2 modules a fresh interpreter has loaded after one stage."""
+    code = f"""
+import sys
+from deepa2.cli import main
+assert main({list(argv)!r}) == 0
+print(" ".join(m for m in sys.modules if m.startswith("deepa2.")))
+"""
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+METRIC_MODULES = {"deepa2.metrics", "deepa2.schemes", "deepa2.nl_templates"}
+
+
+def test_run_and_export_load_no_metric_module(tiny_run):
+    tmp, corpus, _ = tiny_run
+    run = stage_modules("run", "--corpus", str(corpus), "--chains", "all",
+                        "--with-formalization", "--out", str(tmp / "t.jsonl"))
+    assert "deepa2.chains" in run and not run & METRIC_MODULES
+    export = stage_modules("export-training", "--corpus", str(corpus),
+                           "--out", str(tmp / "pairs.jsonl"))
+    assert "deepa2.chains" in export and not export & METRIC_MODULES
+
+
+def test_eval_loads_no_backend(tiny_run):
+    tmp, corpus, traces = tiny_run
+    loaded = stage_modules("eval", "--traces", str(traces), "--corpus", str(corpus),
+                           "--out", str(tmp / "metrics.jsonl"))
+    assert "deepa2.metrics" in loaded and "deepa2.backends" not in loaded

@@ -51,6 +51,34 @@ class TestDefaultScorer:
             assert abs(default_scorer(a, b) - default_scorer(b, a)) < 1e-9
 
 
+def test_token_f1_matches_multiset_intersection(monkeypatch):
+    from collections import Counter
+
+    from deepa2 import textnorm
+
+    def reference(a, b):
+        ta, tb = Counter(textnorm.tokenize(a)), Counter(textnorm.tokenize(b))
+        na, nb = sum(ta.values()), sum(tb.values())
+        if na == 0 and nb == 0:
+            return 1.0
+        overlap = sum((ta & tb).values())
+        if overlap == 0:
+            return 0.0
+        return 2 * (overlap / na) * (overlap / nb) / (overlap / na + overlap / nb)
+
+    rng = random.Random(4)
+    words = ["a", "b", "c", "d", "e", "Don't", "x1", "--", ""]
+    texts = [" ".join(rng.choices(words, k=rng.randrange(6))) for _ in range(40)]
+    pairs = [(rng.choice(texts), rng.choice(texts)) for _ in range(300)]
+    expected = [reference(a, b) for a, b in pairs]
+
+    tokenized = []
+    tokenize = textnorm.tokenize
+    monkeypatch.setattr(textnorm, "tokenize", lambda t: tokenized.append(t) or tokenize(t))
+    assert [textnorm.token_f1(a, b) for a, b in pairs] == expected
+    assert sorted(tokenized) == sorted({t for pair in pairs for t in pair})
+
+
 class TestBasicFlaws:
     def test_premise_equal_to_conclusion_flags_pp(self):
         arg = parse_argdown("(1) p.\n(2) q.\n-- from (1) (2) --\n(3) p.")

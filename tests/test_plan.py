@@ -1,0 +1,151 @@
+"""The compiled chain plan against step-by-step execution, and the trace
+line writer against ``json.dumps``."""
+
+import json
+import random
+
+import pytest
+
+from deepa2.backends import NoisyOracleBackend, OracleBackend
+from deepa2.chains import (
+    ChainResult,
+    TraceStep,
+    chain_by_id,
+    chain_catalog,
+    compile_plan,
+    run_chains,
+    trace_lines,
+)
+from deepa2.dimensions import DimensionId
+from deepa2.errors import BackendUnavailableError
+from deepa2.generator import GeneratorConfig, generate_corpus
+
+from .helpers import dilemma_record
+from .stepwise import stepwise_run_chains
+
+
+@pytest.fixture(scope="module")
+def records():
+    return [dilemma_record(), *generate_corpus(GeneratorConfig(), 3, seed=12)]
+
+
+class Recording:
+    """Records each request as (record, mode, input texts) and raises a
+    backend error on the chosen call numbers (0-based)."""
+
+    def __init__(self, backend, fail_at=()):
+        self._backend = backend
+        self._fail_at = set(fail_at)
+        self.requests = []
+
+    def generate(self, request):
+        inputs = tuple(request.inputs[d] for d in request.mode.inputs)
+        self.requests.append((request.record_id, request.mode.label, inputs))
+        if len(self.requests) - 1 in self._fail_at:
+            raise BackendUnavailableError(f"call {len(self.requests) - 1} refused")
+        return self._backend.generate(request)
+
+
+def make_backend(kind, records):
+    if kind == "noisy:0.2":
+        return NoisyOracleBackend(records, 0.2, seed=3)
+    return OracleBackend(records)
+
+
+#: Call numbers refused by the failing backend: early, clustered and late.
+FAIL_AT = (1, 4, 5, 9, 17, 18, 19, 30, 44, 70, 71, 100)
+
+
+def chain_lists():
+    catalog = chain_catalog()
+    shuffled = list(catalog)
+    random.Random(5).shuffle(shuffled)
+    duplicated = catalog + [chain_by_id(i) for i in (9, 1, 16, 9, 12)]
+    return {"catalog": catalog, "shuffled": shuffled, "duplicated": duplicated}
+
+
+def as_compared(results):
+    """Results with the order of each final's dimensions made visible."""
+    return [(result, list(result.final)) for result in results]
+
+
+@pytest.mark.parametrize("chains", ["catalog", "shuffled", "duplicated"])
+@pytest.mark.parametrize("with_formalization", [False, True])
+@pytest.mark.parametrize("kind", ["oracle", "noisy:0.2", "failing"])
+def test_plan_matches_stepwise_execution(records, chains, with_formalization, kind):
+    chain_list = chain_lists()[chains]
+    fail_at = FAIL_AT if kind == "failing" else ()
+    failures = asked_again = 0
+    for record in records:
+        record_id = record.meta.record_id
+        expected_backend = Recording(make_backend(kind, records), fail_at)
+        expected = stepwise_run_chains(
+            chain_list, record.source, expected_backend, with_formalization, record_id
+        )
+        backend = Recording(make_backend(kind, records), fail_at)
+        results = run_chains(chain_list, record.source, backend, with_formalization,
+                             record_id)
+        assert as_compared(results) == as_compared(expected)
+        assert backend.requests == expected_backend.requests
+        failures += sum(1 for result in results if result.error)
+        requests = backend.requests
+        asked_again += sum(
+            1 for i in fail_at if i < len(requests) and requests[i] in requests[i + 1:]
+        )
+    assert (failures > 0) == (kind == "failing")
+    # Some failed node is asked for again by a later chain.
+    assert (asked_again > 0) == (kind == "failing")
+
+
+def test_catalog_with_formalization_shares_nodes():
+    plan = compile_plan(chain_catalog(), with_formalization=True)
+    assert sum(len(path) for path in plan.paths) == 175
+    assert len(plan.nodes) == 127
+    assert plan.chain_ids == tuple(range(1, 17))
+    for (m, input_slots), slot in zip(plan.nodes, range(1, len(plan.nodes) + 1)):
+        assert all(i < slot for i in input_slots)
+        assert len(input_slots) == len(m.inputs)
+    for path, final in zip(plan.paths, plan.finals):
+        assert final[0] == (DimensionId.SOURCE, 0)
+        assert {slot for _, slot in final[1:]} <= set(path)
+
+
+def reference_lines(results):
+    return [json.dumps(r.to_dict(), ensure_ascii=False) + "\n" for r in results]
+
+
+AWKWARD = 'Zoë said "no" \\ then\nleft\u2028\u2029 — ½ \t \x01 end'
+
+
+@pytest.mark.parametrize(
+    "results",
+    [
+        [
+            ChainResult(
+                3, "r-ü\"1",
+                {DimensionId.SOURCE: AWKWARD, DimensionId.ARGDOWN: AWKWARD + "!"},
+                (TraceStep("S => A", AWKWARD + "!"), TraceStep("S => A", AWKWARD + "!")),
+            ),
+            ChainResult(
+                4, "r-ü\"1", {DimensionId.SOURCE: AWKWARD}, (),
+                error='http://x/generate unavailable ("HTTP 500")\n',
+            ),
+        ],
+        [ChainResult(1, None, {DimensionId.SOURCE: ""}, ())],
+        [ChainResult(2, None, {}, (), error="")],
+        [],
+    ],
+    ids=["awkward-texts-and-failure", "no-record-id", "empty-final", "no-results"],
+)
+def test_trace_lines_equal_json_dumps(results):
+    assert trace_lines(results) == reference_lines(results)
+
+
+@pytest.mark.parametrize("kind", ["oracle", "noisy:0.2", "failing"])
+def test_trace_lines_of_executed_chains(records, kind):
+    fail_at = FAIL_AT if kind == "failing" else ()
+    for record in records:
+        backend = Recording(make_backend(kind, records), fail_at)
+        results = run_chains(chain_catalog(), record.source, backend,
+                             with_formalization=True, record_id=record.meta.record_id)
+        assert trace_lines(results) == reference_lines(results)
