@@ -33,8 +33,7 @@ _PUBLIC = {
         "check_entailment", "check_satisfiable", "parse_formula", "render_formula",
     ),
     "deepa2.generator": (
-        "GeneratorConfig", "generate_corpus", "sample_argument", "subset_census",
-        "verbalize_argument",
+        "GeneratorConfig", "generate_corpus", "subset_census", "verbalize_argument",
     ),
     "deepa2.importers": (
         "EntailmentTreeRecord", "HoeFeatures", "RuleTakerRecord",

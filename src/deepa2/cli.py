@@ -126,9 +126,7 @@ def cmd_generate(args) -> int:
 
     out = Path(args.out)
     if args.n == 0:
-        logger.warning("n=0: writing an empty corpus file")
-        _atomic_write(out, lambda fh: None)
-        return EXIT_OK
+        logger.warning("n=0: writing an empty corpus and an all-zero census")
     records = generate_corpus(config, args.n, seed=args.seed)
     _atomic_write_lines(out, _corpus_lines(records))
     census = subset_census(records)

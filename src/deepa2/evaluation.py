@@ -61,6 +61,11 @@ def evaluate_traces(
     read once.  Rows of one distinct analysis share one report."""
     rows = []
     for result in results:
+        if result.record_id is None:
+            raise DeepA2Error(
+                f"trace of chain {result.chain_id} has no record_id, "
+                "the key that joins traces to corpus records"
+            )
         record = corpus.get(result.record_id)
         if record is None:
             raise DeepA2Error(

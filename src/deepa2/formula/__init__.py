@@ -1,4 +1,8 @@
-"""Monadic first-order formula language: syntax, printing, and decision procedure."""
+"""Monadic first-order formula language: syntax, printing, and decision procedure.
+
+The decision procedure is imported on first access, so a stage that only
+parses formulas does not load it.
+"""
 
 from deepa2.formula.syntax import (
     And,
@@ -19,7 +23,6 @@ from deepa2.formula.syntax import (
     predicates_of,
     render_formula,
 )
-from deepa2.formula.decide import check_entailment, check_satisfiable
 
 __all__ = [
     "And",
@@ -42,3 +45,13 @@ __all__ = [
     "predicates_of",
     "render_formula",
 ]
+
+
+def __getattr__(name: str):
+    if name in ("check_entailment", "check_satisfiable"):
+        from deepa2.formula import decide
+
+        value = getattr(decide, name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module 'deepa2.formula' has no attribute {name!r}")

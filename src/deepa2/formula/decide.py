@@ -19,11 +19,18 @@ all profiles outside every false block, S is non-empty, meets every true
 block, and holds a profile matching each constant's ground literals.
 ``check_entailment`` reduces to unsatisfiability of premises plus negated
 conclusion.
+
+The skeleton search branches on one leaf at a time and learns nothing from
+a failed branch, so a long premise list of disjunctions can take
+exponentially many nodes.  A check that would visit more than
+``MAX_SEARCH_NODES`` of them raises ``UnsupportedFragmentError`` instead:
+a count, not a clock, so every verdict is reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
 from deepa2.errors import UnsupportedFragmentError
 from deepa2.formula.syntax import (
@@ -47,6 +54,11 @@ from deepa2.formula.syntax import (
 # on them stays cheap.  Arguments in practice use <= 8 predicate letters,
 # anything beyond is malformed model output.
 MAX_PREDICATES = 10
+
+# Search nodes (``_Eliminator.satisfiable`` calls) one check may visit, over
+# all its components.  No check of a generated record needs more than 12,
+# and none in the differential tests against brute force more than 57.
+MAX_SEARCH_NODES = 10_000
 
 
 @dataclass(frozen=True)
@@ -132,7 +144,9 @@ class _Eliminator:
     """Quantifier elimination and skeleton search over one component's
     predicate letters."""
 
-    def __init__(self, predicates: list[str]):
+    def __init__(self, predicates: list[str], nodes: count):
+        # nodes: numbers the search nodes of the whole check
+        self.nodes = nodes
         n = 1 << len(predicates)
         self.full = (1 << n) - 1
         # masks[p]: the profiles that have predicate p, i.e. bit i of the
@@ -196,6 +210,10 @@ class _Eliminator:
         needs: what the realized profiles must meet so far -- each true
         block's witness set, and per constant the profiles that match its
         ground literals."""
+        if next(self.nodes) > MAX_SEARCH_NODES:
+            raise UnsupportedFragmentError(
+                f"satisfiability search exceeds {MAX_SEARCH_NODES} nodes"
+            )
         realized = self.full & ~excluded
         if skeleton is False or not realized or not all(realized & w for w in needs.values()):
             return False
@@ -269,20 +287,22 @@ def _predicate_components(formulas: list[Formula]) -> list[tuple[list[Formula], 
 def check_satisfiable(formulas: list[Formula]) -> bool:
     """True iff some structure satisfies all formulas.  Formulas must be
     closed and monadic (the AST only admits unary atoms; open formulas
-    raise UnsupportedFragmentError)."""
+    raise UnsupportedFragmentError, as does a search past
+    ``MAX_SEARCH_NODES``)."""
     if not formulas:
         return True
     _check_fragment(formulas)
-    return all(_component_satisfiable(*c) for c in _predicate_components(formulas))
+    nodes = count(1)
+    return all(_component_satisfiable(*c, nodes) for c in _predicate_components(formulas))
 
 
-def _component_satisfiable(formulas: list[Formula], letters: set[str]) -> bool:
+def _component_satisfiable(formulas: list[Formula], letters: set[str], nodes: count) -> bool:
     predicates = sorted(letters)
     if len(predicates) > MAX_PREDICATES:
         raise UnsupportedFragmentError(
             f"{len(predicates)} distinct predicates exceed the supported bound of {MAX_PREDICATES}"
         )
-    eliminator = _Eliminator(predicates)
+    eliminator = _Eliminator(predicates, nodes)
     skeleton = True
     for f in formulas:
         skeleton = _and(skeleton, eliminator.reduce(f))

@@ -1,16 +1,20 @@
 """Synthetic corpus generation.
 
-Records are built in three stages.  ``sample_argument`` chains scheme
-variants from the catalog into a valid argument tree: each step's
-conclusion unifies with a premise slot of its successor, remaining slots
-become leaf premises, and the whole tree is asserted deductively valid.
-``verbalize_argument`` assigns lexicon phrases to predicate letters and
-renders every statement through the template bank, yielding the argument
-block and its premise/conclusion/formalization side products.
+Records are built in three stages.  ``_try_sample_tree`` chains scheme
+variants from the catalog into an argument tree: each step's conclusion
+unifies with a premise slot of its successor, and remaining slots become
+leaf premises.  ``verbalize_argument`` assigns lexicon phrases to predicate
+letters and renders every statement through the template bank, yielding
+the argument block and its premise/conclusion/formalization side products.
 ``compose_source`` then presents the argument as a story: it orders the
 retained statements, drops the planned implicit ones, inserts provably
 irrelevant distractor sentences, prefixes a limited number of indicator
 words, and records the verbatim reason/conjecture quotes.
+
+``_generate_record`` is the one build path and ``validate_record`` the one
+check: a record is kept only if the metric suite scores it perfectly,
+``sys_val == 1`` on its rendered formalization included.  ``_record_at``
+retries a rejected attempt, a sampling dead end included.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from deepa2.formula import (
     Formula,
     Not,
     Or,
-    check_entailment,
     check_satisfiable,
     render_formula,
 )
@@ -244,15 +247,12 @@ class _LetterAllocator:
 
 def _instantiate_step(
     variant: SchemeVariant,
-    consumed: tuple[int, Formula] | None,
+    binding: _Binding,
     alloc: _LetterAllocator,
     letters: tuple[_Letters, ...],
 ) -> tuple[list[Formula], Formula]:
-    binding = _Binding()
-    if consumed is not None:
-        slot, formula = consumed
-        if not match_pattern(variant.premises[slot], formula, binding):
-            raise _DeadEnd
+    """The variant's premises and conclusion under ``binding`` (the match
+    of the consumed premise slot, if any), extended by fresh letters."""
     for preds, consts in letters:
         for letter in preds:
             if letter not in binding.preds:
@@ -265,24 +265,9 @@ def _instantiate_step(
     return premises, conclusion
 
 
-def _new_letters_needed(
-    variant: SchemeVariant,
-    consumed: tuple[int, Formula] | None,
-    letters: tuple[_Letters, ...],
-) -> int:
-    binding = _Binding()
-    if consumed is not None:
-        slot, formula = consumed
-        if not match_pattern(variant.premises[slot], formula, binding):
-            return 1 << 30
-    seen = set(binding.preds)
-    total = 0
-    for preds, _ in letters:
-        for letter in preds:
-            if letter not in seen:
-                seen.add(letter)
-                total += 1
-    return total
+def _new_letters_needed(binding: _Binding, letters: tuple[_Letters, ...]) -> int:
+    """Predicate letters of a variant that the binding leaves free."""
+    return len({p for preds, _ in letters for p in preds} - binding.preds.keys())
 
 
 def _try_sample_tree(config: GeneratorConfig, rng: random.Random) -> ArgumentTree:
@@ -306,7 +291,7 @@ def _try_sample_tree(config: GeneratorConfig, rng: random.Random) -> ArgumentTre
         last = i == n_steps - 1
         if i == 0:
             candidates = [
-                (v, None)
+                (v, None, None)
                 for v in pool
                 if last or v.label in sampler.productive
             ]
@@ -317,22 +302,20 @@ def _try_sample_tree(config: GeneratorConfig, rng: random.Random) -> ArgumentTre
                     continue
                 for slot in range(len(v.premises)):
                     binding = _Binding()
-                    if match_pattern(v.premises[slot], prev_formula, binding):
-                        block = (v, slot)
-                        if (
-                            len(alloc.letters)
-                            + _new_letters_needed(
-                                v, (slot, prev_formula), sampler.letters[v.label]
-                            )
-                            <= MAX_PREDICATE_LETTERS
-                        ):
-                            candidates.append(block)
+                    if match_pattern(v.premises[slot], prev_formula, binding) and (
+                        len(alloc.letters)
+                        + _new_letters_needed(binding, sampler.letters[v.label])
+                        <= MAX_PREDICATE_LETTERS
+                    ):
+                        candidates.append((v, slot, binding))
         if not candidates:
             raise _DeadEnd
-        variant, slot = rng.choice(candidates)
-        consumed = None if slot is None else (slot, prev_formula)
+        variant, slot, binding = rng.choice(candidates)
         premises, conclusion = _instantiate_step(
-            variant, consumed, alloc, sampler.letters[variant.label]
+            variant,
+            _Binding() if binding is None else binding,
+            alloc,
+            sampler.letters[variant.label],
         )
         from_numbers: list[int] = []
         for idx, formula in enumerate(premises):
@@ -344,31 +327,11 @@ def _try_sample_tree(config: GeneratorConfig, rng: random.Random) -> ArgumentTre
         steps.append(StepInstance(variant, tuple(from_numbers), derives))
         prev_number, prev_formula = derives, conclusion
 
-    tree = ArgumentTree(statements, steps, list(alloc.letters), list(alloc.constants))
-    leaf_premises = [s.formula for s in tree.premises]
-    if not check_entailment(leaf_premises, tree.final.formula):
-        raise GenerationError(
-            "catalog produced an invalid tree: "
-            + "; ".join(render_formula(f) for f in leaf_premises)
-        )
-    return tree
+    return ArgumentTree(statements, steps, list(alloc.letters), list(alloc.constants))
 
-
-#: Dead ends ``sample_argument`` resamples past before it gives up.
-_SAMPLE_ATTEMPTS = 60
 
 #: Template draws ``verbalize_argument`` makes for distinct statement texts.
 _VERBALIZE_ATTEMPTS = 20
-
-
-def sample_argument(config: GeneratorConfig, rng: random.Random) -> ArgumentTree:
-    """Sample a valid argument tree; bounded resampling on dead ends."""
-    for _ in range(_SAMPLE_ATTEMPTS):
-        try:
-            return _try_sample_tree(config, rng)
-        except _DeadEnd:
-            continue
-    raise GenerationError("argument sampling kept hitting unification dead ends")
 
 
 # ---------------------------------------------------------------------------
@@ -669,34 +632,6 @@ class GenerationDetails:
     distractors: list[Distractor]
 
 
-def generate_with_details(
-    config: GeneratorConfig,
-    n: int,
-    seed: int = 0,
-) -> list[tuple[DeepA2Record, GenerationDetails]]:
-    """Generate n validated records plus their construction details.
-
-    Record ``i`` draws only from its own generator, seeded with the
-    lexicon, the seed and ``i``, so records are built independently.  With
-    two or more CPUs available to the process and ``n >= 50``, they are
-    built on a ``fork`` process pool, one worker per CPU but at most one
-    per 25 records; a caller with other threads running stays serial.
-    Results are read back in index order, so the output does not depend on
-    the CPU count.
-    """
-    return _generate(config, n, seed, details=True)
-
-
-def generate_corpus(
-    config: GeneratorConfig,
-    n: int,
-    seed: int = 0,
-) -> list[DeepA2Record]:
-    """Generate n records, each internally validated; deterministic under
-    (config, n, seed)."""
-    return _generate(config, n, seed, details=False)
-
-
 # Consecutive indices per pool task; a pool gets one worker per full chunk,
 # as fewer records do not repay starting it.
 _CHUNK = 25
@@ -720,27 +655,38 @@ class _Rejection:
     problems: object
 
 
-def _record_at(config: GeneratorConfig, seed: int, index: int, details: bool = True):
-    """Record ``index`` of the corpus (with its details, if asked for), or
-    a ``_Rejection`` after 120 rejected attempts."""
+def _record_at(config: GeneratorConfig, seed: int, index: int):
+    """Record ``index`` of the corpus, or a ``_Rejection`` after 120
+    rejected attempts."""
     lexicon = builtin_lexicon(config.lexicon_id)
     rng = random.Random(f"{config.lexicon_id}:{seed}:{index}")
     record_id = f"{config.lexicon_id}-{seed}-{index:05d}"
     problems: object = None
     for _attempt in range(120):
         try:
-            built = _generate_record(config, rng, lexicon, record_id)
+            return _generate_record(config, rng, lexicon, record_id)[0]
         except _RecordRejected as rejected:
             problems = rejected.args[0] if rejected.args else None
-            continue
-        return built if details else built[0]
     return _Rejection(problems)
 
 
-def _generate(config: GeneratorConfig, n: int, seed: int, details: bool) -> list:
-    if n < 1:
-        raise GenerationError("n must be at least 1")
-    build = partial(_record_at, config, seed, details=details)
+def generate_corpus(
+    config: GeneratorConfig,
+    n: int,
+    seed: int = 0,
+) -> list[DeepA2Record]:
+    """Generate n records, each internally validated; deterministic under
+    (config, n, seed).
+
+    Record ``i`` draws only from its own generator, seeded with the
+    lexicon, the seed and ``i``, so records are built independently.  With
+    two or more CPUs available to the process and ``n >= 50``, they are
+    built on a ``fork`` process pool, one worker per CPU but at most one
+    per 25 records; a caller with other threads running stays serial.
+    Results are read back in index order, so the output does not depend on
+    the CPU count.
+    """
+    build = partial(_record_at, config, seed)
     workers = min(_available_cpus(), n // _CHUNK)
     mapper, pool = map, None
     # ``fork`` skips a re-import per worker, but copies only the calling
@@ -875,12 +821,11 @@ def validate_record(
     if record_from_dict(record_to_dict(record)) != record:
         problems.append("serialization round trip failed")
 
+    # Entailment with distractors follows from sys_val == 1 (entailment is
+    # monotone); only their consistency with the premises is left to check.
     if details.distractors:
         premise_forms = [parse_formula(q.text) for q in record.premises_form]
-        conclusion_form = parse_formula(record.conclusion_form[0].text)
         extended = premise_forms + [d.formula for d in details.distractors]
-        if not check_entailment(extended, conclusion_form):
-            problems.append("distractors broke entailment")
         if not check_satisfiable(extended):
             problems.append("distractors made premises unsatisfiable")
     return problems

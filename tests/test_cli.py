@@ -87,10 +87,16 @@ class TestGenerate:
         census = json.loads((tmp_path / "c.jsonl.census.json").read_text())
         assert set(census) >= {"simple", "complex", "plain", "mutilated", "C&M"}
 
-    def test_zero_records_warns_and_writes_empty(self, tmp_path, caplog):
+    def test_zero_records_warns_and_writes_empty(self, tmp_path, caplog, capsys):
         out = tmp_path / "empty.jsonl"
         assert run_cli("generate", "-n", "0", "--out", str(out)) == EXIT_OK
         assert out.read_text() == ""
+        assert "n=0" in caplog.text
+        census = json.loads((tmp_path / "empty.jsonl.census.json").read_text())
+        assert set(census) >= {"simple", "complex", "plain", "mutilated", "C&M", "untagged"}
+        assert set(census.values()) == {0}
+        digest = hashlib.sha256(b"").hexdigest()[:12]
+        assert f"wrote 0 records to {out} (sha256 {digest})" in capsys.readouterr().out
 
     def test_same_seed_same_hash(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -339,6 +345,30 @@ class TestEval:
         first = json.loads(metrics.read_text().splitlines()[0])
         assert any("statement reference must be positive" in d
                    for d in first["diagnostics"])
+
+    def test_trace_without_record_id_exit_4(self, tmp_path, caplog):
+        # A corpus without ids gets traces without ids (as the http backend
+        # writes them); each such trace must not be scored against whichever
+        # id-less record came last.
+        corpus = tmp_path / "corpus.jsonl"
+        assert run_cli("generate", "-n", "3", "--seed", "2", "--out", str(corpus)) == EXIT_OK
+        traces = tmp_path / "traces.jsonl"
+        assert run_cli("run", "--corpus", str(corpus), "--chains", "1",
+                       "--out", str(traces)) == EXIT_OK
+        records = [json.loads(line) for line in corpus.read_text().splitlines()]
+        for record in records:
+            del record["meta"]["record_id"]
+        corpus.write_text("".join(json.dumps(r) + "\n" for r in records))
+        rows = [json.loads(line) for line in traces.read_text().splitlines()]
+        traces.write_text("".join(json.dumps({**row, "record_id": None}) + "\n"
+                                  for row in rows))
+        metrics = tmp_path / "m.jsonl"
+        code = run_cli("eval", "--traces", str(traces), "--corpus", str(corpus),
+                       "--out", str(metrics))
+        assert code == EXIT_VALIDATION
+        assert "trace of chain 1 has no record_id" in caplog.text
+        assert not metrics.exists()
+        assert not (tmp_path / "m.jsonl.aggregate.json").exists()
 
     def test_corpus_mismatch_exit_4(self, tmp_path, corpus_file):
         traces = tmp_path / "traces.jsonl"

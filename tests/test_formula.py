@@ -355,6 +355,81 @@ class TestNestedQuantifiers:
         assert time.perf_counter() - start < 1.0
 
 
+def _probe_set(rng, n, letters="FGHIJKLMNO"):
+    """n premises ``((Ex): l1 x & l2 x & l3 x) v ((y): l4 y v l5 y)`` and the
+    conclusion ``(Ex): l6 x``, each l a random literal over letters."""
+
+    def lit(var):
+        text = f"{letters[rng.randrange(len(letters))]} {var}"
+        return f"not {text}" if rng.randrange(2) else text
+
+    premises = [
+        parse_formula(
+            f"((Ex): {lit('x')} & {lit('x')} & {lit('x')}) v ((y): {lit('y')} v {lit('y')})"
+        )
+        for _ in range(n)
+    ]
+    return premises, parse_formula(f"(Ex): {lit('x')}")
+
+
+class TestSearchBudget:
+    """Long premise lists of disjunctions send the skeleton search into its
+    heavy tail; the node budget bounds every check."""
+
+    def test_probe_family_is_decided_or_refused_in_bounded_time(self):
+        # Unbounded, the worst of these 45 sets takes 36 865 nodes (3.6 s on
+        # a 2-CPU machine); the budget refuses it after 10 000 (about 1 s).
+        rng = random.Random(2)
+        refused = 0
+        for n in (24, 40, 48):
+            for _ in range(15):
+                premises, conclusion = _probe_set(rng, n)
+                start = time.perf_counter()
+                try:
+                    check_entailment(premises, conclusion)
+                except UnsupportedFragmentError as err:
+                    assert "search exceeds" in str(err)
+                    refused += 1
+                assert time.perf_counter() - start < 3.0, n
+        assert refused == 1
+
+    def test_probe_family_agrees_with_brute_force_oracle(self):
+        # Three letters keep the oracle's model enumeration small.
+        rng = random.Random(3)
+        verdicts = set()
+        for n in range(2, 13, 2):
+            for _ in range(10):
+                premises, conclusion = _probe_set(rng, n, "FGH")
+                expected = brute_force_entails(premises, conclusion)
+                assert check_entailment(premises, conclusion) == expected
+                verdicts.add(expected)
+        assert verdicts == {True, False}
+
+    def test_sys_val_scores_a_refused_check_zero_once(self, monkeypatch):
+        from deepa2 import metrics
+        from deepa2.formula import decide
+        from deepa2.records import QuotedStatement
+
+        # A one-node budget refuses any check that has to branch.
+        monkeypatch.setattr(decide, "MAX_SEARCH_NODES", 1)
+        decided = []
+
+        def counting(*args):
+            decided.append(args)
+            return check_entailment(*args)
+
+        monkeypatch.setattr(metrics, "check_entailment", counting)
+        premises, conclusion = _probe_set(random.Random(2), 24)
+        premises_form = [QuotedStatement(render_formula(p), i)
+                         for i, p in enumerate(premises, 1)]
+        conclusion_form = [QuotedStatement(render_formula(conclusion), 25)]
+        for _ in range(2):
+            diagnostics = []
+            assert metrics.eval_sys_val(premises_form, conclusion_form, diagnostics) == 0
+            assert diagnostics == ["sys_val: satisfiability search exceeds 1 nodes"]
+        assert len(decided) == 1
+
+
 def test_render_formula_is_parse_inverse_on_paper_style_strings():
     for text in [
         "(x): F x -> not I x",

@@ -14,8 +14,6 @@ from deepa2.formula import check_entailment, parse_formula, predicates_of
 from deepa2.generator import (
     GeneratorConfig,
     generate_corpus,
-    generate_with_details,
-    sample_argument,
     subset_census,
     validate_record,
     verbalize_argument,
@@ -29,19 +27,44 @@ def small_corpus(n=40, seed=11, **overrides):
     return generate_corpus(GeneratorConfig(**overrides), n, seed=seed)
 
 
+def sample_tree(config, rng):
+    """An argument tree, resampled past unification dead ends."""
+    while True:
+        try:
+            return generator._try_sample_tree(config, rng)
+        except generator._DeadEnd:
+            continue
+
+
+def records_with_details(config, n, seed):
+    """n accepted records with their construction details, built through the
+    one build path from one generator."""
+    rng = random.Random(seed)
+    lexicon = builtin_lexicon(config.lexicon_id)
+    built = []
+    while len(built) < n:
+        try:
+            built.append(
+                generator._generate_record(config, rng, lexicon, f"r-{len(built)}")
+            )
+        except generator._RecordRejected:
+            continue
+    return built
+
+
 class TestSampleArgument:
     def test_every_sampled_tree_is_valid(self):
         rng = random.Random(0)
         config = GeneratorConfig()
         for _ in range(150):
-            tree = sample_argument(config, rng)
+            tree = sample_tree(config, rng)
             premises = [s.formula for s in tree.premises]
             assert check_entailment(premises, tree.final.formula)
 
     def test_step_counts_span_one_to_four(self):
         rng = random.Random(1)
         config = GeneratorConfig()
-        sizes = {len(sample_argument(config, rng).steps) for _ in range(120)}
+        sizes = {len(sample_tree(config, rng).steps) for _ in range(120)}
         assert sizes == {1, 2, 3, 4}
 
     def test_plain_flavor_yields_simple_single_steps(self):
@@ -50,7 +73,7 @@ class TestSampleArgument:
         )
         rng = random.Random(2)
         for _ in range(40):
-            tree = sample_argument(config, rng)
+            tree = sample_tree(config, rng)
             assert len(tree.steps) == 1
             assert not tree.steps[0].variant.intricate
 
@@ -59,7 +82,7 @@ class TestSampleArgument:
         rng = random.Random(3)
         seen_intricate = False
         for _ in range(60):
-            tree = sample_argument(config, rng)
+            tree = sample_tree(config, rng)
             assert len(tree.steps) == 4
             if any(s.variant.intricate for s in tree.steps):
                 seen_intricate = True
@@ -72,7 +95,7 @@ class TestVerbalize:
         config = GeneratorConfig()
         lexicon = builtin_lexicon("places_people")
         for _ in range(60):
-            tree = sample_argument(config, rng)
+            tree = sample_tree(config, rng)
             verbalized = verbalize_argument(tree, lexicon, rng)
             letters = {letter for letter, _ in verbalized.keys}
             used = set()
@@ -87,7 +110,7 @@ class TestVerbalize:
         rng = random.Random(5)
         lexicon = builtin_lexicon("places_people")
         for _ in range(200):
-            tree = sample_argument(config, rng)
+            tree = sample_tree(config, rng)
             if tree.steps[0].variant.scheme_name == "generalized dilemma":
                 verbalized = verbalize_argument(tree, lexicon, rng)
                 assert len(verbalized.premises) == 3
@@ -101,7 +124,7 @@ class TestVerbalize:
 class TestComposeAndValidate:
     def test_generated_records_validate(self):
         config = GeneratorConfig()
-        for record, details in generate_with_details(config, 30, seed=21):
+        for record, details in records_with_details(config, 30, seed=21):
             assert validate_record(record, config, details) == []
 
     def test_plain_records_quote_every_statement(self):
@@ -115,9 +138,7 @@ class TestComposeAndValidate:
 
     def test_mutilated_records_hide_statements_and_add_distractors(self):
         found = False
-        for record, details in generate_with_details(
-            GeneratorConfig(), 400, seed=23
-        ):
+        for record, details in records_with_details(GeneratorConfig(), 400, seed=23):
             if "mutilated" not in classify_subsets(record.meta):
                 continue
             found = True
@@ -133,7 +154,7 @@ class TestComposeAndValidate:
 
     def test_distractors_do_not_change_entailment(self):
         checked = 0
-        for record, details in generate_with_details(GeneratorConfig(), 120, seed=24):
+        for record, details in records_with_details(GeneratorConfig(), 120, seed=24):
             if not details.distractors:
                 continue
             premises = [parse_formula(q.text) for q in record.premises_form]
@@ -213,7 +234,7 @@ def serial_reference(config, n, seed):
     """The first n records built index by index in this process."""
     records, index = [], 0
     while len(records) < n:
-        result = generator._record_at(config, seed, index, details=False)
+        result = generator._record_at(config, seed, index)
         index += 1
         if not isinstance(result, generator._Rejection):
             records.append(result)
@@ -252,14 +273,6 @@ class TestPool:
         assert [record_to_dict(r) for r in pooled] == [
             record_to_dict(r) for r in serial_reference(config, 120, 3)
         ]
-
-    def test_details_come_back_through_the_pool(self, pool_maps):
-        config = GeneratorConfig()
-        built = generate_with_details(config, 50, seed=4)
-        assert pool_maps
-        assert [record for record, _ in built] == serial_reference(config, 50, 4)
-        for record, details in built:
-            assert len(details.distractors) == record.meta.n_distractors
 
     def test_failure_rate_overrun_reads_as_in_serial(self, pool_maps, monkeypatch):
         monkeypatch.setattr(generator, "_generate_record", always_rejected)

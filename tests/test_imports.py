@@ -96,7 +96,10 @@ print(" ".join(m for m in sys.modules if m.startswith("deepa2.")))
     return set(proc.stdout.splitlines()[-1].split())
 
 
-METRIC_MODULES = {"deepa2.metrics", "deepa2.schemes", "deepa2.nl_templates"}
+#: Modules only scoring needs; the decider decides sys_val.
+METRIC_MODULES = {
+    "deepa2.metrics", "deepa2.schemes", "deepa2.nl_templates", "deepa2.formula.decide",
+}
 
 
 def test_run_and_export_load_no_metric_module(tiny_run):
