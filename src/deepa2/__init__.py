@@ -21,7 +21,7 @@ _PUBLIC = {
     ),
     "deepa2.backends": (
         "GenerationRequest", "HttpBackend", "ModelBackend", "NoisyOracleBackend",
-        "OracleBackend", "format_prompt", "make_backend",
+        "OracleBackend", "make_backend",
     ),
     "deepa2.chains": (
         "ChainResult", "ChainSpec", "chain_by_id", "chain_by_name", "chain_catalog",
@@ -41,7 +41,9 @@ _PUBLIC = {
         "import_entailmentbank", "import_ruletaker",
     ),
     "deepa2.metrics": ("MetricReport", "default_scorer", "evaluate_analysis"),
-    "deepa2.modes": ("ModeSpec", "full_mode_catalog", "mode", "mode_registry"),
+    "deepa2.modes": (
+        "ModeSpec", "format_prompt", "full_mode_catalog", "mode", "mode_registry",
+    ),
     "deepa2.records": (
         "DeepA2Record", "QuotedStatement", "RecordMeta", "classify_subsets",
         "dump_corpus", "load_corpus", "parse_dimension", "serialize_dimension",

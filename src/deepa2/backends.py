@@ -1,10 +1,11 @@
-"""Text-to-text model backends and prompt formatting.
+"""Text-to-text model backends.
 
 A backend turns a generation request (mode plus serialized input
-dimensions) into raw output text.  The oracle backend answers from target
-records, the noisy oracle corrupts a seeded fraction of its answers, and
-the HTTP backend talks to an external inference service over a small JSON
-protocol.
+dimensions) into raw output text.  The oracle backend answers from the
+target records' cached wire texts (``DeepA2Record.texts``), the noisy
+oracle corrupts a seeded fraction of its answers, and the HTTP backend
+talks to an external inference service over a small JSON protocol.
+``format_prompt`` is defined in ``deepa2.modes`` and re-exported here.
 """
 
 from __future__ import annotations
@@ -27,14 +28,11 @@ from deepa2.errors import (
     ConfigError,
     MissingDimensionError,
 )
-from deepa2.modes import ModeSpec, mode
+from deepa2.modes import ModeSpec, format_prompt  # format_prompt is re-exported
 from deepa2.records import DeepA2Record, serialize_dimension
 
 #: The beam width every HTTP request asks for.
 _BEAM_WIDTH = 2
-
-#: The premises-to-formalization mode goes by the task prefix "formalize".
-_FORMALIZE_MODE = mode("P", "F")
 
 _JSON_HEADERS = {"Content-Type": "application/json"}
 
@@ -61,32 +59,17 @@ class ModelBackend(Protocol):
         ...
 
 
-def format_prompt(mode_spec: ModeSpec, inputs: Mapping[DimensionId, str]) -> str:
-    """Task-prefixed prompt: target keyword, then each input dimension as
-    ``keyword: value`` in mode order."""
-    prefix = "formalize" if mode_spec == _FORMALIZE_MODE else mode_spec.output.keyword
-    parts = [f"{prefix}:"]
-    for dim in mode_spec.inputs:
-        if dim not in inputs:
-            raise MissingDimensionError(
-                f"prompt for {mode_spec.label} misses input dimension {dim.keyword}"
-            )
-        parts.append(f"{dim.keyword}: {inputs[dim]}")
-    return " ".join(parts).rstrip()
-
-
 # ---------------------------------------------------------------------------
 # Oracle backends
 # ---------------------------------------------------------------------------
 
 
 class OracleBackend:
-    """Answers every request with the target record's output dimension,
-    serialized once per record and dimension."""
+    """Answers every request with the target record's output dimension, read
+    from the record's ``texts``, so each is serialized once per record."""
 
     def __init__(self, records: Iterable[DeepA2Record]):
         self._records: dict[str, DeepA2Record] = {}
-        self._answers: dict[tuple[str, str], str] = {}
         for record in records:
             record_id = record.meta.record_id
             if record_id is None:
@@ -102,13 +85,7 @@ class OracleBackend:
     def generate(self, request: GenerationRequest) -> str:
         if request.record_id is None:
             raise BackendError("oracle backend needs a record id on each request")
-        dim = request.mode.output
-        key = (request.record_id, dim.keyword)
-        answer = self._answers.get(key)
-        if answer is None:
-            answer = serialize_dimension(self.target(request.record_id), dim)
-            self._answers[key] = answer
-        return answer
+        return serialize_dimension(self.target(request.record_id), request.mode.output)
 
 
 _JUNK_WORDS = ("quasar", "marzipan", "flotsam", "kumquat", "zephyr", "borogove")

@@ -14,6 +14,11 @@ a record's 175 steps come from 127 nodes.  ``run_plan`` fills each node's
 slot at most once per record, and a content memo over (mode, input texts)
 decides which nodes reach the backend.  ``trace_lines`` writes a record's
 results as JSON lines, encoding each distinct text and each step once.
+
+``export_training`` samples training modes per record and reads prompts
+and targets from each record's cached ``texts`` (see ``deepa2.records``);
+it formats prompts with ``deepa2.modes.format_prompt``, so export loads no
+backend.
 """
 
 from __future__ import annotations
@@ -21,7 +26,8 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from itertools import accumulate
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from deepa2.dimensions import DimensionId
 from deepa2.errors import (
@@ -30,12 +36,12 @@ from deepa2.errors import (
     GenerationError,
     InternalInvariantError,
 )
-from deepa2.modes import ModeSpec, TRAINING_MODES, mode
-from deepa2.records import DeepA2Record, serialize_dimension
+from deepa2.modes import ModeSpec, TRAINING_MODES, format_prompt, mode
+from deepa2.records import DeepA2Record
 
-# For type checking only, so that ``eval`` loads no backend and ``run`` and
-# ``export-training`` load no metric suite; ``run_plan`` and
-# ``export_training`` import what they call from the backends when called.
+# For type checking only, so that ``eval`` and ``export-training`` load no
+# backend and ``run`` and ``export-training`` load no metric suite;
+# ``run_plan`` imports what it calls from the backends when called.
 if TYPE_CHECKING:
     from deepa2.backends import ModelBackend
     from deepa2.metrics import MetricReport
@@ -413,6 +419,38 @@ def training_mode_pool(weights: str) -> tuple[list[ModeSpec], list[float]]:
     return pool_modes, mode_weights
 
 
+def _usable_modes(pool_modes: Sequence[ModeSpec], record: DeepA2Record) -> set[int]:
+    """Indices of the pool modes whose every dimension the record holds;
+    raises GenerationError when there is none."""
+    texts = record.texts
+    usable = {
+        i
+        for i, m in enumerate(pool_modes)
+        if m.output in texts and all(d in texts for d in m.inputs)
+    }
+    if not usable:
+        raise GenerationError(
+            f"record {record.meta.record_id!r} supports no training mode"
+        )
+    return usable
+
+
+def _draw_modes(
+    rng: random.Random, cum_weights: list[float], usable: set[int], n: int
+) -> Iterator[int]:
+    """n pool indices drawn by cumulative weight; an index outside ``usable``
+    is drawn again."""
+    indices = range(len(cum_weights))
+    for _ in range(n):
+        for _attempt in range(1000):
+            (idx,) = rng.choices(indices, cum_weights=cum_weights)
+            if idx in usable:
+                break
+        else:
+            raise GenerationError("mode resampling did not terminate")
+        yield idx
+
+
 def sample_training_modes(
     record: DeepA2Record,
     weights: str,
@@ -422,25 +460,9 @@ def sample_training_modes(
     """Draw n modes with probability proportional to the weight column;
     modes needing a dimension the record lacks are resampled."""
     pool_modes, mode_weights = training_mode_pool(weights)
-    usable = {
-        i
-        for i, m in enumerate(pool_modes)
-        if record.has(m.output) and all(record.has(d) for d in m.inputs)
-    }
-    if not usable:
-        raise GenerationError(
-            f"record {record.meta.record_id!r} supports no training mode"
-        )
-    out: list[ModeSpec] = []
-    for _ in range(n):
-        for _attempt in range(1000):
-            (idx,) = rng.choices(range(len(pool_modes)), weights=mode_weights)
-            if idx in usable:
-                break
-        else:
-            raise GenerationError("mode resampling did not terminate")
-        out.append(pool_modes[idx])
-    return out
+    usable = _usable_modes(pool_modes, record)
+    draws = _draw_modes(rng, list(accumulate(mode_weights)), usable, n)
+    return [pool_modes[idx] for idx in draws]
 
 
 def export_training(
@@ -451,15 +473,20 @@ def export_training(
 ) -> list[tuple[str, str]]:
     """Sequence-to-sequence pairs: per record, sample modes with probability
     proportional to the chosen weight column and emit (prompt, target
-    dimension text)."""
-    from deepa2.backends import format_prompt
+    dimension text).
 
+    The draws are those of ``sample_training_modes`` with one generator
+    over all records.  The mode pool and its cumulative weights are built
+    once per call, and each record's usable modes once per record; prompts
+    and targets come from the record's ``texts``."""
+    pool_modes, mode_weights = training_mode_pool(weights)
+    cum_weights = list(accumulate(mode_weights))
     rng = random.Random(seed)
     pairs: list[tuple[str, str]] = []
     for record in records:
-        for m in sample_training_modes(record, weights, n_per_record, rng):
-            inputs = {d: serialize_dimension(record, d) for d in m.inputs}
-            pairs.append(
-                (format_prompt(m, inputs), serialize_dimension(record, m.output))
-            )
+        usable = _usable_modes(pool_modes, record)
+        texts = record.texts
+        for idx in _draw_modes(rng, cum_weights, usable, n_per_record):
+            m = pool_modes[idx]
+            pairs.append((format_prompt(m, texts), texts[m.output]))
     return pairs

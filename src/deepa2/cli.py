@@ -45,6 +45,10 @@ EXIT_VALIDATION = 4
 ENV_ENDPOINT = "DEEPA2_ENDPOINT"
 ENV_TIMEOUT_MS = "DEEPA2_TIMEOUT_MS"
 
+#: ``json.dumps(value, ensure_ascii=False)`` without building an encoder per
+#: call; every JSON-lines writer here encodes through it.
+_encode = json.JSONEncoder(ensure_ascii=False).encode
+
 
 class _CountingBackend:
     """Counts the requests one record's chains send to the backend."""
@@ -144,7 +148,7 @@ def _corpus_lines(records):
     from deepa2.records import record_to_dict
 
     for record in records:
-        yield json.dumps(record_to_dict(record), ensure_ascii=False) + "\n"
+        yield _encode(record_to_dict(record)) + "\n"
 
 
 def cmd_run(args) -> int:
@@ -250,7 +254,7 @@ def cmd_eval(args) -> int:
     out = Path(args.out)
     _atomic_write_lines(
         out,
-        (json.dumps(row.to_dict(), ensure_ascii=False) + "\n" for row in rows),
+        (_encode(row.to_dict()) + "\n" for row in rows),
     )
     table = aggregate_table(rows, corpus)
     aggregate_path = out.with_suffix(out.suffix + ".aggregate.json")
@@ -273,12 +277,10 @@ def cmd_export_training(args) -> int:
     records = load_corpus(args.corpus)
     weights = {"aaac": "aaac", "entailment-bank": "entailment_bank"}[args.weights]
     pairs = export_training(records, weights=weights, n_per_record=args.n, seed=args.seed)
+    # The bytes of json.dumps({"input": src, "target": tgt}, ensure_ascii=False).
     _atomic_write_lines(
         Path(args.out),
-        (
-            json.dumps({"input": src, "target": tgt}, ensure_ascii=False) + "\n"
-            for src, tgt in pairs
-        ),
+        (f'{{"input": {_encode(src)}, "target": {_encode(tgt)}}}\n' for src, tgt in pairs),
     )
     print(f"wrote {len(pairs)} sequence-to-sequence pairs to {args.out}")
     return EXIT_OK

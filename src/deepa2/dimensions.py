@@ -23,6 +23,11 @@ class DimensionId(Enum):
     CONCLUSION_FORM = ("O", "conclusion_form")
     KEYS = ("K", "keys")
 
+    # Members are singletons compared by identity, so they hash by identity
+    # too, in C, instead of through Enum's Python-level hash of the name.
+    # No output order depends on it: no code iterates a set of dimensions.
+    __hash__ = object.__hash__
+
     def __init__(self, letter: str, keyword: str):
         self.letter = letter
         self.keyword = keyword

@@ -27,12 +27,7 @@ from deepa2.dimensions import DimensionId
 from deepa2.errors import DeepA2Error, UndefinedMetricError
 from deepa2.formula import Formula, check_entailment, parse_formula
 from deepa2.memo import process_memo
-from deepa2.records import (
-    DeepA2Record,
-    QuotedStatement,
-    parse_statements,
-    serialize_dimension,
-)
+from deepa2.records import DeepA2Record, QuotedStatement, parse_statements
 from deepa2.schemes import sys_sch_ratio
 from deepa2.textnorm import normalize_ws, token_f1
 
@@ -389,5 +384,6 @@ def evaluate_analysis(
 
 
 def work_dict_of_record(record: DeepA2Record) -> dict[DimensionId, str]:
-    """A record's own dimensions as raw texts (oracle-style evaluation input)."""
-    return {dim: serialize_dimension(record, dim) for dim in record.present_dimensions()}
+    """A record's own dimensions as raw texts (oracle-style evaluation input):
+    a copy of its cached ``texts``."""
+    return dict(record.texts)

@@ -6,14 +6,20 @@ where the mode needs no formalization data, for imported entailment-tree
 training data (w2).  Two further modes re-derive a formalization from
 enriched context; they appear only inside evaluation chains and are kept
 out of the training registry (see full_mode_catalog).
+
+``format_prompt`` renders a mode's inputs as the task-prefixed prompt that
+both the backends and training export use; it lives here so that export
+loads no backend.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Mapping
 
 from deepa2.dimensions import DimensionId as D
+from deepa2.errors import MissingDimensionError
 
 
 @dataclass(frozen=True)
@@ -105,3 +111,22 @@ def mode(letters_in: str, letter_out: str) -> ModeSpec:
     """Look a mode up by dimension letters, e.g. ``mode("SA", "R")``."""
     label = " ".join(letters_in) + f" => {letter_out}"
     return mode_by_label(label)
+
+
+#: The premises-to-formalization mode goes by the task prefix "formalize".
+_FORMALIZE_MODE = mode("P", "F")
+
+
+def format_prompt(mode_spec: ModeSpec, inputs: Mapping[D, str]) -> str:
+    """Task-prefixed prompt: target keyword, then each input dimension as
+    ``keyword: value`` in mode order; ``inputs`` may hold more dimensions
+    than the mode reads."""
+    prefix = "formalize" if mode_spec == _FORMALIZE_MODE else mode_spec.output.keyword
+    parts = [f"{prefix}:"]
+    for dim in mode_spec.inputs:
+        if dim not in inputs:
+            raise MissingDimensionError(
+                f"prompt for {mode_spec.label} misses input dimension {dim.keyword}"
+            )
+        parts.append(f"{dim.keyword}: {inputs[dim]}")
+    return " ".join(parts).rstrip()

@@ -5,6 +5,11 @@ their items with `` | `` (escaped as ``\\|`` inside item text) and attach
 statement references as `` (ref: (n))``; the key dimension renders as
 ``F: phrase | G: phrase``.  Corpus files are JSON lines, one record per
 line, with the nine dimension keywords plus ``meta`` as field names.
+
+A record renders its dimensions once: ``DeepA2Record.texts`` holds each
+present dimension's wire text, and every serializer (``serialize_dimension``,
+``record_to_dict``, the oracle backends, metrics work dicts and training
+export) reads it.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from deepa2.argdown import ArgdownArgument, parse_argdown, render_argdown
@@ -107,6 +113,20 @@ class DeepA2Record:
     def present_dimensions(self) -> list[DimensionId]:
         return [d for d in DimensionId if self.has(d)]
 
+    @cached_property
+    def texts(self) -> dict[DimensionId, str]:
+        """Each present dimension's wire text, in ``DimensionId`` order.
+
+        Rendered on first access and kept on the instance, so a pickled
+        record carries its texts.  It is not a field: ``==`` and ``hash``
+        ignore it.  Every reader shares the dict; none may change it."""
+        texts = {}
+        for dim in DimensionId:
+            value = self.get(dim)
+            if value is not None:
+                texts[dim] = _render(dim, value)
+        return texts
+
 
 # ---------------------------------------------------------------------------
 # Dimension serialization
@@ -199,10 +219,14 @@ def _parse_statements(text: str) -> tuple[QuotedStatement, ...]:
 
 
 def serialize_dimension(record: DeepA2Record, dim: DimensionId) -> str:
-    """Render one dimension as its plain-text wire format."""
-    value = record.get(dim)
-    if value is None:
-        raise MissingDimensionError(f"dimension {dim.keyword} is absent")
+    """One dimension's plain-text wire format, from the record's ``texts``."""
+    try:
+        return record.texts[dim]
+    except KeyError:
+        raise MissingDimensionError(f"dimension {dim.keyword} is absent") from None
+
+
+def _render(dim: DimensionId, value) -> str:
     if dim is DimensionId.SOURCE:
         return value
     if dim is DimensionId.ARGDOWN:
@@ -241,10 +265,7 @@ def parse_dimension(text: str, dim: DimensionId):
 
 
 def record_to_dict(record: DeepA2Record) -> dict:
-    data = {}
-    for dim in DimensionId:
-        if record.has(dim):
-            data[dim.keyword] = serialize_dimension(record, dim)
+    data = {dim.keyword: text for dim, text in record.texts.items()}
     data["meta"] = record.meta.to_dict()
     return data
 

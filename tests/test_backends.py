@@ -15,8 +15,8 @@ from deepa2.backends import (
 )
 from deepa2.dimensions import DimensionId as D
 from deepa2.errors import BackendError, BackendUnavailableError, MissingDimensionError
-from deepa2.modes import mode
-from deepa2.records import serialize_dimension
+from deepa2.modes import full_mode_catalog, mode
+from deepa2.records import record_to_dict, serialize_dimension
 
 from .helpers import dilemma_record
 from .stubserver import start_stub_server, stop_stub_server
@@ -73,28 +73,40 @@ class TestOracle:
         assert backend.generate(request) == serialize_dimension(record, D.ARGDOWN)
 
     def test_serializes_each_dimension_once(self, monkeypatch):
-        import deepa2.backends
+        """Both oracles, training export, record_to_dict and metric work dicts
+        read each record's cached texts: one rendering per (record,
+        dimension) per process, and a pickled record carries its texts."""
+        import pickle
+        from collections import Counter
 
-        serialized = []
+        import deepa2.records
+        from deepa2.chains import export_training
+        from deepa2.metrics import work_dict_of_record
 
-        def counting(record, dim):
-            serialized.append(dim)
-            return serialize_dimension(record, dim)
+        rendered = Counter()
+        render = deepa2.records._render
 
-        monkeypatch.setattr(deepa2.backends, "serialize_dimension", counting)
-        record = dilemma_record()
-        record_id = record.meta.record_id
-        backend = OracleBackend([record])
-        noisy = NoisyOracleBackend([record], 0.5, seed=1)
-        for m, inputs in (
-            (mode("S", "A"), {D.SOURCE: "x"}),
-            (mode("SR", "A"), {D.SOURCE: "x", D.REASONS: "y"}),
-            (mode("S", "R"), {D.SOURCE: "x"}),
-        ):
-            request = GenerationRequest(m, inputs, record_id=record_id)
-            assert backend.generate(request) == serialize_dimension(record, m.output)
-            noisy.generate(request)
-        assert serialized == [D.ARGDOWN, D.ARGDOWN, D.REASONS, D.REASONS]
+        def counting(dim, value):
+            rendered[dim] += 1
+            return render(dim, value)
+
+        monkeypatch.setattr(deepa2.records, "_render", counting)
+        records = [dilemma_record("a"), dilemma_record("b")]
+        backend = OracleBackend(records)
+        noisy = NoisyOracleBackend(records, 0.5, seed=1)
+        for record in records:
+            for m in full_mode_catalog():
+                request = GenerationRequest(
+                    m, {d: "x" for d in m.inputs}, record_id=record.meta.record_id
+                )
+                assert backend.generate(request) == record_to_dict(record)[m.output.keyword]
+                noisy.generate(request)
+            assert work_dict_of_record(record) == record.texts
+        export_training(records, n_per_record=50)
+        export_training(records, weights="entailment_bank", n_per_record=50)
+        for record in pickle.loads(pickle.dumps(records)):
+            record_to_dict(record)
+        assert rendered == Counter({dim: len(records) for dim in D})
 
     def test_unknown_record_id(self):
         backend = OracleBackend([dilemma_record()])

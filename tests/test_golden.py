@@ -1,0 +1,53 @@
+"""Byte identity of the whole pipeline on a small fixed workload.
+
+``generate -n 20 --seed 3 --preset aaac01``, then ``run --chains all
+--with-formalization`` under ``oracle`` and ``noisy:0.2``, ``eval`` of each,
+and ``export-training``.  The digests were taken before records cached
+their texts; a change that alters any output byte must say why and update
+them.
+"""
+
+import hashlib
+
+import pytest
+
+from deepa2.cli import EXIT_OK, main
+
+GOLDEN = {
+    "corpus.jsonl": "dec31e6d18c55c1a673e751856e6638267839db0902be853594eee8906f195d7",
+    "corpus.jsonl.census.json":
+        "dfee0a13ca2134dbc8c6ee39c65a1fc1fe9b59686a28102ee5c6ab6c58cc9d26",
+    "traces_oracle.jsonl": "d8f3ce651ed9054685806fec86c5d0c912f2ca94bfd77bd86df7aaa3add7c85e",
+    "metrics_oracle.jsonl": "f53f2fd7053372b4e45ae1e6a60c1672601b056490164cdfda8e6260b74e1086",
+    "metrics_oracle.jsonl.aggregate.json":
+        "c2c7371ec062a5ecd2cb1c849c3fee2cca4d4b737471d71edf5e0477427ee463",
+    "traces_noisy.jsonl": "f667e1792b24d50459cf21aae11b6c7e7511b77a15ce124d9513ba24bedd5c46",
+    "metrics_noisy.jsonl": "fd2cbde32e0ce90ade090f660738b96c929714e44374657f8ca7d27f68f01af5",
+    "metrics_noisy.jsonl.aggregate.json":
+        "92c84dfd4321d171f7811893b52b83b1aef478bca471d863defc93f343d840ce",
+    "pairs.jsonl": "4f7ad53041fe18a361a56d3f541119e84be55d6a7f46035bfa6f3135a1dcff40",
+}
+
+
+@pytest.fixture(scope="module")
+def pipeline(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("golden")
+    corpus = str(tmp / "corpus.jsonl")
+    assert main(["generate", "-n", "20", "--seed", "3", "--preset", "aaac01",
+                 "--out", corpus]) == EXIT_OK
+    for backend, name in (("oracle", "oracle"), ("noisy:0.2", "noisy")):
+        traces = str(tmp / f"traces_{name}.jsonl")
+        assert main(["run", "--corpus", corpus, "--chains", "all",
+                     "--with-formalization", "--backend", backend,
+                     "--out", traces]) == EXIT_OK
+        assert main(["eval", "--traces", traces, "--corpus", corpus,
+                     "--out", str(tmp / f"metrics_{name}.jsonl")]) == EXIT_OK
+    assert main(["export-training", "--corpus", corpus,
+                 "--out", str(tmp / "pairs.jsonl")]) == EXIT_OK
+    return tmp
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_output_bytes_match_golden_digest(pipeline, name):
+    digest = hashlib.sha256((pipeline / name).read_bytes()).hexdigest()
+    assert digest == GOLDEN[name]

@@ -112,6 +112,14 @@ def test_run_and_export_load_no_metric_module(tiny_run):
     assert "deepa2.chains" in export and not export & METRIC_MODULES
 
 
+def test_export_loads_no_backend_metric_or_scheme(tiny_run):
+    tmp, corpus, _ = tiny_run
+    export = stage_modules("export-training", "--corpus", str(corpus),
+                           "--out", str(tmp / "pairs.jsonl"))
+    assert "deepa2.chains" in export
+    assert not export & {"deepa2.backends", "deepa2.metrics", "deepa2.schemes"}
+
+
 def test_eval_loads_no_backend(tiny_run):
     tmp, corpus, traces = tiny_run
     loaded = stage_modules("eval", "--traces", str(traces), "--corpus", str(corpus),
