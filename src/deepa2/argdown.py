@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 
 from deepa2.errors import ArgdownParseError
-from deepa2.memo import parse_once, process_memo
+from deepa2.memo import process_memo
 from deepa2.textnorm import normalize_ws
 
 
@@ -55,20 +55,13 @@ _CONTENT_RE = re.compile(
 _VARIANT_RE = re.compile(r"^(.*?)\s*\(([^()]*)\)$")
 
 
-#: text -> its argument or the ArgdownParseError it raised, for the whole
-#: process.  Arguments are frozen, so every caller can share one.
-_parsed: dict[str, ArgdownArgument | ArgdownParseError] = process_memo()
-
-
+@process_memo
 def parse_argdown(text: str) -> ArgdownArgument:
     """Parse an argument block; raises ArgdownParseError on malformed input.
 
-    Each distinct text is parsed once per process; a remembered error is
-    raised again as a fresh copy with the same message."""
-    return parse_once(_parsed, _parse, text, ArgdownParseError)
-
-
-def _parse(text: str) -> ArgdownArgument:
+    Each distinct well-formed text is parsed once per process, and every
+    caller shares its frozen argument; a malformed text is parsed again on
+    each call."""
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
 

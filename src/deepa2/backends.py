@@ -195,9 +195,9 @@ class HttpBackend:
             parts = urlsplit(self.endpoint)
             port = parts.port
         except ValueError as err:
-            raise BackendError(f"endpoint {self.endpoint!r}: {err}") from None
+            raise ConfigError(f"endpoint {self.endpoint!r}: {err}") from None
         if parts.scheme not in ("http", "https") or not parts.hostname:
-            raise BackendError(f"endpoint {self.endpoint!r} is not an http(s) URL")
+            raise ConfigError(f"endpoint {self.endpoint!r} is not an http(s) URL")
         if parts.scheme == "https":
             self._connect = partial(http.client.HTTPSConnection, parts.hostname, port)
         else:
@@ -300,4 +300,4 @@ def make_backend(spec: str, records: Iterable[DeepA2Record] | None = None,
         return NoisyOracleBackend(records, rate, seed)
     if spec.startswith(("http://", "https://")):
         return HttpBackend(spec, timeout=timeout, max_in_flight=max_in_flight)
-    raise BackendError(f"unknown backend spec {spec!r}")
+    raise ConfigError(f"unknown backend spec {spec!r}")

@@ -42,7 +42,6 @@ EXIT_CONFIG = 2
 EXIT_BACKEND = 3
 EXIT_VALIDATION = 4
 
-ENV_ENDPOINT = "DEEPA2_ENDPOINT"
 ENV_TIMEOUT_MS = "DEEPA2_TIMEOUT_MS"
 
 #: ``json.dumps(value, ensure_ascii=False)`` without building an encoder per
@@ -161,14 +160,8 @@ def cmd_run(args) -> int:
     chain_ids = _parse_chain_ids(args.chains)
     records = load_corpus(args.corpus)
     timeout_ms = _timeout_ms()
-    backend_spec = args.backend
-    if backend_spec == "http":
-        endpoint = os.environ.get(ENV_ENDPOINT)
-        if not endpoint:
-            raise ConfigError(f"backend 'http' needs {ENV_ENDPOINT} set")
-        backend_spec = endpoint
     backend = make_backend(
-        backend_spec,
+        args.backend,
         records,
         seed=args.seed,
         timeout=timeout_ms / 1000.0,
@@ -324,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--backend",
         default="oracle",
-        help="oracle | noisy:<rate> | http | http(s)://host:port",
+        help="oracle | noisy:<rate> | http(s)://host:port",
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--with-formalization", action="store_true",

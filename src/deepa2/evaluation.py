@@ -35,23 +35,20 @@ class EvaluatedTrace:
         return data
 
 
-#: Reports of distinct analyses, keyed by the target record and the items
-#: of a final, for the whole process.  The key holds the record itself, not
-#: its id: two corpora in one process may share ids.
-_reports: dict[tuple[DeepA2Record, frozenset], MetricReport] = process_memo()
-
-
 def _report(final: dict, record: DeepA2Record) -> MetricReport:
     """``evaluate_analysis(final, target=record)``, computed once per process
     for each distinct analysis (a ``final``'s items in any insertion order).
 
     This is exact because the metric suite is a function of the analysis
     and the target record alone."""
-    key = (record, frozenset(final.items()))
-    report = _reports.get(key)
-    if report is None:
-        report = _reports[key] = evaluate_analysis(final, target=record)
-    return report
+    return _scored(record, frozenset(final.items()))
+
+
+@process_memo
+def _scored(record: DeepA2Record, items: frozenset) -> MetricReport:
+    """The report of one distinct analysis.  The key holds the record
+    itself, not its id: two corpora in one process may share ids."""
+    return evaluate_analysis(dict(items), target=record)
 
 
 def evaluate_traces(

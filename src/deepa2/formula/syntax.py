@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 
 from deepa2.errors import FormulaParseError
-from deepa2.memo import parse_once, process_memo
+from deepa2.memo import process_memo
 
 VARIABLE_NAMES = ("x", "y", "z")
 
@@ -395,20 +395,13 @@ class _Parser:
         return Atom(pred_tok.text, Const(name))
 
 
-#: text -> its AST or the FormulaParseError it raised, for the whole process.
-#: ASTs are frozen, so every caller can share one.
-_parsed: dict[str, Formula | FormulaParseError] = process_memo()
-
-
+@process_memo
 def parse_formula(text: str) -> Formula:
     """Parse a closed monadic formula; raises FormulaParseError with position.
 
-    Each distinct text is parsed once per process; a remembered error is
-    raised again as a fresh copy with the same message and position."""
-    return parse_once(_parsed, _parse, text, FormulaParseError)
-
-
-def _parse(text: str) -> Formula:
+    Each distinct well-formed text is parsed once per process, and every
+    caller shares its frozen AST; a malformed text is parsed again on each
+    call."""
     parser = _Parser(text)
     result = parser.formula(frozenset())
     trailing = parser.peek()

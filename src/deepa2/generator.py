@@ -23,7 +23,7 @@ import os
 import random
 import threading
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cache, partial
 from typing import Iterable
 
 from deepa2.argdown import ArgdownArgument, InferenceStep
@@ -214,15 +214,10 @@ class _Sampler:
         return self.variants if intricate_flavor else self.plain_pool
 
 
-_sampler: _Sampler | None = None
-
-
+@cache
 def _builtin_sampler() -> _Sampler:
     """Sampling pools over the packaged catalog; built once."""
-    global _sampler
-    if _sampler is None:
-        _sampler = _Sampler()
-    return _sampler
+    return _Sampler()
 
 
 class _LetterAllocator:
@@ -415,7 +410,6 @@ class PresentationPlan:
     statement_order: tuple[int, ...]  # retained statements, source order
     omitted: frozenset[int]
     final_explicit: bool
-    n_distractors: int
     distractor_slots: tuple[int, ...]
 
 
@@ -457,7 +451,6 @@ def plan_presentation(
         statement_order=tuple(retained),
         omitted=frozenset(omitted),
         final_explicit=final_explicit,
-        n_distractors=n_distractors,
         distractor_slots=slots,
     )
 
@@ -529,7 +522,7 @@ def compose_source(
     """Render the story; returns (source, reasons, conjectures, meta,
     distractors)."""
     tree = verbalized.tree
-    distractors = _build_distractors(verbalized, lexicon, plan.n_distractors, rng)
+    distractors = _build_distractors(verbalized, lexicon, len(plan.distractor_slots), rng)
 
     premise_numbers = {s.number for s in tree.premises}
     sentences: list[str] = []
@@ -623,13 +616,6 @@ def _contains_complexity(formula: Formula) -> bool:
 # ---------------------------------------------------------------------------
 # Corpus generation
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class GenerationDetails:
-    tree: ArgumentTree
-    plan: PresentationPlan
-    distractors: list[Distractor]
 
 
 # Consecutive indices per pool task; a pool gets one worker per full chunk,
@@ -742,7 +728,8 @@ def _generate_record(
     rng: random.Random,
     lexicon: DomainLexicon,
     record_id: str,
-) -> tuple[DeepA2Record, GenerationDetails]:
+) -> tuple[DeepA2Record, list[Distractor]]:
+    """A validated record and the distractors its source holds."""
     try:
         tree = _try_sample_tree(config, rng)
         verbalized = verbalize_argument(tree, lexicon, rng)
@@ -765,17 +752,16 @@ def _generate_record(
         keys=verbalized.keys,
         meta=meta,
     )
-    details = GenerationDetails(tree, plan, distractors)
-    problems = validate_record(record, config, details)
+    problems = validate_record(record, config, distractors)
     if problems:
         raise _RecordRejected(problems)
-    return record, details
+    return record, distractors
 
 
 def validate_record(
     record: DeepA2Record,
     config: GeneratorConfig,
-    details: GenerationDetails,
+    distractors: list[Distractor],
 ) -> list[str]:
     """Internal validity checks; an empty list means the record is sound."""
     problems: list[str] = []
@@ -823,9 +809,9 @@ def validate_record(
 
     # Entailment with distractors follows from sys_val == 1 (entailment is
     # monotone); only their consistency with the premises is left to check.
-    if details.distractors:
+    if distractors:
         premise_forms = [parse_formula(q.text) for q in record.premises_form]
-        extended = premise_forms + [d.formula for d in details.distractors]
+        extended = premise_forms + [d.formula for d in distractors]
         if not check_satisfiable(extended):
             problems.append("distractors made premises unsatisfiable")
     return problems

@@ -8,6 +8,7 @@ so two lexicons with disjoint relations and objects share no phrase.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from importlib import resources
 
@@ -60,19 +61,16 @@ def _split(value: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in value.split(",") if part.strip())
 
 
-_cache: dict[str, DomainLexicon] = {}
-
-
+@functools.cache
 def builtin_lexicon(lexicon_id: str) -> DomainLexicon:
-    if lexicon_id not in _cache:
-        if lexicon_id not in BUILTIN_LEXICON_IDS:
-            raise ConfigError(
-                f"unknown lexicon {lexicon_id!r}; built in: {BUILTIN_LEXICON_IDS}"
-            )
-        text = (
-            resources.files("deepa2.data")
-            .joinpath(f"lexicons/{lexicon_id}.txt")
-            .read_text("utf-8")
+    """A packaged lexicon; each is loaded once."""
+    if lexicon_id not in BUILTIN_LEXICON_IDS:
+        raise ConfigError(
+            f"unknown lexicon {lexicon_id!r}; built in: {BUILTIN_LEXICON_IDS}"
         )
-        _cache[lexicon_id] = DomainLexicon.from_text(text)
-    return _cache[lexicon_id]
+    text = (
+        resources.files("deepa2.data")
+        .joinpath(f"lexicons/{lexicon_id}.txt")
+        .read_text("utf-8")
+    )
+    return DomainLexicon.from_text(text)

@@ -65,11 +65,6 @@ def eval_basic_flaws(arg: ArgdownArgument) -> tuple[int, int, int, int]:
     return sys_pp, sys_rp, sys_rc, sys_us
 
 
-#: (premise formula texts, conclusion formula text) -> (sys_val, diagnostic
-#: or None), for the whole process.
-_verdicts: dict[tuple[tuple[str, ...], str], tuple[int, str | None]] = process_memo()
-
-
 def eval_sys_val(
     premises_form: Sequence[QuotedStatement],
     conclusion_form: Sequence[QuotedStatement],
@@ -83,19 +78,20 @@ def eval_sys_val(
     if len(conclusion_form) != 1:
         diag.append(f"conclusion_form must hold exactly one formula, got {len(conclusion_form)}")
         return 0
-    key = (tuple(q.text for q in premises_form), conclusion_form[0].text)
-    verdict = _verdicts.get(key)
-    if verdict is None:
-        verdict = _verdicts[key] = _decide_sys_val(*key)
-    value, message = verdict
+    value, message = _decide_sys_val(
+        tuple(q.text for q in premises_form), conclusion_form[0].text
+    )
     if message is not None:
         diag.append(message)
     return value
 
 
+@process_memo
 def _decide_sys_val(
     premise_texts: tuple[str, ...], conclusion_text: str
 ) -> tuple[int, str | None]:
+    """(sys_val, diagnostic or None) of one formalization, for the whole
+    process; a refusal is a verdict, not an error, so it is remembered too."""
     try:
         premises = [parse_formula(text) for text in premise_texts]
         conclusion = parse_formula(conclusion_text)

@@ -24,7 +24,7 @@ from deepa2.argdown import ArgdownArgument, parse_argdown, render_argdown
 from deepa2.dimensions import FORMULA_DIMENSIONS, LIST_DIMENSIONS, DimensionId
 from deepa2.errors import DeepA2Error, DimensionParseError, MissingDimensionError
 from deepa2.formula import parse_formula
-from deepa2.memo import parse_once, process_memo
+from deepa2.memo import process_memo
 from deepa2.textnorm import normalize_ws
 
 
@@ -72,8 +72,9 @@ class RecordMeta:
 
 @dataclass(frozen=True)
 class DeepA2Record:
-    """One comprehensive argumentative analysis; dimensions may be absent
-    (None) while a record is being filled in."""
+    """One comprehensive argumentative analysis.  Each dimension's field is
+    named by its ``DimensionId.keyword``; dimensions may be absent (None)
+    while a record is being filled in."""
 
     source: str | None = None
     reasons: tuple[QuotedStatement, ...] | None = None
@@ -92,20 +93,8 @@ class DeepA2Record:
             if value is not None and len(value) != 1:
                 raise ValueError(f"{name} must hold exactly one statement when present")
 
-    _FIELD_BY_DIM = {
-        DimensionId.SOURCE: "source",
-        DimensionId.REASONS: "reasons",
-        DimensionId.CONJECTURES: "conjectures",
-        DimensionId.ARGDOWN: "argdown",
-        DimensionId.PREMISES: "premises",
-        DimensionId.CONCLUSION: "conclusion",
-        DimensionId.PREMISES_FORM: "premises_form",
-        DimensionId.CONCLUSION_FORM: "conclusion_form",
-        DimensionId.KEYS: "keys",
-    }
-
     def get(self, dim: DimensionId):
-        return getattr(self, self._FIELD_BY_DIM[dim])
+        return getattr(self, dim.keyword)
 
     def has(self, dim: DimensionId) -> bool:
         return self.get(dim) is not None
@@ -161,21 +150,16 @@ def serialize_statements(items: Iterable[QuotedStatement]) -> str:
     return " | ".join(parts)
 
 
-#: text -> its statements or the DimensionParseError it raised, for the whole
-#: process, parsed without formula checks.  Statement tuples are frozen, so
-#: every caller can share one.
-_parsed: dict[str, tuple[QuotedStatement, ...] | DimensionParseError] = process_memo()
-
-
 def parse_statements(text: str, validate_formulas: bool = False) -> tuple[QuotedStatement, ...]:
     """The items of a list dimension; raises DimensionParseError at the offset
     of the first malformed item.
 
-    Each distinct text is parsed once per process, without formula checks;
+    Each distinct well-formed text is parsed once per process, without
+    formula checks, and a malformed one again on each call;
     ``validate_formulas`` then parses each item with the memoized
     ``parse_formula``, so validated and unvalidated calls share one entry."""
     try:
-        items = parse_once(_parsed, _parse_statements, text, DimensionParseError)
+        items = _parse_statements(text)
     except DimensionParseError as err:
         if validate_formulas and err.position:
             # Items are checked in order, so a bad formula in an item before
@@ -196,7 +180,10 @@ def parse_statements(text: str, validate_formulas: bool = False) -> tuple[Quoted
     return items
 
 
+@process_memo
 def _parse_statements(text: str) -> tuple[QuotedStatement, ...]:
+    """The items of a list dimension, without formula checks; statement
+    tuples are frozen, so every caller shares one."""
     items = []
     offset = 0
     for raw in _split_items(text):
@@ -274,8 +261,7 @@ def record_from_dict(data: dict) -> DeepA2Record:
     kwargs = {}
     for dim in DimensionId:
         if dim.keyword in data and data[dim.keyword] is not None:
-            field_name = DeepA2Record._FIELD_BY_DIM[dim]
-            kwargs[field_name] = parse_dimension(data[dim.keyword], dim)
+            kwargs[dim.keyword] = parse_dimension(data[dim.keyword], dim)
     meta = RecordMeta.from_dict(data.get("meta", {}))
     return DeepA2Record(meta=meta, **kwargs)
 

@@ -10,6 +10,7 @@ sentence-template bank, a path that tolerates false negatives.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass, field
 from importlib import resources
@@ -125,16 +126,11 @@ class SchemeCatalog:
         return cls.from_variants(variants)
 
 
-_builtin_catalog: SchemeCatalog | None = None
-
-
+@functools.cache
 def builtin_catalog() -> SchemeCatalog:
     """The packaged catalog; loaded and validity-checked once."""
-    global _builtin_catalog
-    if _builtin_catalog is None:
-        text = resources.files("deepa2.data").joinpath("schemes.txt").read_text("utf-8")
-        _builtin_catalog = SchemeCatalog.from_text(text)
-    return _builtin_catalog
+    text = resources.files("deepa2.data").joinpath("schemes.txt").read_text("utf-8")
+    return SchemeCatalog.from_text(text)
 
 
 # ---------------------------------------------------------------------------

@@ -20,16 +20,11 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-#: Each compared text's token multiset and token count, for the whole process.
-_token_counts: dict[str, tuple[Counter, int]] = process_memo()
-
-
+@process_memo
 def _counted_tokens(text: str) -> tuple[Counter, int]:
-    entry = _token_counts.get(text)
-    if entry is None:
-        tokens = Counter(tokenize(text))
-        entry = _token_counts[text] = (tokens, sum(tokens.values()))
-    return entry
+    """A compared text's token multiset and token count, for the whole process."""
+    tokens = Counter(tokenize(text))
+    return tokens, sum(tokens.values())
 
 
 def token_f1(a: str, b: str) -> float:

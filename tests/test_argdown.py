@@ -93,8 +93,7 @@ class TestParse:
             parse_argdown("(1) a.\n(2) b.\n----")
 
     def test_remembered_error_is_raised_as_a_fresh_copy(self):
-        from deepa2 import argdown
-
+        """A malformed text raises an equal, fresh error on every call."""
         bad = "(1) a.\n(2) b.\nnot a statement"
         with pytest.raises(ArgdownParseError) as first:
             parse_argdown(bad)
@@ -106,22 +105,11 @@ class TestParse:
             assert str(again.value) == str(first.value)
             assert again.value.position is first.value.position is None
             assert len(traceback.extract_tb(again.value.__traceback__)) == depth
-        assert argdown._parsed[bad].__traceback__ is None
 
-    def test_each_text_is_parsed_once(self, monkeypatch):
-        from deepa2 import argdown
-
-        texts = []
-        uncached = argdown._parse
-
-        def counting(text):
-            texts.append(text)
-            return uncached(text)
-
-        monkeypatch.setattr(argdown, "_parse", counting)
+    def test_each_text_is_parsed_once(self):
         first = parse_argdown(EMBRYO_BLOCK)
         assert parse_argdown(EMBRYO_BLOCK) is first
-        assert texts == [EMBRYO_BLOCK]
+        assert parse_argdown.cache_info().misses == 1
 
 
 class TestAccessors:

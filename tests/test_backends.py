@@ -14,7 +14,12 @@ from deepa2.backends import (
     make_backend,
 )
 from deepa2.dimensions import DimensionId as D
-from deepa2.errors import BackendError, BackendUnavailableError, MissingDimensionError
+from deepa2.errors import (
+    BackendError,
+    BackendUnavailableError,
+    ConfigError,
+    MissingDimensionError,
+)
 from deepa2.modes import full_mode_catalog, mode
 from deepa2.records import record_to_dict, serialize_dimension
 
@@ -315,7 +320,7 @@ class TestHttpBackend:
             backend.generate(self._request())
 
     def test_endpoint_must_be_an_http_url(self):
-        with pytest.raises(BackendError, match="not an http"):
+        with pytest.raises(ConfigError, match="not an http"):
             HttpBackend("ftp://127.0.0.1:21")
 
 
@@ -329,7 +334,7 @@ class TestMakeBackend:
         assert isinstance(make_backend("http://x.test"), HttpBackend)
 
     def test_unknown_spec(self):
-        with pytest.raises(BackendError):
+        with pytest.raises(ConfigError):
             make_backend("carrier-pigeon")
-        with pytest.raises(BackendError, match="unknown backend spec"):
+        with pytest.raises(ConfigError, match="unknown backend spec"):
             make_backend("http:localhost:8000")

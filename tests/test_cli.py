@@ -162,6 +162,20 @@ class TestRun:
         assert f"bad backend spec {spec!r}" in caplog.text
         assert "[0, 1]" in caplog.text
 
+    @pytest.mark.parametrize("spec, message", [
+        ("foo", "unknown backend spec 'foo'"),
+        ("http", "unknown backend spec 'http'"),
+        ("http://", "is not an http(s) URL"),
+        ("http://127.0.0.1:port", "endpoint 'http://127.0.0.1:port'"),
+    ])
+    def test_bad_backend_spec_exits_2(self, tmp_path, corpus_file, caplog, spec, message):
+        traces = tmp_path / "t.jsonl"
+        code = run_cli("run", "--corpus", str(corpus_file), "--chains", "1",
+                       "--backend", spec, "--out", str(traces))
+        assert code == EXIT_CONFIG
+        assert message in caplog.text
+        assert not traces.exists()
+
     @pytest.mark.parametrize("value", ["abc", "-5", "0", "nan"])
     @pytest.mark.parametrize("backend", ["oracle", "http://127.0.0.1:1"])
     def test_bad_timeout_exits_2(self, tmp_path, corpus_file, caplog, monkeypatch,

@@ -212,26 +212,18 @@ def test_oracle_reports_match_targets(corpus):
 
 
 class TestProcessMemos:
-    def test_oracle_row_parses_no_loaded_text_again(self, corpus, tmp_path, monkeypatch):
-        import deepa2.argdown as argdown
-        import deepa2.formula.syntax as syntax
-        import deepa2.records as records
+    def test_oracle_row_parses_no_loaded_text_again(self, corpus, tmp_path):
+        from deepa2.argdown import parse_argdown
+        from deepa2.formula import parse_formula
+        from deepa2.records import _parse_statements
 
         path = tmp_path / "corpus.jsonl"
         dump_corpus(list(corpus.values())[:10], path)
         loaded = load_corpus(path)
-        parsed = []
-        for module, name in ((argdown, "_parse"), (records, "_parse_statements"),
-                             (syntax, "_parse")):
-            uncached = getattr(module, name)
-
-            def counting(text, uncached=uncached):
-                parsed.append(text)
-                return uncached(text)
-
-            monkeypatch.setattr(module, name, counting)
+        parses = (parse_argdown, _parse_statements, parse_formula)
+        misses = [parse.cache_info().misses for parse in parses]
         reports = oracle_reports(loaded)
-        assert parsed == []
+        assert [parse.cache_info().misses for parse in parses] == misses
         assert all(report.sys_val == 1 for _, report in reports)
 
     def test_noisy_reports_are_equal_with_cold_and_warm_memos(self, corpus):

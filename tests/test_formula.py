@@ -108,8 +108,7 @@ class TestParse:
             parse_formula("F v")
 
     def test_remembered_error_is_raised_as_a_fresh_copy(self):
-        from deepa2.formula import syntax
-
+        """A malformed text raises an equal, fresh error on every call."""
         with pytest.raises(FormulaParseError) as first:
             parse_formula("F a @ G a")
         depth = len(traceback.extract_tb(first.value.__traceback__))
@@ -120,7 +119,6 @@ class TestParse:
             assert str(again.value) == str(first.value)
             assert again.value.position == first.value.position == 4
             assert len(traceback.extract_tb(again.value.__traceback__)) == depth
-        assert syntax._parsed["F a @ G a"].__traceback__ is None
 
 
 class TestRender:

@@ -36,9 +36,9 @@ def sample_tree(config, rng):
             continue
 
 
-def records_with_details(config, n, seed):
-    """n accepted records with their construction details, built through the
-    one build path from one generator."""
+def records_with_distractors(config, n, seed):
+    """n accepted records with the distractors of their sources, built
+    through the one build path from one generator."""
     rng = random.Random(seed)
     lexicon = builtin_lexicon(config.lexicon_id)
     built = []
@@ -124,8 +124,8 @@ class TestVerbalize:
 class TestComposeAndValidate:
     def test_generated_records_validate(self):
         config = GeneratorConfig()
-        for record, details in records_with_details(config, 30, seed=21):
-            assert validate_record(record, config, details) == []
+        for record, distractors in records_with_distractors(config, 30, seed=21):
+            assert validate_record(record, config, distractors) == []
 
     def test_plain_records_quote_every_statement(self):
         for record in small_corpus(120, seed=22):
@@ -138,7 +138,7 @@ class TestComposeAndValidate:
 
     def test_mutilated_records_hide_statements_and_add_distractors(self):
         found = False
-        for record, details in records_with_details(GeneratorConfig(), 400, seed=23):
+        for record, distractors in records_with_distractors(GeneratorConfig(), 400, seed=23):
             if "mutilated" not in classify_subsets(record.meta):
                 continue
             found = True
@@ -146,7 +146,7 @@ class TestComposeAndValidate:
             premise_numbers = {q.ref for q in record.premises}
             assert len(premise_numbers - quoted) >= 2
             assert record.meta.n_distractors == 2
-            for distractor in details.distractors:
+            for distractor in distractors:
                 assert distractor.text in record.source
                 assert all(distractor.text != q.text for q in record.reasons)
                 assert all(distractor.text != q.text for q in record.conjectures)
@@ -154,12 +154,12 @@ class TestComposeAndValidate:
 
     def test_distractors_do_not_change_entailment(self):
         checked = 0
-        for record, details in records_with_details(GeneratorConfig(), 120, seed=24):
-            if not details.distractors:
+        for record, distractors in records_with_distractors(GeneratorConfig(), 120, seed=24):
+            if not distractors:
                 continue
             premises = [parse_formula(q.text) for q in record.premises_form]
             conclusion = parse_formula(record.conclusion_form[0].text)
-            with_noise = premises + [d.formula for d in details.distractors]
+            with_noise = premises + [d.formula for d in distractors]
             assert check_entailment(premises, conclusion)
             assert check_entailment(with_noise, conclusion)
             checked += 1

@@ -277,27 +277,19 @@ class TestFullSuiteOnReferenceRecord:
         # Two implicit premises drag the reason-coherence mean down.
         assert report.exe_rss < 0
 
-    def test_each_formalization_is_parsed_once(self, monkeypatch):
-        from deepa2.formula import syntax
+    def test_each_formalization_is_parsed_once(self):
+        from deepa2.formula import parse_formula
         from deepa2.metrics import evaluate_analysis, work_dict_of_record
         from .helpers import dilemma_record
 
         record = dilemma_record()
         work = work_dict_of_record(record)
         expected = evaluate_analysis(work, target=record)
-        uncached = syntax._parse
-        texts = []
-
-        def counting(text):
-            texts.append(text)
-            return uncached(text)
-
         clear_memos()
-        monkeypatch.setattr(syntax, "_parse", counting)
         assert evaluate_analysis(work, target=record) == expected
         assert evaluate_analysis(work, target=record) == expected
         formal = [q.text for q in record.premises_form + record.conclusion_form]
-        assert sorted(texts) == sorted(set(formal))
+        assert parse_formula.cache_info().misses == len(set(formal))
 
 
 class TestGarbageRobustness:
