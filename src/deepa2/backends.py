@@ -2,7 +2,7 @@
 
 A backend turns a generation request (mode plus serialized input
 dimensions) into raw output text.  The oracle backend answers from the
-target records' cached wire texts (``DeepA2Record.texts``), the noisy
+target records' stored wire texts (``DeepA2Record.texts``), the noisy
 oracle corrupts a seeded fraction of its answers, and the HTTP backend
 talks to an external inference service over a small JSON protocol.
 ``format_prompt`` is defined in ``deepa2.modes`` and re-exported here.
@@ -66,7 +66,7 @@ class ModelBackend(Protocol):
 
 class OracleBackend:
     """Answers every request with the target record's output dimension, read
-    from the record's ``texts``, so each is serialized once per record."""
+    from the record's ``texts``, so it parses and renders nothing."""
 
     def __init__(self, records: Iterable[DeepA2Record]):
         self._records: dict[str, DeepA2Record] = {}

@@ -1,4 +1,4 @@
-"""Generative chains: catalogued mode sequences, execution, pooling, export.
+"""Generative chains: catalogued mode sequences, execution, export.
 
 A chain executes its modes in order over a dynamic dictionary keyed by the
 nine dimensions.  The dictionary starts with the source text; each mode
@@ -16,7 +16,8 @@ decides which nodes reach the backend.  ``trace_lines`` writes a record's
 results as JSON lines, encoding each distinct text and each step once.
 
 ``export_training`` samples training modes per record and reads prompts
-and targets from each record's cached ``texts`` (see ``deepa2.records``);
+and targets from each record's stored ``texts`` (see ``deepa2.records``),
+so it parses none of them;
 it formats prompts with ``deepa2.modes.format_prompt``, so export loads no
 backend.
 """
@@ -27,7 +28,7 @@ import json
 import random
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from deepa2.dimensions import DimensionId
 from deepa2.errors import (
@@ -40,11 +41,9 @@ from deepa2.modes import ModeSpec, TRAINING_MODES, format_prompt, mode
 from deepa2.records import DeepA2Record
 
 # For type checking only, so that ``eval`` and ``export-training`` load no
-# backend and ``run`` and ``export-training`` load no metric suite;
-# ``run_plan`` imports what it calls from the backends when called.
+# backend; ``run_plan`` imports what it calls from the backends when called.
 if TYPE_CHECKING:
     from deepa2.backends import ModelBackend
-    from deepa2.metrics import MetricReport
 
 
 @dataclass(frozen=True)
@@ -361,40 +360,6 @@ def trace_lines(results: Iterable[ChainResult]) -> list[str]:
             f'"final": {{{final}}}, "steps": [{", ".join(steps)}], "error": {error}}}\n'
         )
     return lines
-
-
-# ---------------------------------------------------------------------------
-# Pooling
-# ---------------------------------------------------------------------------
-
-
-def default_ranking_key(report: MetricReport) -> tuple:
-    """Lexicographic quality key over self-computable metrics, validity
-    first."""
-    return (
-        report.sys_val,
-        report.sys_pp + report.sys_rp + report.sys_rc + report.sys_us,
-        report.sys_sch if report.sys_sch is not None else 0.0,
-        report.exe_meq,
-        (report.exe_rss + report.exe_jss) / 2,
-    )
-
-
-def pool_index(
-    reports: Sequence[MetricReport],
-    key: Callable[[MetricReport], tuple] = default_ranking_key,
-) -> int:
-    """Index of the item-wise best report under the ranking key; the first
-    of equally ranked reports wins."""
-    if not reports:
-        raise ValueError("pooling needs at least one report")
-    best = 0
-    best_key = key(reports[0])
-    for i in range(1, len(reports)):
-        k = key(reports[i])
-        if k > best_key:
-            best, best_key = i, k
-    return best
 
 
 # ---------------------------------------------------------------------------

@@ -117,6 +117,7 @@ def cmd_generate(args) -> int:
     import hashlib
 
     from deepa2.generator import GeneratorConfig, generate_corpus, subset_census
+    from deepa2.records import corpus_line
 
     if args.config:
         try:
@@ -131,7 +132,7 @@ def cmd_generate(args) -> int:
     if args.n == 0:
         logger.warning("n=0: writing an empty corpus and an all-zero census")
     records = generate_corpus(config, args.n, seed=args.seed)
-    _atomic_write_lines(out, _corpus_lines(records))
+    _atomic_write_lines(out, map(corpus_line, records))
     census = subset_census(records)
     census_path = Path(args.census) if args.census else out.with_suffix(
         out.suffix + ".census.json"
@@ -143,18 +144,12 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _corpus_lines(records):
-    from deepa2.records import record_to_dict
-
-    for record in records:
-        yield _encode(record_to_dict(record)) + "\n"
-
-
 def cmd_run(args) -> int:
     from concurrent.futures import ThreadPoolExecutor
 
     from deepa2.backends import HttpBackend, make_backend
     from deepa2.chains import chain_by_id, compile_plan, run_plan, trace_lines
+    from deepa2.dimensions import DimensionId
     from deepa2.records import load_corpus
 
     chain_ids = _parse_chain_ids(args.chains)
@@ -174,7 +169,8 @@ def cmd_run(args) -> int:
 
     def execute(record) -> tuple[list[ChainResult], int]:
         counted = _CountingBackend(backend)
-        results = run_plan(plan, record.source or "", counted, record.meta.record_id)
+        source = record.texts.get(DimensionId.SOURCE, "")
+        results = run_plan(plan, source, counted, record.meta.record_id)
         return results, counted.calls
 
     # A record is the unit of parallel work: its chains share one plan run,
@@ -212,10 +208,19 @@ def cmd_run(args) -> int:
 
 def cmd_eval(args) -> int:
     from deepa2.chains import ChainResult
-    from deepa2.evaluation import aggregate_table, evaluate_traces, render_table
+    from deepa2.evaluation import (
+        SCORED_DIMENSIONS,
+        aggregate_table,
+        evaluate_traces,
+        render_table,
+    )
     from deepa2.records import load_corpus
 
-    corpus = {r.meta.record_id: r for r in load_corpus(args.corpus)}
+    # The scored dimensions are parsed here, so that a malformed one is
+    # reported with its corpus line; their parses are the metric suite's.
+    corpus = {
+        r.meta.record_id: r for r in load_corpus(args.corpus, views=SCORED_DIMENSIONS)
+    }
     counts = {"traces": 0, "failed": 0}
 
     def usable_results():

@@ -4,9 +4,10 @@ aggregating per-chain, pooled, and oracle rows into one table."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from deepa2.chains import ChainResult, default_ranking_key, pool_index
+from deepa2.chains import ChainResult
+from deepa2.dimensions import DimensionId
 from deepa2.errors import DeepA2Error, UndefinedMetricError
 from deepa2.memo import process_memo
 from deepa2.metrics import (
@@ -20,6 +21,18 @@ from deepa2.records import DeepA2Record
 METRIC_COLUMNS = (
     "sys_pp", "sys_rp", "sys_rc", "sys_us", "sys_sch", "sys_val",
     "exe_meq", "exe_rss", "exe_jss", "exe_ppr", "exe_ppj", "exe_te",
+)
+
+
+#: The target dimensions the metric suite parses: ``evaluate_analysis``
+#: reads a target's reasons and conjectures, and the oracle row scores all
+#: five texts.  ``eval`` parses them as it loads the corpus.
+SCORED_DIMENSIONS = (
+    DimensionId.ARGDOWN,
+    DimensionId.REASONS,
+    DimensionId.CONJECTURES,
+    DimensionId.PREMISES_FORM,
+    DimensionId.CONCLUSION_FORM,
 )
 
 
@@ -82,6 +95,35 @@ def oracle_reports(
     """Metric suite applied to the target data itself; a target whose work
     dict was already scored as some trace's final reuses that report."""
     return [(record, _report(work_dict_of_record(record), record)) for record in records]
+
+
+def default_ranking_key(report: MetricReport) -> tuple:
+    """Lexicographic quality key over self-computable metrics, validity
+    first."""
+    return (
+        report.sys_val,
+        report.sys_pp + report.sys_rp + report.sys_rc + report.sys_us,
+        report.sys_sch if report.sys_sch is not None else 0.0,
+        report.exe_meq,
+        (report.exe_rss + report.exe_jss) / 2,
+    )
+
+
+def pool_index(
+    reports: Sequence[MetricReport],
+    key: Callable[[MetricReport], tuple] = default_ranking_key,
+) -> int:
+    """Index of the item-wise best report under the ranking key; the first
+    of equally ranked reports wins."""
+    if not reports:
+        raise ValueError("pooling needs at least one report")
+    best = 0
+    best_key = key(reports[0])
+    for i in range(1, len(reports)):
+        k = key(reports[i])
+        if k > best_key:
+            best, best_key = i, k
+    return best
 
 
 def _aggregate_reports(

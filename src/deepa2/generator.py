@@ -44,8 +44,7 @@ from deepa2.records import (
     DeepA2Record,
     QuotedStatement,
     RecordMeta,
-    record_from_dict,
-    record_to_dict,
+    parse_dimension,
 )
 from deepa2.schemes import (
     SchemeVariant,
@@ -740,7 +739,7 @@ def _generate_record(
         verbalized, plan, lexicon, config, rng
     )
     meta = replace(meta, record_id=record_id)
-    record = DeepA2Record(
+    record = DeepA2Record.from_parts(
         source=source,
         reasons=reasons,
         conjectures=conjectures,
@@ -804,7 +803,10 @@ def validate_record(
                     f"quote for ({quote.ref}) drifts below {QUOTE_SCORE_BOUND}"
                 )
 
-    if record_from_dict(record_to_dict(record)) != record:
+    # A loaded record's views are parsed from its texts, so each rendered
+    # text must parse back to the part it came from.
+    if any(parse_dimension(text, dim) != record.get(dim)
+           for dim, text in record.texts.items()):
         problems.append("serialization round trip failed")
 
     # Entailment with distractors follows from sys_val == 1 (entailment is

@@ -124,7 +124,7 @@ def import_entailmentbank(rec: EntailmentTreeRecord) -> DeepA2Record:
         final_conclusion_explicit=True,
         domain_tag="entailment_bank",
     )
-    return DeepA2Record(
+    return DeepA2Record.from_parts(
         source=source,
         reasons=reasons,
         conjectures=conjectures,
@@ -202,7 +202,7 @@ def import_ruletaker(rec: RuleTakerRecord) -> tuple[DeepA2Record, str]:
         domain_tag="ruletaker",
         label=rec.label,
     )
-    return DeepA2Record(source=source, meta=meta), rec.label
+    return DeepA2Record.from_parts(source=source, meta=meta), rec.label
 
 
 def load_ruletaker(path) -> list[RuleTakerRecord]:

@@ -381,5 +381,5 @@ def evaluate_analysis(
 
 def work_dict_of_record(record: DeepA2Record) -> dict[DimensionId, str]:
     """A record's own dimensions as raw texts (oracle-style evaluation input):
-    a copy of its cached ``texts``."""
+    a copy of its stored ``texts``."""
     return dict(record.texts)

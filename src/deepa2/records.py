@@ -6,10 +6,14 @@ statement references as `` (ref: (n))``; the key dimension renders as
 ``F: phrase | G: phrase``.  Corpus files are JSON lines, one record per
 line, with the nine dimension keywords plus ``meta`` as field names.
 
-A record renders its dimensions once: ``DeepA2Record.texts`` holds each
-present dimension's wire text, and every serializer (``serialize_dimension``,
-``record_to_dict``, the oracle backends, metrics work dicts and training
-export) reads it.
+A record stores its texts: ``DeepA2Record.texts`` maps each present
+dimension to its wire text, and a record read from a corpus line keeps
+the line's texts verbatim and parses nothing.  Each parsed view
+(``record.argdown``, ``record.reasons``, ...) is built on first read through
+``parse_dimension`` and its memoized parsers, so a stage parses only the
+dimensions it reads.  ``DeepA2Record.from_parts`` builds a record from
+parsed dimensions, rendering each once; the generator and the importers
+use it.
 """
 
 from __future__ import annotations
@@ -20,10 +24,10 @@ from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from deepa2.argdown import ArgdownArgument, parse_argdown, render_argdown
+# The argument and formula parsers are imported where a text is parsed or
+# rendered, so a stage that only copies texts loads neither.
 from deepa2.dimensions import FORMULA_DIMENSIONS, LIST_DIMENSIONS, DimensionId
 from deepa2.errors import DeepA2Error, DimensionParseError, MissingDimensionError
-from deepa2.formula import parse_formula
 from deepa2.memo import process_memo
 from deepa2.textnorm import normalize_ws
 
@@ -70,51 +74,101 @@ class RecordMeta:
         return cls(**{k: v for k, v in data.items() if k in known})
 
 
-@dataclass(frozen=True)
-class DeepA2Record:
-    """One comprehensive argumentative analysis.  Each dimension's field is
-    named by its ``DimensionId.keyword``; dimensions may be absent (None)
-    while a record is being filled in."""
+#: Dimensions that hold exactly one statement when present.
+_SINGLETONS = (DimensionId.CONCLUSION, DimensionId.CONCLUSION_FORM)
 
-    source: str | None = None
-    reasons: tuple[QuotedStatement, ...] | None = None
-    conjectures: tuple[QuotedStatement, ...] | None = None
-    argdown: ArgdownArgument | None = None
-    premises: tuple[QuotedStatement, ...] | None = None
-    conclusion: tuple[QuotedStatement, ...] | None = None
-    premises_form: tuple[QuotedStatement, ...] | None = None
-    conclusion_form: tuple[QuotedStatement, ...] | None = None
-    keys: tuple[tuple[str, str], ...] | None = None
+
+def _view(dim: DimensionId) -> cached_property:
+    """The parsed view of one dimension: ``parse_dimension`` of its text,
+    built on first read and kept on the record; None when it is absent."""
+
+    def view(self: DeepA2Record):
+        text = self.texts.get(dim)
+        return None if text is None else parse_dimension(text, dim)
+
+    view.__name__ = dim.keyword
+    return cached_property(view)
+
+
+@dataclass(frozen=True, eq=False)
+class DeepA2Record:
+    """One comprehensive argumentative analysis, stored as its dimension
+    texts and its meta.
+
+    ``texts`` maps each present dimension to its wire text, in
+    ``DimensionId`` order; every reader shares the dict and none may change
+    it.  ``==`` and ``hash`` work on ``(texts, meta)``.  Each dimension also
+    has a parsed view named by its keyword (``record.argdown``,
+    ``record.premises_form``, ...), parsed on first read; a malformed text
+    raises ``DimensionParseError`` there."""
+
+    texts: dict[DimensionId, str] = field(default_factory=dict)
     meta: RecordMeta = field(default_factory=RecordMeta)
 
+    # The parsed views, not fields: each is a ``cached_property``.
+    source = _view(DimensionId.SOURCE)
+    reasons = _view(DimensionId.REASONS)
+    conjectures = _view(DimensionId.CONJECTURES)
+    argdown = _view(DimensionId.ARGDOWN)
+    premises = _view(DimensionId.PREMISES)
+    conclusion = _view(DimensionId.CONCLUSION)
+    premises_form = _view(DimensionId.PREMISES_FORM)
+    conclusion_form = _view(DimensionId.CONCLUSION_FORM)
+    keys = _view(DimensionId.KEYS)
+
     def __post_init__(self):
-        for name in ("conclusion", "conclusion_form"):
-            value = getattr(self, name)
-            if value is not None and len(value) != 1:
-                raise ValueError(f"{name} must hold exactly one statement when present")
+        # In DimensionId order, so that equal records hash alike.
+        texts = {dim: self.texts[dim] for dim in DimensionId if dim in self.texts}
+        if len(texts) != len(self.texts) or not all(
+            isinstance(text, str) for text in texts.values()
+        ):
+            raise TypeError("texts must map DimensionId members to strings")
+        object.__setattr__(self, "texts", texts)
+
+    @classmethod
+    def from_parts(cls, meta: RecordMeta = RecordMeta(), **parts) -> DeepA2Record:
+        """A record built from parsed dimensions, each passed under its
+        keyword (None or omitted: absent).
+
+        Each part is rendered once through ``_render`` and kept as its
+        view, so reading it parses nothing.  Only a canonical part parses
+        back from its text to itself; the generator checks that its parts
+        do (``validate_record``)."""
+        unknown = set(parts) - {dim.keyword for dim in DimensionId}
+        if unknown:
+            raise TypeError(f"unknown dimensions {sorted(unknown)}")
+        present = {
+            dim: parts[dim.keyword]
+            for dim in DimensionId
+            if parts.get(dim.keyword) is not None
+        }
+        for dim in _SINGLETONS:
+            if dim in present and len(present[dim]) != 1:
+                raise ValueError(
+                    f"{dim.keyword} must hold exactly one statement when present"
+                )
+        record = cls({dim: _render(dim, value) for dim, value in present.items()}, meta)
+        for dim, value in present.items():
+            record.__dict__[dim.keyword] = value
+        return record
+
+    def __eq__(self, other):
+        if not isinstance(other, DeepA2Record):
+            return NotImplemented
+        return self.meta == other.meta and self.texts == other.texts
+
+    def __hash__(self):
+        return hash((*self.texts.items(), self.meta))
 
     def get(self, dim: DimensionId):
+        """The parsed view of ``dim`` (None when absent)."""
         return getattr(self, dim.keyword)
 
     def has(self, dim: DimensionId) -> bool:
-        return self.get(dim) is not None
+        return dim in self.texts
 
     def present_dimensions(self) -> list[DimensionId]:
-        return [d for d in DimensionId if self.has(d)]
-
-    @cached_property
-    def texts(self) -> dict[DimensionId, str]:
-        """Each present dimension's wire text, in ``DimensionId`` order.
-
-        Rendered on first access and kept on the instance, so a pickled
-        record carries its texts.  It is not a field: ``==`` and ``hash``
-        ignore it.  Every reader shares the dict; none may change it."""
-        texts = {}
-        for dim in DimensionId:
-            value = self.get(dim)
-            if value is not None:
-                texts[dim] = _render(dim, value)
-        return texts
+        return list(self.texts)
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +222,8 @@ def parse_statements(text: str, validate_formulas: bool = False) -> tuple[Quoted
             parse_statements(text[: err.position - 3], validate_formulas=True)
         raise
     if validate_formulas:
+        from deepa2.formula import parse_formula
+
         offset = 0
         for item, raw in zip(items, _split_items(text)):
             try:
@@ -217,6 +273,8 @@ def _render(dim: DimensionId, value) -> str:
     if dim is DimensionId.SOURCE:
         return value
     if dim is DimensionId.ARGDOWN:
+        from deepa2.argdown import render_argdown
+
         return render_argdown(value)
     if dim is DimensionId.KEYS:
         return " | ".join(f"{letter}: {phrase}" for letter, phrase in value)
@@ -230,6 +288,8 @@ def parse_dimension(text: str, dim: DimensionId):
     if dim is DimensionId.SOURCE:
         return normalize_ws(text)
     if dim is DimensionId.ARGDOWN:
+        from deepa2.argdown import parse_argdown
+
         return parse_argdown(text)
     if dim is DimensionId.KEYS:
         pairs = []
@@ -242,7 +302,12 @@ def parse_dimension(text: str, dim: DimensionId):
             offset += len(raw) + 3
         return tuple(pairs)
     if dim in LIST_DIMENSIONS:
-        return parse_statements(text, validate_formulas=dim in FORMULA_DIMENSIONS)
+        items = parse_statements(text, validate_formulas=dim in FORMULA_DIMENSIONS)
+        if dim in _SINGLETONS and len(items) != 1:
+            raise DimensionParseError(
+                f"{dim.keyword} must hold exactly one statement when present"
+            )
+        return items
     raise ValueError(f"unhandled dimension {dim!r}")
 
 
@@ -258,30 +323,49 @@ def record_to_dict(record: DeepA2Record) -> dict:
 
 
 def record_from_dict(data: dict) -> DeepA2Record:
-    kwargs = {}
+    """The record holding the dict's dimension texts verbatim; nothing is
+    parsed."""
+    texts = {}
     for dim in DimensionId:
-        if dim.keyword in data and data[dim.keyword] is not None:
-            kwargs[dim.keyword] = parse_dimension(data[dim.keyword], dim)
-    meta = RecordMeta.from_dict(data.get("meta", {}))
-    return DeepA2Record(meta=meta, **kwargs)
+        text = data.get(dim.keyword)
+        if text is not None:
+            texts[dim] = text
+    return DeepA2Record(texts, RecordMeta.from_dict(data.get("meta", {})))
+
+
+#: ``json.dumps(value, ensure_ascii=False)`` without building an encoder per
+#: call.
+_encode = json.JSONEncoder(ensure_ascii=False).encode
+
+
+def corpus_line(record: DeepA2Record) -> str:
+    """The record's corpus line: ``json.dumps(record_to_dict(record),
+    ensure_ascii=False)`` and a newline."""
+    return _encode(record_to_dict(record)) + "\n"
 
 
 def dump_corpus(records: Iterable[DeepA2Record], path) -> int:
     count = 0
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:
-            fh.write(json.dumps(record_to_dict(record), ensure_ascii=False) + "\n")
+            fh.write(corpus_line(record))
             count += 1
     return count
 
 
-def load_corpus(path) -> list[DeepA2Record]:
-    return list(iter_corpus(path))
+def load_corpus(path, views: Iterable[DimensionId] = ()) -> list[DeepA2Record]:
+    return list(iter_corpus(path, views))
 
 
-def iter_corpus(path) -> Iterator[DeepA2Record]:
-    """The records of a JSON-lines corpus, in file order; a malformed line
-    or a repeated ``meta.record_id`` raises ``DeepA2Error``."""
+def iter_corpus(path, views: Iterable[DimensionId] = ()) -> Iterator[DeepA2Record]:
+    """The records of a JSON-lines corpus, in file order, with their texts
+    as the lines hold them.
+
+    The view of each dimension in ``views`` is parsed as its line is read,
+    so a malformed one is reported with its line; the rest are parsed on
+    first read, if ever.  A malformed line or a repeated
+    ``meta.record_id`` raises ``DeepA2Error``."""
+    views = tuple(views)
     first_line: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for number, line in enumerate(fh, 1):
@@ -290,6 +374,8 @@ def iter_corpus(path) -> Iterator[DeepA2Record]:
                 continue
             try:
                 record = record_from_dict(json.loads(line))
+                for dim in views:
+                    record.get(dim)
             except (DeepA2Error, ValueError, KeyError, TypeError, AttributeError) as err:
                 raise DeepA2Error(
                     f"{path}:{number}: malformed corpus line ({err!r})"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 from deepa2.argdown import parse_argdown
+from deepa2.dimensions import DimensionId
 from deepa2.formula.syntax import (
     And,
     Atom,
@@ -80,7 +81,7 @@ def dilemma_record(record_id: str = "dilemma-0") -> DeepA2Record:
     distractor sentence, explicit final conclusion)."""
     arg = parse_argdown(_DILEMMA_ARGDOWN)
     statements = dict(arg.statements)
-    return DeepA2Record(
+    return DeepA2Record.from_parts(
         source=(
             "It is not the case that Tracy is not an admirer of Fullerton and "
             "Tracy has seen La Habra. Plus, if someone loves Chico, then they "
@@ -121,6 +122,15 @@ def dilemma_record(record_id: str = "dilemma-0") -> DeepA2Record:
             domain_tag="places_people",
         ),
     )
+
+
+def with_parts(record: DeepA2Record, **changes) -> DeepA2Record:
+    """The record with the named parts (or ``meta``) replaced, built through
+    ``DeepA2Record.from_parts``; a part set to None is dropped."""
+    parts = {dim.keyword: record.get(dim) for dim in DimensionId}
+    parts.update(changes)
+    meta = parts.pop("meta", record.meta)
+    return DeepA2Record.from_parts(meta=meta, **parts)
 
 
 def random_formula_set(

@@ -41,7 +41,7 @@ from deepa2.importers import (
 )
 from deepa2.metrics import default_scorer, eval_exe_rss, eval_exe_jss
 from deepa2.modes import mode, mode_registry
-from deepa2.records import parse_dimension, serialize_dimension
+from deepa2.records import DeepA2Record, parse_dimension, serialize_dimension
 from deepa2.textnorm import normalize_ws
 
 from .bruteforce import brute_force_entails
@@ -183,9 +183,9 @@ def test_criterion_04_registry_exactness(corpus1000):
     for i in range(16000):
         source = base[i % len(base)]
         tiled.append(
-            dataclasses.replace(
-                source,
-                meta=dataclasses.replace(source.meta, record_id=f"tile-{i:05d}"),
+            DeepA2Record(
+                source.texts,
+                dataclasses.replace(source.meta, record_id=f"tile-{i:05d}"),
             )
         )
     pairs = export_training(tiled, weights="aaac", n_per_record=14, seed=99)
@@ -289,7 +289,7 @@ def test_criterion_08_pooling_dominance(corpus1000):
     pooled_row = by_chain["pooling"]
 
     # Item-wise: the pooled pick always matches the best chain's validity.
-    from deepa2.chains import default_ranking_key, pool_index
+    from deepa2.evaluation import default_ranking_key, pool_index
 
     for record_id, group in by_record.items():
         best = pool_index([row.report for row in group], key=default_ranking_key)

@@ -79,7 +79,7 @@ class TestOracle:
 
     def test_serializes_each_dimension_once(self, monkeypatch):
         """Both oracles, training export, record_to_dict and metric work dicts
-        read each record's cached texts: one rendering per (record,
+        read each record's stored texts: one rendering per (record,
         dimension) per process, and a pickled record carries its texts."""
         import pickle
         from collections import Counter

@@ -13,7 +13,8 @@ from deepa2.dimensions import DimensionId
 from deepa2.evaluation import aggregate_table
 from deepa2.memo import clear_memos
 from deepa2.metrics import evaluate_analysis
-from deepa2.records import load_corpus
+from deepa2.records import _parse_statements, load_corpus
+from deepa2.textnorm import normalize_ws
 
 from .stubserver import digest_echo, start_stub_server, stop_stub_server
 
@@ -439,6 +440,113 @@ def test_duplicate_record_id_exit_4(tmp_path, corpus_file, caplog, stage):
     assert (f"{corpus_file}:3: duplicate record id '{first['meta']['record_id']}' "
             "(first at line 1)") in caplog.text
     assert not out.exists()
+
+
+def rewrite_corpus(src, dst, change) -> None:
+    """``dst``: the corpus ``src`` with ``change(index, data)`` applied to
+    each line's dict."""
+    rows = [json.loads(line) for line in src.read_text().splitlines()]
+    for index, data in enumerate(rows):
+        change(index, data)
+    dst.write_text("".join(json.dumps(data) + "\n" for data in rows))
+
+
+@pytest.mark.parametrize("keyword, bad, eval_code", [
+    ("argdown", "no argument here", EXIT_VALIDATION),
+    ("premises_form", "F x y (ref: (1))", EXIT_VALIDATION),
+    ("keys", "no key here", EXIT_OK),
+])
+def test_malformed_dimension_is_rejected_only_where_scored(
+    tmp_path, corpus_file, caplog, keyword, bad, eval_code
+):
+    """A well-formed line whose dimension text does not parse: run and
+    export-training parse no dimension and copy it verbatim; eval parses
+    the dimensions it scores as it loads, and rejects a malformed one."""
+
+    def spoil(index, data):
+        if index == 3:
+            data[keyword] = bad
+
+    corpus = tmp_path / "spoiled.jsonl"
+    rewrite_corpus(corpus_file, corpus, spoil)
+    traces, pairs = tmp_path / "traces.jsonl", tmp_path / "pairs.jsonl"
+    assert run_cli("run", "--corpus", str(corpus), "--chains", "1",
+                   "--with-formalization", "--out", str(traces)) == EXIT_OK
+    assert [final[keyword] for final, _ in read_traces(traces)][3] == bad
+    assert run_cli("export-training", "--corpus", str(corpus), "-n", "50",
+                   "--out", str(pairs)) == EXIT_OK
+    assert json.dumps(bad)[1:-1] in pairs.read_text()
+    metrics = tmp_path / "metrics.jsonl"
+    code = run_cli("eval", "--traces", str(traces), "--corpus", str(corpus),
+                   "--out", str(metrics))
+    assert code == eval_code
+    if eval_code == EXIT_VALIDATION:
+        assert f"{corpus}:4: malformed corpus line" in caplog.text
+        assert not metrics.exists()
+
+
+def test_non_canonical_whitespace_is_kept(tmp_path, corpus_file):
+    """A hand-written corpus with extra whitespace keeps its texts as
+    written: run's oracle answers and export's pairs carry them verbatim,
+    while eval, whose metric suite normalizes whitespace as it parses,
+    scores them as it scores the canonical corpus."""
+
+    def pad(index, data):
+        for keyword in ("source", "reasons", "conjectures"):
+            data[keyword] = " " + data[keyword].replace(" ", "  ") + "\t"
+
+    padded = tmp_path / "padded.jsonl"
+    rewrite_corpus(corpus_file, padded, pad)
+    outputs = {}
+    for name, corpus in (("canonical", corpus_file), ("padded", padded)):
+        traces = tmp_path / f"traces_{name}.jsonl"
+        metrics, pairs = tmp_path / f"metrics_{name}.jsonl", tmp_path / f"pairs_{name}.jsonl"
+        assert run_cli("run", "--corpus", str(corpus), "--chains", "1,9",
+                       "--with-formalization", "--out", str(traces)) == EXIT_OK
+        assert run_cli("eval", "--traces", str(traces), "--corpus", str(corpus),
+                       "--out", str(metrics)) == EXIT_OK
+        assert run_cli("export-training", "--corpus", str(corpus),
+                       "--out", str(pairs)) == EXIT_OK
+        outputs[name] = (read_traces(traces), metrics.read_text(),
+                         [json.loads(line) for line in pairs.read_text().splitlines()])
+    (traces, metrics, pairs), (padded_traces, padded_metrics, padded_pairs) = (
+        outputs["canonical"], outputs["padded"]
+    )
+    rows = [json.loads(line) for line in padded.read_text().splitlines()]
+    assert [final["source"] for final, _ in padded_traces[::2]] == [
+        row["source"] for row in rows
+    ]
+    assert padded_traces != traces and padded_pairs != pairs
+    assert padded_metrics == metrics
+
+    def normalized(value):
+        if isinstance(value, str):
+            return normalize_ws(value)
+        if isinstance(value, dict):
+            return {key: normalized(item) for key, item in value.items()}
+        return [normalized(item) for item in value]
+
+    assert normalized(padded_traces) == normalized(traces)
+    assert normalized(padded_pairs) == normalized(pairs)
+
+
+@pytest.mark.parametrize("backend", ["oracle", "noisy:0.2"])
+def test_run_and_export_parse_nothing(tmp_path, corpus_file, backend):
+    from deepa2.argdown import parse_argdown
+    from deepa2.formula import parse_formula
+
+    def parsed() -> list[int]:
+        return [memo.cache_info().currsize
+                for memo in (_parse_statements, parse_argdown, parse_formula)]
+
+    clear_memos()
+    assert run_cli("run", "--corpus", str(corpus_file), "--chains", "all",
+                   "--with-formalization", "--backend", backend,
+                   "--out", str(tmp_path / "traces.jsonl")) == EXIT_OK
+    assert parsed() == [0, 0, 0]
+    assert run_cli("export-training", "--corpus", str(corpus_file),
+                   "--out", str(tmp_path / "pairs.jsonl")) == EXIT_OK
+    assert parsed() == [0, 0, 0]
 
 
 class TestExportTraining:

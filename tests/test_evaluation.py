@@ -8,6 +8,7 @@ from deepa2.chains import ChainResult, chain_by_id, chain_catalog, run_chain, ru
 from deepa2.errors import DeepA2Error, UndefinedMetricError
 from deepa2.evaluation import (
     METRIC_COLUMNS,
+    SCORED_DIMENSIONS,
     aggregate_table,
     evaluate_traces,
     oracle_reports,
@@ -219,7 +220,8 @@ class TestProcessMemos:
 
         path = tmp_path / "corpus.jsonl"
         dump_corpus(list(corpus.values())[:10], path)
-        loaded = load_corpus(path)
+        # Loaded as eval loads it: the scored dimensions parsed at load.
+        loaded = load_corpus(path, views=SCORED_DIMENSIONS)
         parses = (parse_argdown, _parse_statements, parse_formula)
         misses = [parse.cache_info().misses for parse in parses]
         reports = oracle_reports(loaded)

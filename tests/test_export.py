@@ -1,25 +1,23 @@
 """Training export: differential checks against a per-pair reference loop,
 and the bytes of the CLI's pair lines."""
 
-import dataclasses
 import json
 
 import pytest
 
-from deepa2 import records as records_module
 from deepa2.chains import export_training
 from deepa2.cli import EXIT_OK, main
 from deepa2.errors import GenerationError
 from deepa2.generator import GeneratorConfig, generate_corpus
-from deepa2.records import DeepA2Record, QuotedStatement
+from deepa2.records import DeepA2Record, QuotedStatement, dump_corpus
 
-from .helpers import dilemma_record
+from .helpers import dilemma_record, with_parts
 from .reference_export import reference_export_training
 
 
 def informal(record):
     """The record without its formalization: no formal dimensions or keys."""
-    return dataclasses.replace(record, premises_form=None, conclusion_form=None, keys=None)
+    return with_parts(record, premises_form=None, conclusion_form=None, keys=None)
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +42,7 @@ def test_export_matches_reference_loop(corpus, weights, n_per_record):
 
 @pytest.mark.parametrize("n_per_record", [0, 14])
 def test_record_without_usable_mode_fails_like_reference(n_per_record):
-    records = [dilemma_record(), DeepA2Record(source="only a source")]
+    records = [dilemma_record(), DeepA2Record.from_parts(source="only a source")]
     with pytest.raises(GenerationError) as expected:
         reference_export_training(records, "aaac", n_per_record)
     with pytest.raises(GenerationError) as got:
@@ -55,20 +53,22 @@ def test_record_without_usable_mode_fails_like_reference(n_per_record):
 AWKWARD = 'Ünïcødé “curly” "straight" back\\slash\nnew\u2028line\u2029end\ttab\x01 €'
 
 
-def test_cli_pair_lines_are_json_dumps_bytes(tmp_path, monkeypatch):
+def test_cli_pair_lines_are_json_dumps_bytes(tmp_path):
     """Every line is json.dumps({"input", "target"}, ensure_ascii=False) plus a
-    newline.  The records are built in memory, as a corpus file would
-    normalize the whitespace away."""
-    record = dataclasses.replace(
+    newline.  The corpus holds texts that are not canonical, which loading
+    keeps verbatim."""
+    record = with_parts(
         dilemma_record(),
         source=AWKWARD,
         reasons=(QuotedStatement(AWKWARD + " | piped", 2),),
         conjectures=(QuotedStatement("\u2029", 4),),
     )
-    records = [record, dataclasses.replace(record, source='"\\"')]
-    monkeypatch.setattr(records_module, "load_corpus", lambda path: records)
+    other = with_parts(record, source='"\\"', meta=dilemma_record("dilemma-1").meta)
+    records = [record, other]
+    corpus = tmp_path / "corpus.jsonl"
+    dump_corpus(records, corpus)
     out = tmp_path / "pairs.jsonl"
-    argv = ["export-training", "--corpus", "unused", "-n", "40", "--out", str(out)]
+    argv = ["export-training", "--corpus", str(corpus), "-n", "40", "--out", str(out)]
     assert main(argv) == EXIT_OK
     pairs = export_training(records, n_per_record=40)
     expected = "".join(

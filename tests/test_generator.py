@@ -9,6 +9,8 @@ import threading
 import pytest
 
 from deepa2 import generator
+from deepa2.cli import EXIT_OK, main
+from deepa2.dimensions import DimensionId
 from deepa2.errors import ConfigError, GenerationError
 from deepa2.formula import check_entailment, parse_formula, predicates_of
 from deepa2.generator import (
@@ -20,7 +22,15 @@ from deepa2.generator import (
 )
 from deepa2.lexicon import builtin_lexicon
 from deepa2.metrics import evaluate_analysis, work_dict_of_record
-from deepa2.records import classify_subsets, record_to_dict
+from deepa2.records import (
+    QuotedStatement,
+    _render,
+    classify_subsets,
+    parse_dimension,
+    record_to_dict,
+)
+
+from .helpers import with_parts
 
 
 def small_corpus(n=40, seed=11, **overrides):
@@ -170,6 +180,35 @@ class TestComposeAndValidate:
             final_number = record.argdown.statements[-1][0]
             quoted = any(q.ref == final_number for q in record.conjectures)
             assert quoted == record.meta.final_conclusion_explicit
+
+
+class TestRoundTrip:
+    def test_part_that_does_not_round_trip_is_rejected(self):
+        config = GeneratorConfig()
+        (record, distractors), = records_with_distractors(config, 1, seed=8)
+        assert validate_record(record, config, distractors) == []
+        first, *rest = record.reasons
+        # Rendered as written, parsed back without the doubled space.
+        spaced = QuotedStatement(first.text.replace(" ", "  ", 1), first.ref)
+        bad = with_parts(record, reasons=(spaced, *rest))
+        assert "serialization round trip failed" in validate_record(bad, config, distractors)
+
+    @pytest.mark.parametrize("preset", ["aaac01", "aaac02"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_generated_texts_are_canonical(self, tmp_path, preset, seed):
+        """Loading keeps texts verbatim, so every text generate writes must
+        be the rendering of its own parse."""
+        out = tmp_path / "corpus.jsonl"
+        argv = ["generate", "--preset", preset, "-n", "40", "--seed", str(seed),
+                "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 40
+        for line in lines:
+            data = json.loads(line)
+            for dim in DimensionId:
+                text = data[dim.keyword]
+                assert _render(dim, parse_dimension(text, dim)) == text, dim
 
 
 class TestCorpus:

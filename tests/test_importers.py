@@ -88,7 +88,11 @@ class TestEntailmentBankImport:
 
     def test_round_trip_through_serialization(self):
         record = import_entailmentbank(simple_tree())
-        assert record_from_dict(record_to_dict(record)) == record
+        loaded = record_from_dict(record_to_dict(record))
+        assert loaded == record
+        assert [loaded.get(dim) for dim in DimensionId] == [
+            record.get(dim) for dim in DimensionId
+        ]
 
     def test_dangling_reference_rejected(self):
         with pytest.raises(ImportFormatError, match="unknown sentence"):

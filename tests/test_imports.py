@@ -112,6 +112,21 @@ def test_run_and_export_load_no_metric_module(tiny_run):
     assert "deepa2.chains" in export and not export & METRIC_MODULES
 
 
+#: The argument and formula parsers; a stage that only copies texts needs none.
+PARSER_MODULES = {"deepa2.argdown", "deepa2.formula", "deepa2.formula.syntax"}
+
+
+def test_run_and_export_load_no_parser(tiny_run):
+    tmp, corpus, _ = tiny_run
+    run = stage_modules("run", "--corpus", str(corpus), "--chains", "all",
+                        "--with-formalization", "--backend", "noisy:0.2",
+                        "--out", str(tmp / "t.jsonl"))
+    assert "deepa2.records" in run and not run & PARSER_MODULES
+    export = stage_modules("export-training", "--corpus", str(corpus),
+                           "--out", str(tmp / "pairs.jsonl"))
+    assert "deepa2.records" in export and not export & PARSER_MODULES
+
+
 def test_export_loads_no_backend_metric_or_scheme(tiny_run):
     tmp, corpus, _ = tiny_run
     export = stage_modules("export-training", "--corpus", str(corpus),

@@ -1,6 +1,5 @@
 """Mode registry, chain catalog, execution, pooling, and export tests."""
 
-import dataclasses
 from collections import Counter
 from pathlib import Path
 
@@ -12,16 +11,15 @@ from deepa2.chains import (
     chain_by_id,
     chain_by_name,
     chain_catalog,
-    default_ranking_key,
     export_training,
     formalization_subchain,
-    pool_index,
     run_chain,
     run_chains,
     sophistication,
 )
 from deepa2.dimensions import DimensionId
 from deepa2.errors import ChainDefinitionError
+from deepa2.evaluation import default_ranking_key, pool_index
 from deepa2.metrics import MetricReport
 from deepa2.modes import (
     EVAL_ONLY_MODES,
@@ -222,13 +220,7 @@ class TestPooling:
 
 class TestExportTraining:
     def test_pair_count(self):
-        records = [
-            dataclasses.replace(
-                dilemma_record(),
-                meta=dataclasses.replace(dilemma_record().meta, record_id=f"r{i}"),
-            )
-            for i in range(25)
-        ]
+        records = [dilemma_record(f"r{i}") for i in range(25)]
         pairs = export_training(records, weights="aaac", n_per_record=14, seed=3)
         assert len(pairs) == 25 * 14
 

@@ -1,14 +1,20 @@
 """Record model, dimension serialization, and subset classification tests."""
 
+import json
 import random
 import traceback
 from dataclasses import fields
+from functools import cached_property
 
 import pytest
 
+from deepa2.argdown import parse_argdown
 from deepa2.dimensions import DimensionId
 from deepa2.errors import DeepA2Error, DimensionParseError, MissingDimensionError
+from deepa2.formula import parse_formula
+from deepa2.memo import clear_memos
 from deepa2.records import (
+    _parse_statements,
     DeepA2Record,
     QuotedStatement,
     RecordMeta,
@@ -37,7 +43,7 @@ def make_record(**overrides) -> DeepA2Record:
         keys=KEYS,
     )
     base.update(overrides)
-    return DeepA2Record(**base)
+    return DeepA2Record.from_parts(**base)
 
 
 class TestSerializeDimension:
@@ -187,11 +193,18 @@ class TestRecordRoundTrip:
             "source", "reasons", "conjectures", "premises", "conclusion",
             "premises_form", "conclusion_form", "keys", "meta",
         }
-        assert record_from_dict(data) == record
+        loaded = record_from_dict(data)
+        assert loaded == record
+        assert [loaded.get(dim) for dim in DimensionId] == [
+            record.get(dim) for dim in DimensionId
+        ]
 
 
 def test_dimension_fields_are_the_keywords_in_dimension_order():
-    names = [f.name for f in fields(DeepA2Record) if f.name != "meta"]
+    """A record stores texts and meta; its parsed views are named by the
+    dimension keywords, in dimension order."""
+    assert [f.name for f in fields(DeepA2Record)] == ["texts", "meta"]
+    names = [n for n, v in vars(DeepA2Record).items() if isinstance(v, cached_property)]
     assert names == [dim.keyword for dim in DimensionId]
     record = make_record()
     assert [record.get(dim) for dim in DimensionId] == [getattr(record, n) for n in names]
@@ -260,3 +273,83 @@ class TestCorpusFiles:
         with pytest.raises(DeepA2Error, match=r"c.jsonl:4: duplicate record id 'b' "
                                               r"\(first at line 2\)"):
             load_corpus(path)
+
+
+def memo_sizes() -> list[int]:
+    return [memo.cache_info().currsize
+            for memo in (_parse_statements, parse_argdown, parse_formula)]
+
+
+class TestTextFirst:
+    """A record stores its texts; each parsed view is built on first read."""
+
+    LINE = {
+        "source": "It  is wrong.\tTherefore it is bad.",
+        "reasons": "it   is wrong (ref: (1))",
+        "argdown": "(1) it is wrong\n-- with modus ponens from (1) --\n(2) it is bad",
+        "premises_form": "F a (ref: (1))",
+        "keys": "F:   wrong",
+        "meta": {"record_id": "r1"},
+    }
+
+    def test_loading_a_line_parses_nothing(self):
+        clear_memos()
+        record = record_from_dict(self.LINE)
+        assert memo_sizes() == [0, 0, 0]
+        assert not {dim.keyword for dim in DimensionId} & set(vars(record))
+        assert {k: v for k, v in record_to_dict(record).items() if k != "meta"} == {
+            k: v for k, v in self.LINE.items() if k != "meta"
+        }
+        assert record.premises_form == (QuotedStatement("F a", 1),)
+        assert record.argdown.statements[1] == (2, "it is bad")
+        assert memo_sizes() == [1, 1, 1]
+
+    def test_texts_are_kept_verbatim_and_views_normalize(self):
+        record = record_from_dict(self.LINE)
+        assert record.texts[DimensionId.SOURCE] == self.LINE["source"]
+        assert record.source == "It is wrong. Therefore it is bad."
+        assert record.reasons == (QuotedStatement("it is wrong", 1),)
+        assert record.keys == (("F", "wrong"),)
+        assert record.conjectures is None and not record.has(DimensionId.CONJECTURES)
+        assert record.present_dimensions() == [
+            DimensionId.SOURCE, DimensionId.REASONS, DimensionId.ARGDOWN,
+            DimensionId.PREMISES_FORM, DimensionId.KEYS,
+        ]
+
+    def test_equality_and_hash_work_on_texts_and_meta(self):
+        a = record_from_dict(self.LINE)
+        b = DeepA2Record(dict(reversed(list(a.texts.items()))), RecordMeta("r1"))
+        assert a == b and hash(a) == hash(b) and list(b.texts) == list(a.texts)
+        assert a != DeepA2Record(a.texts, RecordMeta("r2"))
+        assert a != record_from_dict({**self.LINE, "keys": "F: wrong"})
+
+    def test_parts_are_rendered_once_and_kept_as_views(self):
+        clear_memos()
+        record = make_record(premises_form=(QuotedStatement("F a", 1),))
+        assert record.premises_form == (QuotedStatement("F a", 1),)
+        assert record.texts[DimensionId.PREMISES_FORM] == "F a (ref: (1))"
+        assert memo_sizes() == [0, 0, 0]
+
+    def test_texts_must_be_strings_keyed_by_dimension(self):
+        with pytest.raises(TypeError):
+            DeepA2Record({DimensionId.SOURCE: 3})
+        with pytest.raises(TypeError):
+            DeepA2Record({"source": "text"})
+        with pytest.raises(TypeError, match="unknown dimensions"):
+            DeepA2Record.from_parts(sauce="text")
+
+    def test_loaded_conclusion_must_be_a_singleton(self):
+        record = record_from_dict({"conclusion": "a (ref: (1)) | b (ref: (2))"})
+        with pytest.raises(DimensionParseError, match="exactly one"):
+            record.conclusion
+
+    def test_malformed_dimension_passes_unless_its_view_is_asked(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        bad = {**self.LINE, "meta": {"record_id": "r2"}, "premises_form": "F x y"}
+        path.write_text(json.dumps(self.LINE) + "\n" + json.dumps(bad) + "\n")
+        assert [r.texts[DimensionId.PREMISES_FORM] for r in load_corpus(path)] == [
+            "F a (ref: (1))", "F x y",
+        ]
+        assert len(load_corpus(path, views=[DimensionId.REASONS])) == 2
+        with pytest.raises(DeepA2Error, match=r"c.jsonl:2: malformed corpus line"):
+            load_corpus(path, views=[DimensionId.PREMISES_FORM])
