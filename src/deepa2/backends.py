@@ -172,7 +172,8 @@ class HttpBackend:
     """Client for an external inference service.
 
     POSTs ``{endpoint}/generate`` with ``{"mode": keyword, "inputs":
-    {keyword: text}, "beam_width": 2}`` and expects ``{"output": text}``.
+    {keyword: text}, "beam_width": 2}`` and expects ``{"output": text}``; a
+    2xx answer of any other shape is a malformed response (BackendError).
     Transient failures are retried with exponential backoff; at most
     ``max_in_flight`` requests run concurrently, each thread on its own
     keep-alive connection.  Once a request has spent all ``max_attempts`` on
@@ -264,6 +265,11 @@ class HttpBackend:
                         raise BackendError(
                             f"malformed response from {url}: {err}"
                         ) from err
+                    if type(output) is not str:
+                        raise BackendError(
+                            f"malformed response from {url}: output is "
+                            f"{type(output).__name__}, not a string"
+                        )
                     with self._lock:
                         self._endpoint_dead = False
                     return output

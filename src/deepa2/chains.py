@@ -12,8 +12,8 @@ holds the source and node ``i`` fills slot ``i + 1``.  Chains that share a
 prefix of steps share its nodes, so under the catalogue with formalization
 a record's 175 steps come from 127 nodes.  ``run_plan`` fills each node's
 slot at most once per record, and a content memo over (mode, input texts)
-decides which nodes reach the backend.  ``trace_lines`` writes a record's
-results as JSON lines, encoding each distinct text and each step once.
+decides which nodes reach the backend.  ``deepa2.traces`` writes the
+results as JSON lines and reads them back for ``eval``.
 
 ``export_training`` samples training modes per record and reads prompts
 and targets from each record's stored ``texts`` (see ``deepa2.records``),
@@ -24,7 +24,6 @@ backend.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from itertools import accumulate
@@ -153,6 +152,10 @@ class TraceStep:
 
 @dataclass(frozen=True)
 class ChainResult:
+    """One chain run over one record.  ``to_dict`` is the trace line that
+    ``deepa2.traces.trace_lines`` writes; ``eval`` reads such lines through
+    ``deepa2.traces.read_finals``, not through ``from_dict``."""
+
     chain_id: int
     record_id: str | None
     final: dict[DimensionId, str]
@@ -318,48 +321,6 @@ def run_chain(
     """Execute one chain over the source text (see ``run_chains``)."""
     (result,) = run_chains([chain], source, backend, with_formalization, record_id)
     return result
-
-
-_encode = json.JSONEncoder(ensure_ascii=False).encode
-
-
-def trace_lines(results: Iterable[ChainResult]) -> list[str]:
-    """Each result's line, ``json.dumps(result.to_dict(), ensure_ascii=False)``
-    plus a newline, byte for byte.
-
-    Each distinct text and each distinct step is encoded once per call, so
-    one record's results, which share most of their texts, go in one call.
-    """
-    texts: dict[str, str] = {}
-    fragments: dict[tuple[str, str], str] = {}
-
-    def text(value: str) -> str:
-        encoded = texts.get(value)
-        if encoded is None:
-            encoded = texts[value] = _encode(value)
-        return encoded
-
-    lines = []
-    for result in results:
-        final = ", ".join(
-            [f"{text(d.keyword)}: {text(value)}" for d, value in result.final.items()]
-        )
-        steps = []
-        for step in result.trace:
-            key = (step.mode_label, step.output)
-            fragment = fragments.get(key)
-            if fragment is None:
-                fragment = fragments[key] = (
-                    f'{{"mode": {text(step.mode_label)}, "output": {text(step.output)}}}'
-                )
-            steps.append(fragment)
-        record_id = "null" if result.record_id is None else text(result.record_id)
-        error = "null" if result.error is None else text(result.error)
-        lines.append(
-            f'{{"chain_id": {result.chain_id}, "record_id": {record_id}, '
-            f'"final": {{{final}}}, "steps": [{", ".join(steps)}], "error": {error}}}\n'
-        )
-    return lines
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 configuration/usage error, 3 backend failure,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import math
@@ -19,7 +20,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from deepa2.errors import (
     BackendError,
@@ -148,9 +149,10 @@ def cmd_run(args) -> int:
     from concurrent.futures import ThreadPoolExecutor
 
     from deepa2.backends import HttpBackend, make_backend
-    from deepa2.chains import chain_by_id, compile_plan, run_plan, trace_lines
+    from deepa2.chains import chain_by_id, compile_plan, run_plan
     from deepa2.dimensions import DimensionId
     from deepa2.records import load_corpus
+    from deepa2.traces import trace_lines
 
     chain_ids = _parse_chain_ids(args.chains)
     records = load_corpus(args.corpus)
@@ -207,7 +209,6 @@ def cmd_run(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from deepa2.chains import ChainResult
     from deepa2.evaluation import (
         SCORED_DIMENSIONS,
         aggregate_table,
@@ -215,6 +216,7 @@ def cmd_eval(args) -> int:
         render_table,
     )
     from deepa2.records import load_corpus
+    from deepa2.traces import read_finals
 
     # The scored dimensions are parsed here, so that a malformed one is
     # reported with its corpus line; their parses are the metric suite's.
@@ -223,37 +225,24 @@ def cmd_eval(args) -> int:
     }
     counts = {"traces": 0, "failed": 0}
 
-    def usable_results():
-        # Streamed: a trace is parsed, scored and dropped before the next
+    def usable_traces():
+        # Streamed: a trace is read, scored and dropped before the next
         # line is read; failed traces are counted and skipped.
-        with open(args.traces, encoding="utf-8") as fh:
-            for number, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    result = ChainResult.from_dict(json.loads(line))
-                except (ValueError, KeyError, TypeError, AttributeError) as err:
-                    raise DeepA2Error(
-                        f"{args.traces}:{number}: malformed trace line ({err!r})"
-                    ) from None
-                counts["traces"] += 1
-                if result.error:
-                    counts["failed"] += 1
-                else:
-                    yield result
+        for trace in read_finals(args.traces):
+            counts["traces"] += 1
+            if trace.error:
+                counts["failed"] += 1
+            else:
+                yield trace
 
     try:
-        rows = evaluate_traces(usable_results(), corpus)
+        rows = evaluate_traces(usable_traces(), corpus)
     except UndefinedMetricError:
         if not counts["traces"]:
             raise DeepA2Error("traces file is empty") from None
         raise
     out = Path(args.out)
-    _atomic_write_lines(
-        out,
-        (_encode(row.to_dict()) + "\n" for row in rows),
-    )
+    _atomic_write_lines(out, _metric_lines(rows))
     table = aggregate_table(rows, corpus)
     aggregate_path = out.with_suffix(out.suffix + ".aggregate.json")
     _atomic_write_json(aggregate_path, table)
@@ -266,6 +255,24 @@ def cmd_eval(args) -> int:
         f"to {aggregate_path}"
     )
     return EXIT_OK
+
+
+def _metric_lines(rows) -> Iterator[str]:
+    """Each row's line, ``json.dumps(row.to_dict(), ensure_ascii=False)`` plus
+    a newline, byte for byte.
+
+    Rows of one distinct analysis share its report, so each report is
+    encoded once; a row's ids go in front of its report's members, which
+    are never empty."""
+    bodies: dict[int, str] = {}
+    for row in rows:
+        body = bodies.get(id(row.report))
+        if body is None:
+            body = bodies[id(row.report)] = _encode(row.report.to_flat_dict())[1:]
+        yield (
+            f'{{"record_id": {_encode(row.record_id)}, "chain_id": {row.chain_id}, '
+            f"{body}\n"
+        )
 
 
 def cmd_export_training(args) -> int:
@@ -367,5 +374,17 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_VALIDATION
 
 
+def entry() -> None:
+    """The process entry, for ``python -m deepa2.cli`` and the ``deepa2``
+    script: ``main`` with the command line, then exit with its code.
+
+    Every file, pool and connection is closed when ``main`` returns.  The
+    heap is frozen then, so the interpreter's last garbage collection skips
+    the objects (memos included) that the process's exit frees anyway."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -1,12 +1,16 @@
 """Corpus-level evaluation: applying the metric suite to chain traces and
-aggregating per-chain, pooled, and oracle rows into one table."""
+aggregating per-chain, pooled, and oracle rows into one table.
+
+A trace here is anything with a ``chain_id``, a ``record_id`` and a
+``final`` dictionary: a ``deepa2.chains.ChainResult``, or the
+``deepa2.traces.TraceFinal`` that ``eval`` reads from a file.  This module
+loads neither the chain catalogue nor the modes."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from deepa2.chains import ChainResult
 from deepa2.dimensions import DimensionId
 from deepa2.errors import DeepA2Error, UndefinedMetricError
 from deepa2.memo import process_memo
@@ -17,6 +21,9 @@ from deepa2.metrics import (
     work_dict_of_record,
 )
 from deepa2.records import DeepA2Record
+
+if TYPE_CHECKING:
+    from deepa2.traces import TraceFinal
 
 METRIC_COLUMNS = (
     "sys_pp", "sys_rp", "sys_rc", "sys_us", "sys_sch", "sys_val",
@@ -65,7 +72,7 @@ def _scored(record: DeepA2Record, items: frozenset) -> MetricReport:
 
 
 def evaluate_traces(
-    results: Iterable[ChainResult], corpus: dict[str, DeepA2Record]
+    results: Iterable[TraceFinal], corpus: dict[str, DeepA2Record]
 ) -> list[EvaluatedTrace]:
     """One row per result, in order; ``results`` may be any iterable and is
     read once.  Rows of one distinct analysis share one report."""

@@ -27,6 +27,7 @@ from deepa2.formula.syntax import (
     parse_formula,
     render_formula,
 )
+from deepa2.memo import process_memo
 from deepa2.textnorm import normalize_ws
 
 _ARTICLE_RE = re.compile(r"^(?:an?|the)\s+", re.IGNORECASE)
@@ -52,7 +53,10 @@ class StatementShape:
     const_letters: tuple[str, ...]
 
 
+@process_memo
 def shape_of(formula: Formula) -> StatementShape:
+    """The formula's shape; computed once per process for each distinct
+    formula."""
     preds: dict[str, str] = {}
     consts: dict[str, str] = {}
 
@@ -241,11 +245,14 @@ for _templates in [
     TEMPLATE_BANK.setdefault(_templates[0].shape_key, []).extend(_templates)
 
 
-def templates_for(formula: Formula, include_imprecise: bool = False) -> list[SentenceTemplate]:
-    bank = TEMPLATE_BANK.get(shape_of(formula).key, [])
-    if include_imprecise:
-        return bank
-    return [t for t in bank if not t.imprecise]
+@process_memo
+def templates_for(
+    formula: Formula, include_imprecise: bool = False
+) -> tuple[SentenceTemplate, ...]:
+    """The bank's templates for the formula's shape, in bank order; chosen
+    once per process for each distinct formula."""
+    bank = TEMPLATE_BANK.get(shape_of(formula).key, ())
+    return tuple(t for t in bank if include_imprecise or not t.imprecise)
 
 
 def render_statement(

@@ -5,7 +5,9 @@ A step instantiates its declared scheme when its statements match the
 variant's patterns under a consistent placeholder assignment.  Matching
 prefers the formalization level (formulas attached to statement numbers);
 without formulas it falls back to parsing the statement texts against the
-sentence-template bank, a path that tolerates false negatives.
+sentence-template bank, a path that tolerates false negatives.  The bank
+(``deepa2.nl_templates``) is imported on that path only, so scoring fully
+formalized analyses does not load it.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from deepa2.formula.syntax import (
     Or,
     Var,
 )
-from deepa2.nl_templates import recover_statement, shape_of
 
 logger = logging.getLogger(__name__)
 
@@ -267,6 +268,9 @@ def _match_formal(
 
 
 def _match_nl(variant: SchemeVariant, premise_texts: list[str], conclusion_text: str) -> bool:
+    # The template bank loads only when a step falls back to its texts.
+    from deepa2.nl_templates import recover_statement, shape_of
+
     if len(premise_texts) != len(variant.premises):
         return False
     readings = [recover_statement(t) for t in premise_texts + [conclusion_text]]

@@ -319,6 +319,16 @@ class TestHttpBackend:
         with pytest.raises(BackendError, match="malformed response"):
             backend.generate(self._request())
 
+    @pytest.mark.parametrize("body", [b'{"output": null}', b'{"output": 5}',
+                                      b'{"output": ["a"]}', b'["output"]'],
+                             ids=["null", "number", "list", "not-an-object"])
+    def test_non_string_output_is_malformed(self, stub_server, stub_backend, body):
+        stub_server.state["raw_body"] = body
+        backend = stub_backend(timeout=5)
+        with pytest.raises(BackendError, match="malformed response"):
+            backend.generate(self._request())
+        assert len(stub_server.state["requests"]) == 1  # not retried
+
     def test_endpoint_must_be_an_http_url(self):
         with pytest.raises(ConfigError, match="not an http"):
             HttpBackend("ftp://127.0.0.1:21")

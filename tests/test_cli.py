@@ -197,6 +197,22 @@ class TestRun:
         rows = [json.loads(l) for l in traces.read_text().strip().splitlines()]
         assert rows and all(r["error"] for r in rows)
 
+    def test_non_string_http_output_fails_its_chain(self, tmp_path, corpus_file, caplog):
+        server = start_stub_server()
+        server.state["raw_body"] = b'{"output": ["a"]}'
+        traces = tmp_path / "traces.jsonl"
+        try:
+            code = run_cli("run", "--corpus", str(corpus_file), "--chains", "1,9",
+                           "--backend", f"http://127.0.0.1:{server.server_address[1]}",
+                           "--out", str(traces))
+        finally:
+            stop_stub_server(server)
+        assert code == EXIT_BACKEND
+        rows = [json.loads(line) for line in traces.read_text().splitlines()]
+        assert len(rows) == 40
+        assert all("malformed response" in row["error"] for row in rows)
+        assert "backend failures on 40 traces" in caplog.text
+
     def test_parallel_jobs_match_sequential(self, tmp_path, corpus_file):
         seq, par = tmp_path / "seq.jsonl", tmp_path / "par.jsonl"
         for chains, backend, extra in (
@@ -344,6 +360,74 @@ class TestEval:
         assert code == EXIT_VALIDATION
         assert f"{traces}:5: malformed trace line" in caplog.text
         assert not (tmp_path / "m.jsonl").exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("chain_id", "2"),
+        ("chain_id", True),
+        ("final", {"reasons": None}),
+        ("error", 500),
+    ], ids=["string-chain-id", "bool-chain-id", "null-final-value", "number-error"])
+    def test_trace_field_of_wrong_type_exit_4(self, tmp_path, corpus_file, caplog,
+                                              field, value):
+        traces = tmp_path / "traces.jsonl"
+        run_cli("run", "--corpus", str(corpus_file), "--chains", "1,2",
+                "--backend", "oracle", "--out", str(traces))
+        lines = traces.read_text().splitlines(keepends=True)
+        row = json.loads(lines[5])
+        row[field] = {**row[field], **value} if field == "final" else value
+        lines[5] = json.dumps(row) + "\n"
+        traces.write_text("".join(lines))
+        metrics = tmp_path / "m.jsonl"
+        code = run_cli("eval", "--traces", str(traces), "--corpus", str(corpus_file),
+                       "--out", str(metrics))
+        assert code == EXIT_VALIDATION
+        assert f"{traces}:6: malformed trace line" in caplog.text
+        assert not metrics.exists()
+        assert not (tmp_path / "m.jsonl.aggregate.json").exists()
+
+    def test_old_format_traces_give_the_same_bytes(self, tmp_path, corpus_file):
+        traces = tmp_path / "traces.jsonl"
+        run_cli("run", "--corpus", str(corpus_file), "--chains", "all", "--backend",
+                "noisy:0.3", "--with-formalization", "--out", str(traces))
+        # Steps with their inputs, keys in another order, compact separators.
+        old = tmp_path / "old.jsonl"
+        with old.open("w") as fh:
+            for line in traces.read_text().splitlines():
+                row = json.loads(line)
+                row["steps"] = [{"inputs": {"source": "..."}, **s} for s in row["steps"]]
+                fh.write(json.dumps(dict(reversed(row.items())), separators=(",", ":"))
+                         + "\n")
+        for source, out in ((traces, "new.jsonl"), (old, "old_m.jsonl")):
+            assert run_cli("eval", "--traces", str(source), "--corpus", str(corpus_file),
+                           "--out", str(tmp_path / out)) == EXIT_OK
+        for suffix in ("", ".aggregate.json"):
+            assert ((tmp_path / f"old_m.jsonl{suffix}").read_bytes()
+                    == (tmp_path / f"new.jsonl{suffix}").read_bytes())
+
+    def test_metric_lines_equal_json_dumps_of_the_rows(self, tmp_path, corpus_file):
+        traces = tmp_path / "traces.jsonl"
+        run_cli("run", "--corpus", str(corpus_file), "--chains", "1,9",
+                "--backend", "oracle", "--with-formalization", "--out", str(traces))
+        lines = traces.read_text(encoding="utf-8").splitlines(keepends=True)
+        # Formalizations whose diagnostics quote a non-ASCII and a '"' token.
+        for number, garbage in ((0, "Zoë ½ @@"), (3, '"F a" @@')):
+            row = json.loads(lines[number])
+            row["final"]["premises_form"] = garbage
+            lines[number] = json.dumps(row, ensure_ascii=False) + "\n"
+        traces.write_text("".join(lines), encoding="utf-8")
+        metrics = tmp_path / "m.jsonl"
+        assert run_cli("eval", "--traces", str(traces), "--corpus", str(corpus_file),
+                       "--out", str(metrics)) == EXIT_OK
+        clear_memos()
+        corpus = {r.meta.record_id: r for r in load_corpus(corpus_file)}
+        results = [ChainResult.from_dict(json.loads(line)) for line in lines]
+        rows = evaluation.evaluate_traces(results, corpus)
+        assert len({id(row.report) for row in rows}) < len(rows)  # shared reports
+        diagnostics = [d for row in rows for d in row.report.diagnostics]
+        assert any("ë" in d for d in diagnostics) and any('"' in d for d in diagnostics)
+        expected = "".join(json.dumps(row.to_dict(), ensure_ascii=False) + "\n"
+                           for row in rows)
+        assert metrics.read_text(encoding="utf-8") == expected
 
     def test_reference_to_statement_zero_is_scored(self, tmp_path, corpus_file):
         traces = tmp_path / "traces.jsonl"

@@ -140,3 +140,53 @@ def test_eval_loads_no_backend(tiny_run):
     loaded = stage_modules("eval", "--traces", str(traces), "--corpus", str(corpus),
                            "--out", str(tmp / "metrics.jsonl"))
     assert "deepa2.metrics" in loaded and "deepa2.backends" not in loaded
+
+
+def test_eval_of_formalized_traces_loads_no_chain_or_template(tiny_run):
+    """Scoring reads each trace's final alone, and every step of a formalized
+    analysis matches its scheme on formulas."""
+    tmp, corpus, traces = tiny_run
+    loaded = stage_modules("eval", "--traces", str(traces), "--corpus", str(corpus),
+                           "--out", str(tmp / "metrics.jsonl"))
+    assert "deepa2.traces" in loaded
+    assert not loaded & {"deepa2.chains", "deepa2.modes", "deepa2.nl_templates"}
+
+
+def test_text_level_scheme_match_loads_the_template_bank(tiny_run):
+    """Without formalizations a step's scheme is matched on its texts: the
+    template bank loads then, and the scores are the in-process ones."""
+    import json
+
+    from deepa2.cli import main
+    from deepa2.evaluation import evaluate_traces
+    from deepa2.records import load_corpus
+    from deepa2.traces import read_finals
+
+    tmp, corpus, _ = tiny_run
+    traces, metrics = tmp / "plain.jsonl", tmp / "plain_metrics.jsonl"
+    assert main(["run", "--corpus", str(corpus), "--chains", "1",
+                 "--out", str(traces)]) == 0
+    loaded = stage_modules("eval", "--traces", str(traces), "--corpus", str(corpus),
+                           "--out", str(metrics))
+    assert "deepa2.nl_templates" in loaded and "deepa2.chains" not in loaded
+    records = {r.meta.record_id: r for r in load_corpus(corpus)}
+    rows = evaluate_traces(read_finals(traces), records)
+    assert any(row.report.sys_sch for row in rows)
+    assert metrics.read_text(encoding="utf-8").splitlines() == [
+        json.dumps(row.to_dict(), ensure_ascii=False) for row in rows
+    ]
+
+
+def test_module_entry_exit_codes(tiny_run):
+    """``python -m deepa2.cli`` exits with the stage's code."""
+    tmp, corpus, traces = tiny_run
+    ok = run_python("-m", "deepa2.cli", "eval", "--traces", str(traces),
+                    "--corpus", str(corpus), "--out", str(tmp / "entry.jsonl"))
+    assert ok.returncode == 0, ok.stderr
+    bad = tmp / "bad.jsonl"
+    bad.write_text('{"chain_id": true, "record_id": null, "final": {}}\n')
+    refused = run_python("-m", "deepa2.cli", "eval", "--traces", str(bad),
+                         "--corpus", str(corpus), "--out", str(tmp / "bad_m.jsonl"))
+    assert refused.returncode == 4
+    assert f"{bad}:1: malformed trace line" in refused.stderr
+    assert not (tmp / "bad_m.jsonl").exists()

@@ -14,11 +14,11 @@ from deepa2.chains import (
     chain_catalog,
     compile_plan,
     run_chains,
-    trace_lines,
 )
 from deepa2.dimensions import DimensionId
 from deepa2.errors import BackendUnavailableError
 from deepa2.generator import GeneratorConfig, generate_corpus
+from deepa2.traces import trace_lines
 
 from .helpers import dilemma_record
 from .stepwise import stepwise_run_chains
