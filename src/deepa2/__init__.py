@@ -36,9 +36,8 @@ _PUBLIC = {
         "GeneratorConfig", "generate_corpus", "subset_census", "verbalize_argument",
     ),
     "deepa2.importers": (
-        "EntailmentTreeRecord", "HoeFeatures", "RuleTakerRecord",
-        "apply_label_classifier", "extract_hoe_features", "fit_label_classifier",
-        "import_entailmentbank", "import_ruletaker",
+        "EntailmentTreeRecord", "HoeFeatures", "apply_label_classifier",
+        "extract_hoe_features", "fit_label_classifier", "import_entailmentbank",
     ),
     "deepa2.metrics": ("MetricReport", "default_scorer", "evaluate_analysis"),
     "deepa2.modes": (

@@ -45,11 +45,6 @@ EXIT_VALIDATION = 4
 
 ENV_TIMEOUT_MS = "DEEPA2_TIMEOUT_MS"
 
-#: ``json.dumps(value, ensure_ascii=False)`` without building an encoder per
-#: call; every JSON-lines writer here encodes through it.
-_encode = json.JSONEncoder(ensure_ascii=False).encode
-
-
 class _CountingBackend:
     """Counts the requests one record's chains send to the backend."""
 
@@ -264,20 +259,22 @@ def _metric_lines(rows) -> Iterator[str]:
     Rows of one distinct analysis share its report, so each report is
     encoded once; a row's ids go in front of its report's members, which
     are never empty."""
+    from deepa2.records import encode_json
+
     bodies: dict[int, str] = {}
     for row in rows:
         body = bodies.get(id(row.report))
         if body is None:
-            body = bodies[id(row.report)] = _encode(row.report.to_flat_dict())[1:]
+            body = bodies[id(row.report)] = encode_json(row.report.to_flat_dict())[1:]
         yield (
-            f'{{"record_id": {_encode(row.record_id)}, "chain_id": {row.chain_id}, '
+            f'{{"record_id": {encode_json(row.record_id)}, "chain_id": {row.chain_id}, '
             f"{body}\n"
         )
 
 
 def cmd_export_training(args) -> int:
     from deepa2.chains import export_training
-    from deepa2.records import load_corpus
+    from deepa2.records import encode_json, load_corpus
 
     records = load_corpus(args.corpus)
     weights = {"aaac": "aaac", "entailment-bank": "entailment_bank"}[args.weights]
@@ -285,7 +282,7 @@ def cmd_export_training(args) -> int:
     # The bytes of json.dumps({"input": src, "target": tgt}, ensure_ascii=False).
     _atomic_write_lines(
         Path(args.out),
-        (f'{{"input": {_encode(src)}, "target": {_encode(tgt)}}}\n' for src, tgt in pairs),
+        (f'{{"input": {encode_json(src)}, "target": {encode_json(tgt)}}}\n' for src, tgt in pairs),
     )
     print(f"wrote {len(pairs)} sequence-to-sequence pairs to {args.out}")
     return EXIT_OK

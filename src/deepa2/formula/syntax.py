@@ -7,11 +7,18 @@ symbols.  Quantifier prefixes are written ``(x):`` (universal) and ``(Ex):``
 the order ``not`` > ``&`` > ``v`` > ``->`` > ``<->`` with right-associative
 binary operators.  Atoms accept both spaced (``F x``) and fused (``Fx``)
 spellings on input; the printer always emits the spaced form.
+
+Each connective is defined once.  ``And``, ``Or``, ``Implies`` and ``Iff``
+subclass ``Binary`` and carry their symbol, token kind and binding level,
+which the printer and the parser's one binary-expression loop read; this is
+the language's precedence table.  ``ForAll`` and ``Exists`` subclass
+``Quantified``.  ``substitute`` is the one walk that renames letters.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from deepa2.errors import FormulaParseError
@@ -28,12 +35,10 @@ class Term:
     name: str
 
 
-@dataclass(frozen=True)
 class Var(Term):
     pass
 
 
-@dataclass(frozen=True)
 class Const(Term):
     pass
 
@@ -55,40 +60,56 @@ class Not(Formula):
     sub: Formula
 
 
+# Binding strength; operands whose own level is below the required level get
+# parenthesized.  A quantifier prefix scopes over everything to its right,
+# hence the lowest level; negation binds tighter than every binary
+# connective, and atoms never need parentheses.
+_LEVEL_QUANT = 0
+_LEVEL_NOT = 5
+
+
 @dataclass(frozen=True)
-class And(Formula):
+class Binary(Formula):
+    """A binary connective.  Each subclass names its printed ``symbol``, the
+    parser's token ``kind`` for it and its binding ``level`` (higher binds
+    tighter); all are right-associative.  The dataclass ``==`` compares
+    classes, so ``And(p, q) != Or(p, q)``."""
+
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class And(Binary):
+    symbol, kind, level = "&", "amp", 4
+
+
+class Or(Binary):
+    symbol, kind, level = "v", "or", 3
+
+
+class Implies(Binary):
+    symbol, kind, level = "->", "implies", 2
+
+
+class Iff(Binary):
+    symbol, kind, level = "<->", "iff", 1
 
 
 @dataclass(frozen=True)
-class Implies(Formula):
-    left: Formula
-    right: Formula
+class Quantified(Formula):
+    """A quantifier prefix over the rest of the formula; each subclass names
+    the ``mark`` printed before its variable."""
 
-
-@dataclass(frozen=True)
-class Iff(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class ForAll(Formula):
     var: str
     body: Formula
 
 
-@dataclass(frozen=True)
-class Exists(Formula):
-    var: str
-    body: Formula
+class ForAll(Quantified):
+    mark = ""
+
+
+class Exists(Quantified):
+    mark = "E"
 
 
 def predicates_of(formula: Formula) -> set[str]:
@@ -113,9 +134,9 @@ def free_variables(formula: Formula, bound: frozenset[str] = frozenset()) -> set
         return set()
     if isinstance(formula, Not):
         return free_variables(formula.sub, bound)
-    if isinstance(formula, (And, Or, Implies, Iff)):
+    if isinstance(formula, Binary):
         return free_variables(formula.left, bound) | free_variables(formula.right, bound)
-    if isinstance(formula, (ForAll, Exists)):
+    if isinstance(formula, Quantified):
         return free_variables(formula.body, bound | {formula.var})
     raise TypeError(f"not a formula node: {formula!r}")
 
@@ -128,45 +149,46 @@ def _walk_atoms(formula: Formula, visit) -> None:
             visit(node)
         elif isinstance(node, Not):
             stack.append(node.sub)
-        elif isinstance(node, (And, Or, Implies, Iff)):
+        elif isinstance(node, Binary):
             stack.append(node.left)
             stack.append(node.right)
-        elif isinstance(node, (ForAll, Exists)):
+        elif isinstance(node, Quantified):
             stack.append(node.body)
         else:
             raise TypeError(f"not a formula node: {node!r}")
 
 
+def substitute(
+    formula: Formula,
+    pred: Callable[[str], str],
+    const: Callable[[str], str],
+    var: Callable[[str], str],
+) -> Formula:
+    """The formula with each predicate letter, constant and variable name
+    replaced by ``pred``, ``const`` and ``var`` of it.  Letters are visited
+    left to right, so a renaming that numbers letters numbers them in
+    first-occurrence order; an exception from a renaming propagates."""
+    if isinstance(formula, Atom):
+        term = formula.term
+        new_pred = pred(formula.pred)
+        if isinstance(term, Const):
+            return Atom(new_pred, Const(const(term.name)))
+        return Atom(new_pred, Var(var(term.name)))
+    if isinstance(formula, Not):
+        return Not(substitute(formula.sub, pred, const, var))
+    if isinstance(formula, Binary):
+        return type(formula)(
+            substitute(formula.left, pred, const, var),
+            substitute(formula.right, pred, const, var),
+        )
+    if isinstance(formula, Quantified):
+        return type(formula)(var(formula.var), substitute(formula.body, pred, const, var))
+    raise TypeError(f"not a formula node: {formula!r}")
+
+
 # ---------------------------------------------------------------------------
 # Printing
 # ---------------------------------------------------------------------------
-
-# Binding strength; operands whose own level is below the required level get
-# parenthesized.  Quantified formulas scope over everything to their right,
-# hence the lowest level.
-_LEVEL_QUANT = 0
-_LEVEL_IFF = 1
-_LEVEL_IMPLIES = 2
-_LEVEL_OR = 3
-_LEVEL_AND = 4
-_LEVEL_NOT = 5
-_LEVEL_ATOM = 6
-
-
-def _level(f: Formula) -> int:
-    if isinstance(f, Atom):
-        return _LEVEL_ATOM
-    if isinstance(f, Not):
-        return _LEVEL_NOT
-    if isinstance(f, And):
-        return _LEVEL_AND
-    if isinstance(f, Or):
-        return _LEVEL_OR
-    if isinstance(f, Implies):
-        return _LEVEL_IMPLIES
-    if isinstance(f, Iff):
-        return _LEVEL_IFF
-    return _LEVEL_QUANT
 
 
 def render_formula(formula: Formula) -> str:
@@ -175,23 +197,16 @@ def render_formula(formula: Formula) -> str:
 
 
 def _render(f: Formula, required: int) -> str:
-    level = _level(f)
     if isinstance(f, Atom):
-        text = f"{f.pred} {f.term.name}"
-    elif isinstance(f, Not):
-        text = "not " + _render(f.sub, _LEVEL_NOT)
-    elif isinstance(f, And):
-        text = _render(f.left, _LEVEL_AND + 1) + " & " + _render(f.right, _LEVEL_AND)
-    elif isinstance(f, Or):
-        text = _render(f.left, _LEVEL_OR + 1) + " v " + _render(f.right, _LEVEL_OR)
-    elif isinstance(f, Implies):
-        text = _render(f.left, _LEVEL_IMPLIES + 1) + " -> " + _render(f.right, _LEVEL_IMPLIES)
-    elif isinstance(f, Iff):
-        text = _render(f.left, _LEVEL_IFF + 1) + " <-> " + _render(f.right, _LEVEL_IFF)
-    elif isinstance(f, ForAll):
-        text = f"({f.var}): " + _render(f.body, _LEVEL_QUANT)
-    elif isinstance(f, Exists):
-        text = f"(E{f.var}): " + _render(f.body, _LEVEL_QUANT)
+        return f"{f.pred} {f.term.name}"
+    if isinstance(f, Not):
+        return "not " + _render(f.sub, _LEVEL_NOT)
+    if isinstance(f, Binary):
+        level = f.level
+        text = f"{_render(f.left, level + 1)} {f.symbol} {_render(f.right, level)}"
+    elif isinstance(f, Quantified):
+        level = _LEVEL_QUANT
+        text = f"({f.mark}{f.var}): " + _render(f.body, _LEVEL_QUANT)
     else:
         raise TypeError(f"not a formula node: {f!r}")
     if level < required:
@@ -218,6 +233,10 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
+
+
+# The binary connectives by the token kind that spells them.
+_BINARY_BY_KIND = {node.kind: node for node in Binary.__subclasses__()}
 
 
 class _Token:
@@ -264,74 +283,55 @@ class _Parser:
         tok = tok or self.peek()
         raise FormulaParseError(message, tok.pos)
 
-    # formula := quantifier-prefix formula | iff-expression
+    # formula := quantifier-prefix formula | binary-expression
     def formula(self, bound: frozenset[str]) -> Formula:
-        prefix = self._quantifier_prefix()
-        if prefix is not None:
-            existential, var, var_tok = prefix
-            if var in bound:
-                self.fail(f"variable {var!r} is already bound", var_tok)
-            body = self.formula(bound | {var})
-            return Exists(var, body) if existential else ForAll(var, body)
-        return self.iff_expr(bound)
+        ahead = self._quantifier_ahead()
+        if ahead is None:
+            return self.binary_expr(bound, _LEVEL_QUANT)
+        node, var_tok, width = ahead
+        self.i += width
+        var = var_tok.text
+        if var not in VARIABLE_NAMES:
+            self.fail(
+                f"quantifier must bind one of {', '.join(VARIABLE_NAMES)}, got {var!r}",
+                var_tok,
+            )
+        if var in bound:
+            self.fail(f"variable {var!r} is already bound", var_tok)
+        return node(var, self.formula(bound | {var}))
 
-    def _quantifier_prefix(self):
-        # "(x):" or "(Ex):" -- requires 4-token lookahead to distinguish from
-        # a parenthesized formula such as "(Ex)" meaning the atom E x.
+    def _quantifier_ahead(self):
+        """``(ForAll, variable token, 4)`` for a prefix ``(x):``, ``(Exists,
+        variable token, 5)`` for ``(Ex):``, else None.  It takes up to five
+        tokens of lookahead to tell ``(Ex):`` from a parenthesized atom
+        ``(Ex)``."""
         if self.peek().kind != "lparen":
             return None
         t1, t2, t3 = self.peek(1), self.peek(2), self.peek(3)
         if t1.kind == "lower" and t2.kind == "rparen" and t3.kind == "colon":
-            self.next(), self.next(), self.next(), self.next()
-            self._check_quant_var(t1)
-            return (False, t1.text, t1)
-        t4 = self.peek(4)
+            return ForAll, t1, 4
         if (
-            t1.kind == "upper"
-            and t1.text == "E"
+            t1.text == "E"
             and t2.kind == "lower"
             and t3.kind == "rparen"
-            and t4.kind == "colon"
+            and self.peek(4).kind == "colon"
         ):
-            self.next(), self.next(), self.next(), self.next(), self.next()
-            self._check_quant_var(t2)
-            return (True, t2.text, t2)
+            return Exists, t2, 5
         return None
 
-    def _check_quant_var(self, tok: _Token):
-        if tok.text not in VARIABLE_NAMES:
-            self.fail(
-                f"quantifier must bind one of {', '.join(VARIABLE_NAMES)}, got {tok.text!r}",
-                tok,
-            )
-
-    def iff_expr(self, bound) -> Formula:
-        left = self.implies_expr(bound)
-        if self.peek().kind == "iff":
-            self.next()
-            return Iff(left, self.iff_expr(bound))
-        return left
-
-    def implies_expr(self, bound) -> Formula:
-        left = self.or_expr(bound)
-        if self.peek().kind == "implies":
-            self.next()
-            return Implies(left, self.implies_expr(bound))
-        return left
-
-    def or_expr(self, bound) -> Formula:
-        left = self.and_expr(bound)
-        if self.peek().kind == "or":
-            self.next()
-            return Or(left, self.or_expr(bound))
-        return left
-
-    def and_expr(self, bound) -> Formula:
+    # binary-expression := unary-expression [connective binary-expression],
+    # grouped by the connectives' binding levels
+    def binary_expr(self, bound, level: int) -> Formula:
+        """An expression whose connectives bind at ``level`` or tighter.  The
+        operand right of a connective takes every connective that binds as
+        tightly as it does, so connectives of one level group to the right."""
         left = self.unary_expr(bound)
-        if self.peek().kind == "amp":
+        while True:
+            node = _BINARY_BY_KIND.get(self.peek().kind)
+            if node is None or node.level < level:
+                return left
             self.next()
-            return And(left, self.and_expr(bound))
-        return left
+            left = node(left, self.binary_expr(bound, node.level))
 
     def unary_expr(self, bound) -> Formula:
         tok = self.peek()
@@ -343,7 +343,7 @@ class _Parser:
     def primary(self, bound) -> Formula:
         tok = self.peek()
         if tok.kind == "lparen":
-            if self._quantifier_ahead():
+            if self._quantifier_ahead() is not None:
                 # A quantifier may start at operand position; it scopes over
                 # the whole remaining group.
                 return self.formula(bound)
@@ -357,18 +357,6 @@ class _Parser:
             return self.atom(bound)
         self.fail(f"expected a formula, got {tok.text!r}" if tok.text else "unexpected end of input", tok)
 
-    def _quantifier_ahead(self) -> bool:
-        t1, t2, t3, t4 = self.peek(1), self.peek(2), self.peek(3), self.peek(4)
-        if t1.kind == "lower" and t2.kind == "rparen" and t3.kind == "colon":
-            return True
-        return (
-            t1.kind == "upper"
-            and t1.text == "E"
-            and t2.kind == "lower"
-            and t3.kind == "rparen"
-            and t4.kind == "colon"
-        )
-
     def atom(self, bound) -> Formula:
         pred_tok = self.next()
         term_tok = self.peek()
@@ -377,8 +365,6 @@ class _Parser:
                 "predicates are unary and written without parentheses (e.g. 'F x')",
                 term_tok,
             )
-        if term_tok.kind == "upper":
-            self.fail(f"expected a term after predicate {pred_tok.text!r}", term_tok)
         if term_tok.kind != "lower":
             self.fail(f"expected a term after predicate {pred_tok.text!r}", term_tok)
         self.next()

@@ -36,7 +36,7 @@ from deepa2.formula import (
     check_satisfiable,
     render_formula,
 )
-from deepa2.formula.syntax import parse_formula
+from deepa2.formula.syntax import Binary, Quantified, parse_formula
 from deepa2.lexicon import DomainLexicon, builtin_lexicon
 from deepa2.metrics import default_scorer, evaluate_analysis, work_dict_of_record
 from deepa2.nl_templates import render_statement, shape_of, templates_for
@@ -47,8 +47,8 @@ from deepa2.records import (
     parse_dimension,
 )
 from deepa2.schemes import (
+    Binding,
     SchemeVariant,
-    _Binding,
     builtin_catalog,
     instantiate_pattern,
     match_pattern,
@@ -241,7 +241,7 @@ class _LetterAllocator:
 
 def _instantiate_step(
     variant: SchemeVariant,
-    binding: _Binding,
+    binding: Binding,
     alloc: _LetterAllocator,
     letters: tuple[_Letters, ...],
 ) -> tuple[list[Formula], Formula]:
@@ -259,7 +259,7 @@ def _instantiate_step(
     return premises, conclusion
 
 
-def _new_letters_needed(binding: _Binding, letters: tuple[_Letters, ...]) -> int:
+def _new_letters_needed(binding: Binding, letters: tuple[_Letters, ...]) -> int:
     """Predicate letters of a variant that the binding leaves free."""
     return len({p for preds, _ in letters for p in preds} - binding.preds.keys())
 
@@ -295,7 +295,7 @@ def _try_sample_tree(config: GeneratorConfig, rng: random.Random) -> ArgumentTre
                 if not last and v.label not in sampler.productive:
                     continue
                 for slot in range(len(v.premises)):
-                    binding = _Binding()
+                    binding = Binding()
                     if match_pattern(v.premises[slot], prev_formula, binding) and (
                         len(alloc.letters)
                         + _new_letters_needed(binding, sampler.letters[v.label])
@@ -307,7 +307,7 @@ def _try_sample_tree(config: GeneratorConfig, rng: random.Random) -> ArgumentTre
         variant, slot, binding = rng.choice(candidates)
         premises, conclusion = _instantiate_step(
             variant,
-            _Binding() if binding is None else binding,
+            Binding() if binding is None else binding,
             alloc,
             sampler.letters[variant.label],
         )
@@ -478,7 +478,7 @@ def _build_distractors(
         preds, consts = _pattern_letters(shape)
         if len(fresh_pool) < len(preds) or letter_offset + len(preds) > len(_LETTER_POOL):
             break
-        binding = _Binding()
+        binding = Binding()
         phrase_map: dict[str, str] = {}
         for p in preds:
             phrase = rng.choice(fresh_pool)
@@ -599,15 +599,11 @@ def compose_source(
 
 
 def _contains_complexity(formula: Formula) -> bool:
-    from deepa2.formula.syntax import Atom, Exists, ForAll, Iff, Implies
-
     if isinstance(formula, (Not, Or, And)):
         return True
-    if isinstance(formula, Atom):
-        return False
-    if isinstance(formula, (ForAll, Exists)):
+    if isinstance(formula, Quantified):
         return _contains_complexity(formula.body)
-    if isinstance(formula, (Implies, Iff)):
+    if isinstance(formula, Binary):
         return _contains_complexity(formula.left) or _contains_complexity(formula.right)
     return False
 

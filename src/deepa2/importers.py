@@ -28,9 +28,6 @@ from deepa2.records import DeepA2Record, QuotedStatement, RecordMeta, parse_stat
 
 SOURCE_TEMPLATE_GLUE = "All this entails:"
 
-VALID, CONTRADICTION, NEUTRAL = "valid", "contradiction", "neutral"
-RULETAKER_LABELS = (VALID, CONTRADICTION, NEUTRAL)
-
 
 # ---------------------------------------------------------------------------
 # Entailment-tree import
@@ -166,62 +163,6 @@ def load_entailmentbank(path) -> list[EntailmentTreeRecord]:
                         distractor_ids=frozenset(data.get("distractors", ())),
                         hypothesis=data["hypothesis"],
                         steps=steps,
-                    )
-                )
-            except (KeyError, TypeError, json.JSONDecodeError) as err:
-                raise ImportFormatError(f"{path}:{line_number}: {err}") from err
-    return records
-
-
-# ---------------------------------------------------------------------------
-# Rule-theory import
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RuleTakerRecord:
-    record_id: str
-    theory: tuple[str, ...]
-    hypothesis: str
-    label: str
-
-    def __post_init__(self):
-        if self.label not in RULETAKER_LABELS:
-            raise ImportFormatError(
-                f"{self.record_id}: label must be one of {RULETAKER_LABELS}"
-            )
-
-
-def import_ruletaker(rec: RuleTakerRecord) -> tuple[DeepA2Record, str]:
-    """Translate a rule-theory problem; the reconstruction dimensions are
-    left for model generation and the label rides along in the meta."""
-    theory = " ".join(rec.theory)
-    source = f"{theory} {SOURCE_TEMPLATE_GLUE} {rec.hypothesis}"
-    meta = RecordMeta(
-        record_id=rec.record_id,
-        domain_tag="ruletaker",
-        label=rec.label,
-    )
-    return DeepA2Record.from_parts(source=source, meta=meta), rec.label
-
-
-def load_ruletaker(path) -> list[RuleTakerRecord]:
-    """Read rule-theory records from a JSON-lines file with rows
-    ``{"id": ..., "theory": [...], "hypothesis": ..., "label": ...}``."""
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for line_number, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-                records.append(
-                    RuleTakerRecord(
-                        record_id=str(data.get("id", f"rt-{line_number}")),
-                        theory=tuple(data["theory"]),
-                        hypothesis=data["hypothesis"],
-                        label=data["label"],
                     )
                 )
             except (KeyError, TypeError, json.JSONDecodeError) as err:

@@ -13,20 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from deepa2.formula.syntax import (
-    And,
-    Atom,
-    Const,
-    Exists,
-    ForAll,
-    Formula,
-    Iff,
-    Implies,
-    Not,
-    Or,
-    parse_formula,
-    render_formula,
-)
+from deepa2.formula.syntax import Formula, parse_formula, render_formula, substitute
 from deepa2.memo import process_memo
 from deepa2.textnorm import normalize_ws
 
@@ -59,23 +46,13 @@ def shape_of(formula: Formula) -> StatementShape:
     formula."""
     preds: dict[str, str] = {}
     consts: dict[str, str] = {}
-
-    def rename(f: Formula) -> Formula:
-        if isinstance(f, Atom):
-            p = preds.setdefault(f.pred, f"P{len(preds) + 1}")
-            term = f.term
-            if isinstance(term, Const):
-                term = Const(consts.setdefault(term.name, f"c{len(consts) + 1}"))
-            return Atom(p, term)
-        if isinstance(f, Not):
-            return Not(rename(f.sub))
-        if isinstance(f, (And, Or, Implies, Iff)):
-            return type(f)(rename(f.left), rename(f.right))
-        if isinstance(f, (ForAll, Exists)):
-            return type(f)(f.var, rename(f.body))
-        raise TypeError(f"not a formula node: {f!r}")
-
-    key = render_formula(rename(formula))
+    canonical = substitute(
+        formula,
+        lambda p: preds.setdefault(p, f"P{len(preds) + 1}"),
+        lambda c: consts.setdefault(c, f"c{len(consts) + 1}"),
+        lambda v: v,
+    )
+    key = render_formula(canonical)
     return StatementShape(key, tuple(preds), tuple(consts))
 
 

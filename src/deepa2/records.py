@@ -56,7 +56,6 @@ class RecordMeta:
     n_distractors: int = 0
     uses_complex_schemes: bool = False
     domain_tag: str = ""
-    label: str | None = None
 
     def __post_init__(self):
         for name in ("n_inference_steps", "n_implicit_premises",
@@ -334,14 +333,14 @@ def record_from_dict(data: dict) -> DeepA2Record:
 
 
 #: ``json.dumps(value, ensure_ascii=False)`` without building an encoder per
-#: call.
-_encode = json.JSONEncoder(ensure_ascii=False).encode
+#: call; every JSON-lines writer encodes through it.
+encode_json = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def corpus_line(record: DeepA2Record) -> str:
     """The record's corpus line: ``json.dumps(record_to_dict(record),
     ensure_ascii=False)`` and a newline."""
-    return _encode(record_to_dict(record)) + "\n"
+    return encode_json(record_to_dict(record)) + "\n"
 
 
 def dump_corpus(records: Iterable[DeepA2Record], path) -> int:

@@ -22,17 +22,14 @@ from deepa2.argdown import ArgdownArgument, InferenceStep
 from deepa2.errors import CatalogError
 from deepa2.formula import check_entailment, parse_formula
 from deepa2.formula.syntax import (
-    And,
     Atom,
+    Binary,
     Const,
-    Exists,
-    ForAll,
     Formula,
-    Iff,
-    Implies,
     Not,
-    Or,
+    Quantified,
     Var,
+    substitute,
 )
 
 logger = logging.getLogger(__name__)
@@ -139,80 +136,68 @@ def builtin_catalog() -> SchemeCatalog:
 # ---------------------------------------------------------------------------
 
 
-class _Binding:
-    """Consistent placeholder assignment built up during matching."""
+class Binding:
+    """Consistent placeholder assignment built up during matching: pattern
+    letter to concrete letter, per letter kind."""
 
     def __init__(self):
         self.preds: dict[str, str] = {}
         self.consts: dict[str, str] = {}
         self.vars: dict[str, str] = {}
 
-    def copy(self) -> "_Binding":
-        b = _Binding()
+    def copy(self) -> "Binding":
+        b = Binding()
         b.preds = dict(self.preds)
         b.consts = dict(self.consts)
         b.vars = dict(self.vars)
         return b
 
-    def bind(self, table: dict[str, str], key: str, value: str) -> bool:
-        old = table.setdefault(key, value)
-        return old == value
+
+def _bind(table: dict[str, str], key: str, value: str) -> bool:
+    """Bind key to value in table unless it is bound to another value."""
+    return table.setdefault(key, value) == value
 
 
-def match_pattern(pattern: Formula, concrete: Formula, binding: _Binding) -> bool:
+def match_pattern(pattern: Formula, concrete: Formula, binding: Binding) -> bool:
     """Structural match of a pattern against a concrete formula; extends
     the binding in place on success."""
-    if isinstance(pattern, Atom) and isinstance(concrete, Atom):
-        if not binding.bind(binding.preds, pattern.pred, concrete.pred):
+    if type(pattern) is not type(concrete):
+        return False
+    if isinstance(pattern, Atom):
+        if not _bind(binding.preds, pattern.pred, concrete.pred):
             return False
         pt, ct = pattern.term, concrete.term
         if isinstance(pt, Var) and isinstance(ct, Var):
-            return binding.bind(binding.vars, pt.name, ct.name)
+            return _bind(binding.vars, pt.name, ct.name)
         if isinstance(pt, Const) and isinstance(ct, Const):
-            return binding.bind(binding.consts, pt.name, ct.name)
+            return _bind(binding.consts, pt.name, ct.name)
         return False
-    if isinstance(pattern, Not) and isinstance(concrete, Not):
+    if isinstance(pattern, Not):
         return match_pattern(pattern.sub, concrete.sub, binding)
-    for node_type in (And, Or, Implies, Iff):
-        if isinstance(pattern, node_type) and isinstance(concrete, node_type):
-            return match_pattern(pattern.left, concrete.left, binding) and match_pattern(
-                pattern.right, concrete.right, binding
-            )
-    for node_type in (ForAll, Exists):
-        if isinstance(pattern, node_type) and isinstance(concrete, node_type):
-            if not binding.bind(binding.vars, pattern.var, concrete.var):
-                return False
-            return match_pattern(pattern.body, concrete.body, binding)
+    if isinstance(pattern, Binary):
+        return match_pattern(pattern.left, concrete.left, binding) and match_pattern(
+            pattern.right, concrete.right, binding
+        )
+    if isinstance(pattern, Quantified):
+        if not _bind(binding.vars, pattern.var, concrete.var):
+            return False
+        return match_pattern(pattern.body, concrete.body, binding)
     return False
 
 
-def instantiate_pattern(pattern: Formula, binding: _Binding) -> Formula:
+def instantiate_pattern(pattern: Formula, binding: Binding) -> Formula:
     """Substitute bound placeholders; unbound ones raise KeyError."""
-    if isinstance(pattern, Atom):
-        term = pattern.term
-        if isinstance(term, Const):
-            term = Const(binding.consts[term.name])
-        else:
-            term = Var(binding.vars.get(term.name, term.name))
-        return Atom(binding.preds[pattern.pred], term)
-    if isinstance(pattern, Not):
-        return Not(instantiate_pattern(pattern.sub, binding))
-    if isinstance(pattern, (And, Or, Implies, Iff)):
-        return type(pattern)(
-            instantiate_pattern(pattern.left, binding),
-            instantiate_pattern(pattern.right, binding),
-        )
-    if isinstance(pattern, (ForAll, Exists)):
-        return type(pattern)(
-            binding.vars.get(pattern.var, pattern.var),
-            instantiate_pattern(pattern.body, binding),
-        )
-    raise TypeError(f"not a formula node: {pattern!r}")
+    return substitute(
+        pattern,
+        binding.preds.__getitem__,
+        binding.consts.__getitem__,
+        lambda v: binding.vars.get(v, v),
+    )
 
 
 def patterns_unify(producer_conclusion: Formula, consumer_premise: Formula) -> bool:
     """True when one pattern is the other up to bijective letter renaming."""
-    binding = _Binding()
+    binding = Binding()
     if not match_pattern(consumer_premise, producer_conclusion, binding):
         return False
     return len(set(binding.preds.values())) == len(binding.preds) and len(
@@ -248,7 +233,7 @@ def _match_formal(
     else:
         orders = list(permutations(range(len(premise_formulas))))
     for order in orders:
-        binding = _Binding()
+        binding = Binding()
         ok = all(
             match_pattern(variant.premises[i], premise_formulas[order[i]], binding)
             for i in range(len(order))

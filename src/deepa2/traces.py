@@ -20,11 +20,10 @@ from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from deepa2.dimensions import DimensionId
 from deepa2.errors import DeepA2Error
+from deepa2.records import encode_json
 
 if TYPE_CHECKING:
     from deepa2.chains import ChainResult
-
-_encode = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def trace_lines(results: Iterable[ChainResult]) -> list[str]:
@@ -40,7 +39,7 @@ def trace_lines(results: Iterable[ChainResult]) -> list[str]:
     def text(value: str) -> str:
         encoded = texts.get(value)
         if encoded is None:
-            encoded = texts[value] = _encode(value)
+            encoded = texts[value] = encode_json(value)
         return encoded
 
     lines = []

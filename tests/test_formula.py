@@ -1,5 +1,7 @@
 """Parser, printer, and decision-procedure tests for the formula language."""
 
+import dataclasses
+import pickle
 import random
 import time
 import traceback
@@ -142,6 +144,47 @@ class TestRender:
         for _ in range(2000):
             f = random_closed_formula(rng, max_depth=6)
             assert parse_formula(render_formula(f)) == f
+
+
+class TestNodes:
+    """What the shared ``Binary`` and ``Quantified`` bases must keep of the
+    per-connective dataclasses: memo keys and pickles depend on it."""
+
+    def test_connectives_with_equal_children_differ(self):
+        p, q = fa("F"), fa("G")
+        for nodes in (
+            [cls(p, q) for cls in (And, Or, Implies, Iff)],
+            [cls("x", fx("F")) for cls in (ForAll, Exists)],
+        ):
+            for i, a in enumerate(nodes):
+                for b in nodes[i + 1:]:
+                    assert a != b
+                    assert len({a: 1, b: 2}) == 2
+            assert nodes == [type(n)(*vars(n).values()) for n in nodes]
+            assert nodes == [pickle.loads(pickle.dumps(n)) for n in nodes]
+
+    def test_repr_names_the_subclass(self):
+        assert repr(Iff(fa("F"), fa("G"))) == (
+            "Iff(left=Atom(pred='F', term=Const(name='a')), "
+            "right=Atom(pred='G', term=Const(name='a')))"
+        )
+        assert repr(Exists("x", fx("F"))).startswith("Exists(var='x', body=Atom(")
+
+    def test_fields_are_frozen(self):
+        for node, name in ((Or(fa("F"), fa("G")), "left"), (ForAll("x", fx("F")), "body"),
+                           (Var("x"), "name")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(node, name, fa("H"))
+
+    def test_shape_numbers_letters_by_first_occurrence(self):
+        from deepa2.nl_templates import shape_of
+
+        gf = shape_of(parse_formula("(x): G x -> F x"))
+        fg = shape_of(parse_formula("(x): F x -> G x"))
+        assert gf.key == fg.key == "(x): P1 x -> P2 x"
+        assert (gf.pred_letters, fg.pred_letters) == (("G", "F"), ("F", "G"))
+        two = shape_of(parse_formula("F a & G b"))
+        assert (two.key, two.const_letters) == ("P1 c1 & P2 c2", ("a", "b"))
 
 
 class TestEntailment:

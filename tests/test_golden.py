@@ -1,10 +1,17 @@
-"""Byte identity of the whole pipeline on a small fixed workload.
+"""Byte identity of the whole pipeline on small fixed workloads.
 
 ``generate -n 20 --seed 3 --preset aaac01``, then ``run --chains all
 --with-formalization`` under ``oracle`` and ``noisy:0.2``, ``eval`` of each,
 and ``export-training``.  The digests were taken before records cached
 their texts; a change that alters any output byte must say why and update
 them.
+
+The ``aaac02`` leg, ``generate -n 20 --seed 3 --preset aaac02``, then ``run
+--chains 1 --backend noisy:0.2`` without formalization and ``eval``, covers
+the text-level paths: its corpus is rendered with the imprecise templates,
+and without formalizations every scheme check parses statement texts
+against the template bank.  Its digests were taken before each connective
+became a subclass of ``Binary`` or ``Quantified``.
 """
 
 import hashlib
@@ -26,6 +33,16 @@ GOLDEN = {
     "metrics_noisy.jsonl.aggregate.json":
         "92c84dfd4321d171f7811893b52b83b1aef478bca471d863defc93f343d840ce",
     "pairs.jsonl": "4f7ad53041fe18a361a56d3f541119e84be55d6a7f46035bfa6f3135a1dcff40",
+}
+
+GOLDEN_AAAC02 = {
+    "corpus.jsonl": "fd2e38f5ba65c18729f99d2dc34b371c109ba4c2b62b0a8d2a433ca94c64da93",
+    "corpus.jsonl.census.json":
+        "55897768f0fee3fdfc656ec4137cdaeedd6577b93f3fcfb6eb6d0098997e9e54",
+    "traces.jsonl": "b5f1f79b65c95e44e5a447f04fa2b739a84d61a98d41ef79234844f303f616cf",
+    "metrics.jsonl": "992c312b4d3ebd1122f5b65de1c884520ff6c1bddda4460bafd6b8236fba3d84",
+    "metrics.jsonl.aggregate.json":
+        "dfa8c599c59ef736af6e8a118faa1bdf9002764374b4d281e7b4e0925dd9a806",
 }
 
 
@@ -51,3 +68,22 @@ def pipeline(tmp_path_factory):
 def test_output_bytes_match_golden_digest(pipeline, name):
     digest = hashlib.sha256((pipeline / name).read_bytes()).hexdigest()
     assert digest == GOLDEN[name]
+
+
+@pytest.fixture(scope="module")
+def text_level_pipeline(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("golden_aaac02")
+    corpus, traces = str(tmp / "corpus.jsonl"), str(tmp / "traces.jsonl")
+    assert main(["generate", "-n", "20", "--seed", "3", "--preset", "aaac02",
+                 "--out", corpus]) == EXIT_OK
+    assert main(["run", "--corpus", corpus, "--chains", "1", "--backend", "noisy:0.2",
+                 "--out", traces]) == EXIT_OK
+    assert main(["eval", "--traces", traces, "--corpus", corpus,
+                 "--out", str(tmp / "metrics.jsonl")]) == EXIT_OK
+    return tmp
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_AAAC02))
+def test_text_level_output_bytes_match_golden_digest(text_level_pipeline, name):
+    digest = hashlib.sha256((text_level_pipeline / name).read_bytes()).hexdigest()
+    assert digest == GOLDEN_AAAC02[name]

@@ -4,7 +4,6 @@ import dataclasses
 import json
 import math
 import random
-from collections import Counter
 
 import pytest
 
@@ -14,15 +13,12 @@ from deepa2.errors import ImportFormatError
 from deepa2.importers import (
     EntailmentTreeRecord,
     HoeFeatures,
-    RuleTakerRecord,
     TreeProofStep,
     apply_label_classifier,
     extract_hoe_features,
     fit_label_classifier,
     import_entailmentbank,
-    import_ruletaker,
     load_entailmentbank,
-    load_ruletaker,
 )
 from deepa2.metrics import MetricReport
 from deepa2.records import record_from_dict, record_to_dict
@@ -112,30 +108,6 @@ class TestEntailmentBankImport:
         records = load_entailmentbank(path)
         assert len(records) == 1
         assert import_entailmentbank(records[0]).meta.record_id == "x1"
-
-
-class TestRuleTakerImport:
-    def test_label_preserved(self):
-        record, label = import_ruletaker(
-            RuleTakerRecord("rt-1", ("if it rains it pours", "it rains"), "it pours", "valid")
-        )
-        assert label == "valid"
-        assert record.meta.label == "valid"
-        assert record.argdown is None and record.reasons is None
-
-    def test_label_shares_preserved(self, tmp_path):
-        rows = []
-        for i, label in enumerate(["valid", "contradiction", "neutral"] * 9):
-            rows.append({"id": f"r{i}", "theory": ["t"], "hypothesis": "h", "label": label})
-        path = tmp_path / "rt.jsonl"
-        path.write_text("\n".join(json.dumps(r) for r in rows))
-        records = load_ruletaker(path)
-        imported = [import_ruletaker(r)[1] for r in records]
-        assert Counter(imported) == {"valid": 9, "contradiction": 9, "neutral": 9}
-
-    def test_bad_label_rejected(self):
-        with pytest.raises(ImportFormatError):
-            RuleTakerRecord("rt-2", ("t",), "h", "maybe")
 
 
 def report(**overrides) -> MetricReport:

@@ -37,14 +37,14 @@ print(len(deepa2.__all__))
 """
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) > 60
+    assert int(proc.stdout) == 60
 
 
 def test_cli_import_loads_no_stage_module():
     code = """
 import sys
 import deepa2.cli
-stage_modules = ("backends", "chains", "generator", "importers", "metrics")
+stage_modules = ("backends", "chains", "generator", "importers", "metrics", "records")
 print(" ".join(m for m in stage_modules if "deepa2." + m in sys.modules))
 """
     proc = run_python("-c", code)

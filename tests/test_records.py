@@ -198,6 +198,9 @@ class TestRecordRoundTrip:
         assert [loaded.get(dim) for dim in DimensionId] == [
             record.get(dim) for dim in DimensionId
         ]
+        # Meta keys a record no longer has, such as the "label" of older
+        # corpora, are ignored on loading.
+        assert record_from_dict({**data, "meta": {**data["meta"], "label": "valid"}}) == record
 
 
 def test_dimension_fields_are_the_keywords_in_dimension_order():
