@@ -111,6 +111,7 @@ def _parse_chain_ids(text: str) -> tuple[int, ...]:
 
 def cmd_generate(args) -> int:
     import hashlib
+    from collections import Counter
 
     from deepa2.generator import GeneratorConfig, generate_corpus, subset_census
     from deepa2.records import corpus_line
@@ -127,7 +128,8 @@ def cmd_generate(args) -> int:
     out = Path(args.out)
     if args.n == 0:
         logger.warning("n=0: writing an empty corpus and an all-zero census")
-    records = generate_corpus(config, args.n, seed=args.seed)
+    rejections: Counter = Counter()
+    records = generate_corpus(config, args.n, seed=args.seed, rejections=rejections)
     _atomic_write_lines(out, map(corpus_line, records))
     census = subset_census(records)
     census_path = Path(args.census) if args.census else out.with_suffix(
@@ -137,6 +139,9 @@ def cmd_generate(args) -> int:
     digest = hashlib.sha256(out.read_bytes()).hexdigest()[:12]
     print(f"wrote {len(records)} records to {out} (sha256 {digest})")
     print(f"census: {census}")
+    attempts = len(records) + sum(rejections.values())
+    rejected = ", ".join(f"{name} {count}" for name, count in rejections.most_common())
+    print(f"attempts {attempts} (rejected: {rejected or 'none'})")
     return EXIT_OK
 
 

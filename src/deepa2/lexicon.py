@@ -31,9 +31,13 @@ class DomainLexicon:
             if "%" not in relation:
                 raise ConfigError(f"relation {relation!r} lacks the % object slot")
 
-    def phrases(self) -> list[str]:
-        """All predicate phrases, relation-major order."""
-        return [r.replace("%", o) for r in self.relations for o in self.objects]
+    def phrases(self) -> tuple[str, ...]:
+        """All predicate phrases, relation-major order; built on first call."""
+        return self._phrases
+
+    @functools.cached_property
+    def _phrases(self) -> tuple[str, ...]:
+        return tuple(r.replace("%", o) for r in self.relations for o in self.objects)
 
     @classmethod
     def from_text(cls, text: str) -> "DomainLexicon":

@@ -51,16 +51,18 @@ def default_scorer(a: str, b: str) -> float:
 def eval_basic_flaws(arg: ArgdownArgument) -> tuple[int, int, int, int]:
     """(no petitio, no redundant premises, no redundant conclusions, all
     statements used) as 0/1 bits, via normalized string identity."""
-    premise_texts = [normalize_ws(t) for _, t in premises_of(arg)]
-    conclusion_texts = [normalize_ws(t) for _, t in conclusions_of(arg)]
-    final_text = normalize_ws(final_conclusion_of(arg)[1])
+    derived = arg.derived_numbers
+    premise_texts: list[str] = []
+    conclusion_texts: list[str] = []
+    for number, text in arg.statements:
+        (conclusion_texts if number in derived else premise_texts).append(normalize_ws(text))
+    final_number, final_text = final_conclusion_of(arg)
 
-    sys_pp = 0 if final_text in premise_texts else 1
+    sys_pp = 0 if normalize_ws(final_text) in premise_texts else 1
     sys_rp = 1 if len(set(premise_texts)) == len(premise_texts) else 0
     sys_rc = 1 if len(set(conclusion_texts)) == len(conclusion_texts) else 0
 
     used = {n for inf in arg.inferences for n in inf.from_numbers}
-    final_number = final_conclusion_of(arg)[0]
     sys_us = 1 if all(n in used or n == final_number for n, _ in arg.statements) else 0
     return sys_pp, sys_rp, sys_rc, sys_us
 

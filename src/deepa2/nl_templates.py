@@ -249,13 +249,12 @@ def render_statement(
     return template.render(pred_phrases, names)
 
 
-def recover_statement(text: str) -> list[tuple[str, dict[str, str], dict[str, str]]]:
-    """All (shape_key, positional pred phrases, positional const names)
-    readings of a statement text under the template bank."""
+def recover_statement(text: str, shape_key: str) -> list[tuple[dict[str, str], dict[str, str]]]:
+    """All (positional pred phrases, positional const names) readings of a
+    statement text under the bank's templates for one shape."""
     out = []
-    for shape_key, templates in TEMPLATE_BANK.items():
-        for template in templates:
-            got = template.recover(text)
-            if got is not None:
-                out.append((shape_key, got[0], got[1]))
+    for template in TEMPLATE_BANK.get(shape_key, ()):
+        got = template.recover(text)
+        if got is not None:
+            out.append(got)
     return out

@@ -131,8 +131,8 @@ class DeepA2Record:
 
         Each part is rendered once through ``_render`` and kept as its
         view, so reading it parses nothing.  Only a canonical part parses
-        back from its text to itself; the generator checks that its parts
-        do (``validate_record``)."""
+        back from its text to itself; the generator's parts do by
+        construction, which ``tests/test_validate_differential.py`` checks."""
         unknown = set(parts) - {dim.keyword for dim in DimensionId}
         if unknown:
             raise TypeError(f"unknown dimensions {sorted(unknown)}")

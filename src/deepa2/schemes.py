@@ -145,32 +145,21 @@ class Binding:
         self.consts: dict[str, str] = {}
         self.vars: dict[str, str] = {}
 
-    def copy(self) -> "Binding":
-        b = Binding()
-        b.preds = dict(self.preds)
-        b.consts = dict(self.consts)
-        b.vars = dict(self.vars)
-        return b
-
-
-def _bind(table: dict[str, str], key: str, value: str) -> bool:
-    """Bind key to value in table unless it is bound to another value."""
-    return table.setdefault(key, value) == value
-
 
 def match_pattern(pattern: Formula, concrete: Formula, binding: Binding) -> bool:
     """Structural match of a pattern against a concrete formula; extends
-    the binding in place on success."""
+    the binding in place on success.  A letter binds to the first value it
+    meets and fails on any other."""
     if type(pattern) is not type(concrete):
         return False
     if isinstance(pattern, Atom):
-        if not _bind(binding.preds, pattern.pred, concrete.pred):
+        if binding.preds.setdefault(pattern.pred, concrete.pred) != concrete.pred:
             return False
         pt, ct = pattern.term, concrete.term
         if isinstance(pt, Var) and isinstance(ct, Var):
-            return _bind(binding.vars, pt.name, ct.name)
+            return binding.vars.setdefault(pt.name, ct.name) == ct.name
         if isinstance(pt, Const) and isinstance(ct, Const):
-            return _bind(binding.consts, pt.name, ct.name)
+            return binding.consts.setdefault(pt.name, ct.name) == ct.name
         return False
     if isinstance(pattern, Not):
         return match_pattern(pattern.sub, concrete.sub, binding)
@@ -179,7 +168,7 @@ def match_pattern(pattern: Formula, concrete: Formula, binding: Binding) -> bool
             pattern.right, concrete.right, binding
         )
     if isinstance(pattern, Quantified):
-        if not _bind(binding.vars, pattern.var, concrete.var):
+        if binding.vars.setdefault(pattern.var, concrete.var) != concrete.var:
             return False
         return match_pattern(pattern.body, concrete.body, binding)
     return False
@@ -211,13 +200,17 @@ def patterns_unify(producer_conclusion: Formula, consumer_premise: Formula) -> b
 
 
 def _candidate_variants(step: InferenceStep) -> list[SchemeVariant]:
+    """The variants a step is matched against: the one its label names, and
+    every variant of the scheme when no variant has that label.
+
+    A step without a label names the scheme's unlabelled base variant, which
+    every built-in scheme has, so it is matched against that one alone."""
     spec = builtin_catalog().get(step.scheme_name)
     if spec is None:
         return []
     exact = spec.variant_named(step.variant)
     if exact is not None:
         return [exact]
-    # No variant label, or an unknown one: every variant of the scheme.
     return list(spec.variants)
 
 
@@ -231,7 +224,7 @@ def _match_formal(
     if len(premise_formulas) > _MAX_PERMUTED_PREMISES:
         orders = [tuple(range(len(premise_formulas)))]
     else:
-        orders = list(permutations(range(len(premise_formulas))))
+        orders = permutations(range(len(premise_formulas)))
     for order in orders:
         binding = Binding()
         ok = all(
@@ -241,8 +234,9 @@ def _match_formal(
         if not ok:
             continue
         if conclusion_formula is not None:
-            trial = binding.copy()
-            if match_pattern(variant.conclusion, conclusion_formula, trial):
+            # Each order starts from a fresh binding, so a failed trial
+            # leaves nothing behind.
+            if match_pattern(variant.conclusion, conclusion_formula, binding):
                 return conclusion_formula
             continue
         try:
@@ -258,18 +252,20 @@ def _match_nl(variant: SchemeVariant, premise_texts: list[str], conclusion_text:
 
     if len(premise_texts) != len(variant.premises):
         return False
-    readings = [recover_statement(t) for t in premise_texts + [conclusion_text]]
+    pattern_shapes = [shape_of(p) for p in variant.premises] + [shape_of(variant.conclusion)]
+    # Only a reading under its own pattern's shape can match a text.
+    readings = [
+        recover_statement(t, shape.key)
+        for t, shape in zip(premise_texts + [conclusion_text], pattern_shapes)
+    ]
     if any(not r for r in readings):
         return False
-    pattern_shapes = [shape_of(p) for p in variant.premises] + [shape_of(variant.conclusion)]
 
     def assign(idx: int, bound_preds: dict[str, str], bound_consts: dict[str, str]) -> bool:
         if idx == len(pattern_shapes):
             return True
         shape = pattern_shapes[idx]
-        for shape_key, phrases, names in readings[idx]:
-            if shape_key != shape.key:
-                continue
+        for phrases, names in readings[idx]:
             trial_p = dict(bound_preds)
             trial_c = dict(bound_consts)
             ok = True

@@ -38,35 +38,44 @@ class StubHandler(BaseHTTPRequestHandler):
             state["requests"].append((self.path, body))
             state["in_flight"] += 1
             state["max_in_flight"] = max(state["max_in_flight"], state["in_flight"])
+        # A request is done once its answer is decided, before a byte of it
+        # goes out: the client may send its next request as soon as it has
+        # read the answer, and must not find this one still counted.
         try:
-            if state["drop_next"] > 0:
-                state["drop_next"] -= 1
-                self.close_connection = True
-                return
-            if state["fail_next"] > 0:
-                state["fail_next"] -= 1
-                self.send_response(500)
-                self.send_header("Content-Length", "0")
-                self.end_headers()
-                return
-            time.sleep(state["latency"])
-            if state["digest"]:
-                output = digest_echo(body["mode"], body["inputs"])
-            else:
-                output = "ECHO " + json.dumps(body["inputs"], sort_keys=True)
-            payload = json.dumps({"output": output}).encode()
-            if state["raw_body"] is not None:
-                payload = state["raw_body"]
-            self.send_response(200)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(payload)))
-            self.end_headers()
-            self.wfile.write(payload)
-            if state["close_after_reply"]:
-                self.close_connection = True
+            status, payload = self._answer(state, body)
         finally:
             with state["lock"]:
                 state["in_flight"] -= 1
+        if status is None:
+            self.close_connection = True
+            return
+        self.send_response(status)
+        if status == 200:
+            self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+        if state["close_after_reply"] and status == 200:
+            self.close_connection = True
+
+    @staticmethod
+    def _answer(state: dict, body: dict) -> tuple[int | None, bytes]:
+        """The status and body of the answer (None: drop the connection)."""
+        if state["drop_next"] > 0:
+            state["drop_next"] -= 1
+            return None, b""
+        if state["fail_next"] > 0:
+            state["fail_next"] -= 1
+            return 500, b""
+        time.sleep(state["latency"])
+        if state["digest"]:
+            output = digest_echo(body["mode"], body["inputs"])
+        else:
+            output = "ECHO " + json.dumps(body["inputs"], sort_keys=True)
+        payload = json.dumps({"output": output}).encode()
+        if state["raw_body"] is not None:
+            payload = state["raw_body"]
+        return 200, payload
 
     def log_message(self, *args):
         pass

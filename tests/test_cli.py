@@ -99,6 +99,17 @@ class TestGenerate:
         digest = hashlib.sha256(b"").hexdigest()[:12]
         assert f"wrote 0 records to {out} (sha256 {digest})" in capsys.readouterr().out
 
+    def test_reports_attempts_and_rejections(self, tmp_path, capsys):
+        """Each rejected attempt is counted once, under the check that
+        rejected it; the counts are the same under either validator."""
+        out = tmp_path / "c.jsonl"
+        assert run_cli("generate", "-n", "60", "--seed", "4", "--out", str(out)) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "attempts 70 (rejected: scheme ratio 7, quotes not mutually exclusive verbatim 3)"
+        )
+        assert run_cli("generate", "-n", "0", "--out", str(out)) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[-1] == "attempts 0 (rejected: none)"
+
     def test_same_seed_same_hash(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         run_cli("generate", "-n", "15", "--seed", "9", "--out", str(a))

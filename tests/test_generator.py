@@ -5,6 +5,7 @@ import multiprocessing
 import multiprocessing.pool
 import random
 import threading
+from collections import Counter
 
 import pytest
 
@@ -30,6 +31,7 @@ from deepa2.records import (
     record_to_dict,
 )
 
+from . import reference_validate
 from .helpers import with_parts
 
 
@@ -184,14 +186,19 @@ class TestComposeAndValidate:
 
 class TestRoundTrip:
     def test_part_that_does_not_round_trip_is_rejected(self):
+        """The full validator rejects a part that does not parse back from
+        its text; the generator's parts do by construction, so
+        ``validate_record`` leaves the check to the differential test."""
         config = GeneratorConfig()
         (record, distractors), = records_with_distractors(config, 1, seed=8)
-        assert validate_record(record, config, distractors) == []
+        assert reference_validate.validate_record(record, config, distractors) == []
         first, *rest = record.reasons
         # Rendered as written, parsed back without the doubled space.
         spaced = QuotedStatement(first.text.replace(" ", "  ", 1), first.ref)
         bad = with_parts(record, reasons=(spaced, *rest))
-        assert "serialization round trip failed" in validate_record(bad, config, distractors)
+        assert "serialization round trip failed" in reference_validate.validate_record(
+            bad, config, distractors
+        )
 
     @pytest.mark.parametrize("preset", ["aaac01", "aaac02"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -273,7 +280,7 @@ def serial_reference(config, n, seed):
     """The first n records built index by index in this process."""
     records, index = [], 0
     while len(records) < n:
-        result = generator._record_at(config, seed, index)
+        result, _rejected = generator._record_at(config, seed, index)
         index += 1
         if not isinstance(result, generator._Rejection):
             records.append(result)
@@ -312,6 +319,17 @@ class TestPool:
         assert [record_to_dict(r) for r in pooled] == [
             record_to_dict(r) for r in serial_reference(config, 120, 3)
         ]
+
+    def test_pool_counts_rejections_as_a_serial_build(self, pool_maps, monkeypatch):
+        config = GeneratorConfig.preset("aaac02")
+        pooled, serial = Counter(), Counter()
+        generate_corpus(config, 120, seed=4, rejections=pooled)
+        assert pool_maps
+        monkeypatch.setattr(generator, "_available_cpus", lambda: 1)
+        generate_corpus(config, 120, seed=4, rejections=serial)
+        assert len(pool_maps) == 1
+        assert pooled == serial
+        assert pooled["scheme ratio"] > 0
 
     def test_failure_rate_overrun_reads_as_in_serial(self, pool_maps, monkeypatch):
         monkeypatch.setattr(generator, "_generate_record", always_rejected)

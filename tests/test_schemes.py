@@ -2,11 +2,12 @@
 
 import pytest
 
-from deepa2.argdown import parse_argdown
+from deepa2.argdown import InferenceStep, parse_argdown
 from deepa2.errors import CatalogError
 from deepa2.formula import check_entailment, parse_formula
 from deepa2.schemes import (
     SchemeCatalog,
+    _candidate_variants,
     builtin_catalog,
     check_scheme_instantiation,
     patterns_unify,
@@ -196,3 +197,26 @@ def test_pattern_unification_for_chaining():
     )
     assert patterns_unify(neg_syll.conclusion, dilemma.premises[1])
     assert not patterns_unify(syll.conclusion, dilemma.premises[0])
+
+
+class TestCandidateVariants:
+    """Which variants a step's scheme declaration is matched against."""
+
+    def candidates(self, variant):
+        step = InferenceStep((1, 2), 3, "instantiation", variant)
+        return [v.variant for v in _candidate_variants(step)]
+
+    def test_an_exact_label_names_its_variant(self):
+        assert self.candidates("bare variant") == ["bare variant"]
+
+    def test_no_label_names_the_base_variant_only(self):
+        assert self.candidates(None) == [None]
+
+    def test_an_unknown_label_tries_every_variant(self):
+        assert self.candidates("no such variant") == [
+            None, "negation variant", "bare variant"
+        ]
+
+    def test_every_builtin_scheme_has_a_base_variant(self):
+        for spec in builtin_catalog().schemes.values():
+            assert spec.variant_named(None) is not None, spec.name
