@@ -801,9 +801,9 @@ def validate_record(
     # final conclusion.  The formalization renders those formulas, and
     # parse_formula inverts render_formula.
     formalized = [
-        (q, *_formalization(q.text)) for q in (*record.premises_form, *record.conclusion_form)
+        (q, parse_formula(q.text)) for q in (*record.premises_form, *record.conclusion_form)
     ]
-    sys_sch = sys_sch_ratio(arg, {q.ref: f for q, f, _ in formalized if q.ref is not None})
+    sys_sch = sys_sch_ratio(arg, {q.ref: f for q, f in formalized if q.ref is not None})
     if sys_sch != 1.0:
         return [f"scheme ratio {sys_sch}"]
     if eval_exe_meq(record.source, record.reasons, record.conjectures) != 1:
@@ -822,12 +822,10 @@ def validate_record(
                 return [f"dangling ref {q.ref}"]
 
     letters = {letter for letter, _ in record.keys}
-    used_letters: set[str] = set()
-    for _q, _f, used in formalized:
-        missing = used - letters
+    for _q, formula in formalized:
+        missing = predicates_of(formula) - letters
         if missing:
             return [f"keys miss letters {sorted(missing)}"]
-        used_letters |= used
 
     # No quote drifts from its statement: without imprecise rendition a
     # quote is its statement's text, decapitalized after an indicator word
@@ -841,37 +839,24 @@ def validate_record(
 
     # Entailment with distractors follows from sys_val == 1 (entailment is
     # monotone); only their consistency with the premises is left to check.
-    # The decider decides formulas that share no predicate apart, and each
-    # distractor has letters of its own (if not, all are decided together):
-    # so the premises and each distractor are decided on their own, each
-    # once per process.
-    if distractors:
-        premise_texts = tuple(q.text for q in record.premises_form)
-        part_letters = [used_letters, *(predicates_of(d.formula) for d in distractors)]
-        if sum(map(len, part_letters)) == len(set().union(*part_letters)):
-            consistent = _satisfiable(premise_texts) and all(
-                _satisfiable((), (d.formula,)) for d in distractors
-            )
-        else:
-            consistent = _satisfiable(premise_texts, tuple(d.formula for d in distractors))
-        if not consistent:
-            return ["distractors made premises unsatisfiable"]
+    # Formula sets that share no predicate letter are satisfiable together
+    # when each is on its own (the language has no identity: a model of each
+    # extends to the product of the two domains).  ``_build_distractors``
+    # gives every distractor letters of its own, past the tree's, so the
+    # premises and each distractor are decided apart, each once per process.
+    if distractors and not (
+        _satisfiable(tuple(q.text for q in record.premises_form))
+        and all(_satisfiable((), (d.formula,)) for d in distractors)
+    ):
+        return ["distractors made premises unsatisfiable"]
     return []
-
-
-@process_memo
-def _formalization(text: str) -> tuple[Formula, frozenset[str]]:
-    """A formalization's formula and its predicate letters, for the whole
-    process."""
-    formula = parse_formula(text)
-    return formula, frozenset(predicates_of(formula))
 
 
 @process_memo
 def _satisfiable(texts: tuple[str, ...], formulas: tuple[Formula, ...] = ()) -> bool:
     """``check_satisfiable`` of the formalized texts and the formulas, for
     the whole process."""
-    return check_satisfiable([*(_formalization(t)[0] for t in texts), *formulas])
+    return check_satisfiable([*map(parse_formula, texts), *formulas])
 
 
 def subset_census(records: Iterable[DeepA2Record]) -> dict[str, int]:

@@ -177,6 +177,17 @@ class TestComposeAndValidate:
             checked += 1
         assert checked >= 30
 
+    def test_each_distractor_has_letters_of_its_own(self):
+        """``validate_record`` decides the premises and each distractor apart,
+        which holds only if no two of them share a predicate letter."""
+        config = GeneratorConfig(distractor_weights=(0, 0, 1))
+        for record, distractors in records_with_distractors(config, 60, seed=26):
+            tree = set().union(*(predicates_of(parse_formula(q.text))
+                                 for q in record.premises_form + record.conclusion_form))
+            parts = [tree, *(predicates_of(d.formula) for d in distractors)]
+            assert len(distractors) == 2
+            assert sum(map(len, parts)) == len(set().union(*parts))
+
     def test_final_conclusion_quote_tracks_explicitness(self):
         for record in small_corpus(80, seed=25):
             final_number = record.argdown.statements[-1][0]

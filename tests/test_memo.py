@@ -7,7 +7,7 @@ from deepa2.argdown import parse_argdown
 from deepa2.errors import FormulaParseError
 from deepa2.evaluation import _scored, oracle_reports
 from deepa2.formula import parse_formula
-from deepa2.generator import _formalization, _satisfiable
+from deepa2.generator import _satisfiable
 from deepa2.metrics import _decide_sys_val
 from deepa2.nl_templates import render_statement, shape_of, templates_for
 from deepa2.records import _parse_statements
@@ -16,7 +16,7 @@ from deepa2.textnorm import _counted_tokens
 from .helpers import dilemma_record
 
 MEMOS = (parse_formula, parse_argdown, _parse_statements, _decide_sys_val, _scored,
-         _counted_tokens, shape_of, templates_for, _formalization, _satisfiable)
+         _counted_tokens, shape_of, templates_for, _satisfiable)
 
 
 def test_clear_memos_empties_every_process_memo():
