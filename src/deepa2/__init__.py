@@ -24,8 +24,8 @@ _PUBLIC = {
         "OracleBackend", "make_backend",
     ),
     "deepa2.chains": (
-        "ChainResult", "ChainSpec", "chain_by_id", "chain_by_name", "chain_catalog",
-        "export_training", "formalization_subchain", "run_chain", "sophistication",
+        "ChainResult", "ChainSpec", "chain_by_id", "chain_catalog", "export_training",
+        "formalization_subchain", "run_chain", "sophistication",
     ),
     "deepa2.dimensions": ("DimensionId",),
     "deepa2.evaluation": ("aggregate_table", "evaluate_traces", "oracle_reports"),
@@ -41,11 +41,11 @@ _PUBLIC = {
     ),
     "deepa2.metrics": ("MetricReport", "default_scorer", "evaluate_analysis"),
     "deepa2.modes": (
-        "ModeSpec", "format_prompt", "full_mode_catalog", "mode", "mode_registry",
+        "ModeSpec", "format_prompt", "mode", "mode_registry",
     ),
     "deepa2.records": (
         "DeepA2Record", "QuotedStatement", "RecordMeta", "classify_subsets",
-        "dump_corpus", "load_corpus", "parse_dimension", "serialize_dimension",
+        "load_corpus", "parse_dimension", "serialize_dimension",
     ),
     "deepa2.schemes": (
         "SchemeCatalog", "builtin_catalog", "check_scheme_instantiation",

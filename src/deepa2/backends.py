@@ -5,7 +5,6 @@ dimensions) into raw output text.  The oracle backend answers from the
 target records' stored wire texts (``DeepA2Record.texts``), the noisy
 oracle corrupts a seeded fraction of its answers, and the HTTP backend
 talks to an external inference service over a small JSON protocol.
-``format_prompt`` is defined in ``deepa2.modes`` and re-exported here.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from deepa2.errors import (
     ConfigError,
     MissingDimensionError,
 )
-from deepa2.modes import ModeSpec, format_prompt  # format_prompt is re-exported
+from deepa2.modes import ModeSpec
 from deepa2.records import DeepA2Record, serialize_dimension
 
 #: The beam width every HTTP request asks for.

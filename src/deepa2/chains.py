@@ -30,12 +30,7 @@ from itertools import accumulate
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from deepa2.dimensions import DimensionId
-from deepa2.errors import (
-    BackendError,
-    ChainDefinitionError,
-    GenerationError,
-    InternalInvariantError,
-)
+from deepa2.errors import BackendError, ChainDefinitionError, GenerationError
 from deepa2.modes import ModeSpec, TRAINING_MODES, format_prompt, mode
 from deepa2.records import DeepA2Record
 
@@ -114,8 +109,6 @@ _CHAIN_CATALOG: tuple[ChainSpec, ...] = (
     _chain(16, "S>A A>P A>C P>F CPF>O PCO>F PFCO>K FK>P OK>C PC>A SA>R SA>J"),
 )
 
-_BY_NAME = {c.name: c for c in _CHAIN_CATALOG if c.name}
-
 
 def chain_catalog() -> list[ChainSpec]:
     """All sixteen catalogued chains, ordered by id."""
@@ -124,15 +117,10 @@ def chain_catalog() -> list[ChainSpec]:
 
 def chain_by_id(chain_id: int) -> ChainSpec:
     if not 1 <= chain_id <= len(_CHAIN_CATALOG):
-        raise ChainDefinitionError(f"chain id must lie in 1..16, got {chain_id}")
+        raise ChainDefinitionError(
+            f"chain id must lie in 1..{len(_CHAIN_CATALOG)}, got {chain_id}"
+        )
     return _CHAIN_CATALOG[chain_id - 1]
-
-
-def chain_by_name(name: str) -> ChainSpec:
-    try:
-        return _BY_NAME[name]
-    except KeyError:
-        raise ChainDefinitionError(f"unknown chain name {name!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -207,21 +195,21 @@ def compile_plan(
     chains: Sequence[ChainSpec], with_formalization: bool = False
 ) -> ChainPlan:
     """Compile the chains, in order, into one plan; a step whose mode and
-    input slots equal an earlier step's, in any chain, reuses its node."""
+    input slots equal an earlier step's, in any chain, reuses its node.
+
+    Each chain is checked together with the formalization suffix, as
+    ``ChainSpec`` checks a chain: a mode that needs a dimension no earlier
+    mode produces raises ``ChainDefinitionError``."""
     suffix = formalization_subchain() if with_formalization else ()
     nodes: list[tuple[ModeSpec, tuple[int, ...]]] = []
     slot_of: dict[tuple[ModeSpec, tuple[int, ...]], int] = {}
     paths, finals = [], []
     for chain in chains:
+        modes = chain.modes + suffix
+        ChainSpec(chain.id, modes)
         work = {DimensionId.SOURCE: 0}
         path = []
-        for m in chain.modes + suffix:
-            missing = [d for d in m.inputs if d not in work]
-            if missing:
-                raise InternalInvariantError(
-                    f"chain {chain.id}: inputs {[d.keyword for d in missing]} absent "
-                    f"for mode {m.label}"
-                )
+        for m in modes:
             node = (m, tuple(work[d] for d in m.inputs))
             slot = slot_of.get(node)
             if slot is None:
@@ -242,13 +230,17 @@ def run_plan(
     backend: ModelBackend,
     record_id: str | None = None,
 ) -> list[ChainResult]:
-    """Execute the plan's chains over one source text, in order (see
-    ``run_chains``).
+    """Execute the plan's chains over one source text, in order.
 
-    Each chain walks its path and fills the slots still empty; a filled
-    slot holds the output every later step of that node gets.  A backend
-    failure leaves its slot empty, so a later chain through that node asks
-    again."""
+    A request asked before for this source (same mode, same input texts),
+    by an earlier step of any of the chains, is answered with the earlier
+    output instead of reaching the backend again; this is exact as long as
+    the backend is a function of the request.  Each chain walks its path
+    and fills the slots still empty; a filled slot holds the output every
+    later step of that node gets.  A backend failure ends only the chain
+    that hit it, with its partial trace preserved and the error recorded;
+    failures are not remembered, so the failed slot stays empty and a later
+    chain through that node asks again."""
     from deepa2.backends import GenerationRequest
 
     outputs: list[str | None] = [source] + [None] * len(plan.nodes)
@@ -292,25 +284,6 @@ def run_plan(
     return results
 
 
-def run_chains(
-    chains: Sequence[ChainSpec],
-    source: str,
-    backend: ModelBackend,
-    with_formalization: bool = False,
-    record_id: str | None = None,
-) -> list[ChainResult]:
-    """Execute each chain over the same source text, in order.
-
-    A request asked before for this source (same mode, same input texts),
-    by an earlier step of any of the chains, is answered with the earlier
-    output instead of reaching the backend again; this is exact as long as
-    the backend is a function of the request.  A backend failure ends only
-    the chain that hit it, with its partial trace preserved and the error
-    recorded; failures are not remembered, so a later chain asks again.
-    """
-    return run_plan(compile_plan(chains, with_formalization), source, backend, record_id)
-
-
 def run_chain(
     chain: ChainSpec,
     source: str,
@@ -318,8 +291,9 @@ def run_chain(
     with_formalization: bool = False,
     record_id: str | None = None,
 ) -> ChainResult:
-    """Execute one chain over the source text (see ``run_chains``)."""
-    (result,) = run_chains([chain], source, backend, with_formalization, record_id)
+    """Execute one chain over the source text (see ``run_plan``)."""
+    plan = compile_plan([chain], with_formalization)
+    (result,) = run_plan(plan, source, backend, record_id)
     return result
 
 

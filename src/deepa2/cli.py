@@ -34,7 +34,7 @@ from deepa2.errors import (
 # ``--help``) does not pay for loading the others.
 if TYPE_CHECKING:
     from deepa2.backends import GenerationRequest, ModelBackend
-    from deepa2.chains import ChainResult
+    from deepa2.chains import ChainResult, ChainSpec
 
 logger = logging.getLogger("deepa2")
 
@@ -93,20 +93,18 @@ def _timeout_ms() -> float:
     return value
 
 
-def _parse_chain_ids(text: str) -> tuple[int, ...]:
-    from deepa2.chains import chain_by_id
+def _parse_chains(text: str) -> list[ChainSpec]:
+    from deepa2.chains import chain_by_id, chain_catalog
 
     if text.strip() == "all":
-        return tuple(range(1, 17))
+        return chain_catalog()
     try:
-        ids = tuple(int(part) for part in text.split(",") if part.strip())
+        ids = [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise ConfigError(f"cannot parse chain ids from {text!r}") from None
-    for chain_id in ids:
-        chain_by_id(chain_id)
     if not ids:
         raise ConfigError("no chain ids given")
-    return ids
+    return [chain_by_id(chain_id) for chain_id in ids]
 
 
 def cmd_generate(args) -> int:
@@ -149,12 +147,12 @@ def cmd_run(args) -> int:
     from concurrent.futures import ThreadPoolExecutor
 
     from deepa2.backends import HttpBackend, make_backend
-    from deepa2.chains import chain_by_id, compile_plan, run_plan
+    from deepa2.chains import compile_plan, run_plan
     from deepa2.dimensions import DimensionId
     from deepa2.records import load_corpus
     from deepa2.traces import trace_lines
 
-    chain_ids = _parse_chain_ids(args.chains)
+    chains = _parse_chains(args.chains)
     records = load_corpus(args.corpus)
     timeout_ms = _timeout_ms()
     backend = make_backend(
@@ -165,9 +163,7 @@ def cmd_run(args) -> int:
         max_in_flight=args.jobs,
     )
 
-    plan = compile_plan(
-        [chain_by_id(chain_id) for chain_id in chain_ids], args.with_formalization
-    )
+    plan = compile_plan(chains, args.with_formalization)
 
     def execute(record) -> tuple[list[ChainResult], int]:
         counted = _CountingBackend(backend)

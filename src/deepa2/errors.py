@@ -39,10 +39,6 @@ class ChainDefinitionError(DeepA2Error):
     """A generative chain references a dimension no prior mode produces."""
 
 
-class InternalInvariantError(DeepA2Error):
-    """A should-never-happen condition; signals a bug, not bad input."""
-
-
 class GenerationError(DeepA2Error):
     """The corpus generator could not produce a valid record."""
 

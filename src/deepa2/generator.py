@@ -767,17 +767,13 @@ def _generate_record(
         keys=verbalized.keys,
         meta=meta,
     )
-    problems = validate_record(record, config, distractors)
+    problems = validate_record(record, distractors)
     if problems:
         raise _RecordRejected(problems)
     return record, distractors
 
 
-def validate_record(
-    record: DeepA2Record,
-    config: GeneratorConfig,
-    distractors: list[Distractor],
-) -> list[str]:
+def validate_record(record: DeepA2Record, distractors: list[Distractor]) -> list[str]:
     """The first problem that rejects the attempt, as a one-item list; an
     empty list means the record is sound.
 
@@ -786,8 +782,7 @@ def validate_record(
     final conclusion's explicitness, dangling references, key letters and
     the consistency of the distractors with the premises.  No dimension
     text is parsed, only the formalization's formulas.  The checks that
-    hold by construction are not run (see the comments below), and
-    ``config`` is not read: quote drift was its one check.
+    hold by construction are not run (see the comments below).
     ``tests/test_validate_differential.py`` holds this function to the full
     validator, ``tests/reference_validate.py``, on every attempt."""
     arg = record.argdown

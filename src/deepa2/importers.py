@@ -174,10 +174,6 @@ def load_entailmentbank(path) -> list[EntailmentTreeRecord]:
 # Higher-order evidence
 # ---------------------------------------------------------------------------
 
-#: Per-chain feature layout (6 metrics per chain plus one agreement value).
-CHAIN_FEATURES = ("sys_val", "basic_flaws_all", "sys_sch", "exe_meq", "exe_rss", "exe_jss")
-
-
 @dataclass(frozen=True)
 class HoeFeatures:
     """Cross-chain agreement plus per-chain metric values for one record."""
@@ -186,10 +182,6 @@ class HoeFeatures:
     chain_ids: tuple[int, ...]
     values: tuple[float, ...]
     label: str | None = None
-
-    @property
-    def dimensionality(self) -> int:
-        return len(self.values)
 
 
 def _final_conclusion_text(result: ChainResult) -> str:
@@ -218,7 +210,11 @@ def extract_hoe_features(
 ) -> HoeFeatures:
     """Feature vector over >= 2 chains' reconstructions of one record:
     mean pairwise similarity of final conclusions, then the per-chain
-    metric block in chain-id order."""
+    metric block in chain-id order, so ``1 + 6 * len(results)`` values.
+
+    Each chain's block is ``sys_val``, ``basic_flaws_all`` (1 when all four
+    basic-flaw bits are set), ``sys_sch`` (0 when undefined), ``exe_meq``,
+    ``exe_rss`` and ``exe_jss``."""
     if len(results) < 2:
         raise ValueError("higher-order evidence needs at least two chains")
     record_ids = {r.record_id for r, _ in results}

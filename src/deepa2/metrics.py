@@ -205,9 +205,6 @@ def eval_exe_ppr(predicted: Sequence[str], target: Sequence[str]) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
-eval_exe_ppj = eval_exe_ppr
-
-
 def te_prediction(
     conjectures: Sequence[QuotedStatement], arg: ArgdownArgument | None
 ) -> bool:
@@ -360,7 +357,7 @@ def evaluate_analysis(
             [q.text for q in (reasons or ())], [q.text for q in target.reasons]
         )
     if target is not None and target.conjectures is not None:
-        exe_ppj = eval_exe_ppj(
+        exe_ppj = eval_exe_ppr(
             [q.text for q in (conjectures or ())], [q.text for q in target.conjectures]
         )
 

@@ -5,7 +5,7 @@ each with its sampling weight for synthetic-corpus training data (w1) and,
 where the mode needs no formalization data, for imported entailment-tree
 training data (w2).  Two further modes re-derive a formalization from
 enriched context; they appear only inside evaluation chains and are kept
-out of the training registry (see full_mode_catalog).
+out of the training registry (``EVAL_ONLY_MODES``).
 
 ``format_prompt`` renders a mode's inputs as the task-prefixed prompt that
 both the backends and training export use; it lives here so that export
@@ -91,26 +91,17 @@ def mode_registry() -> list[ModeSpec]:
     return list(TRAINING_MODES)
 
 
-def full_mode_catalog() -> list[ModeSpec]:
-    """All modes addressable by chains: the registry plus eval-only modes."""
-    return list(TRAINING_MODES) + list(EVAL_ONLY_MODES)
-
-
 _BY_LABEL = {m.label: m for m in TRAINING_MODES + EVAL_ONLY_MODES}
 
 
-def mode_by_label(label: str) -> ModeSpec:
-    """Look a mode up by its ``S A => R`` style label."""
+def mode(letters_in: str, letter_out: str) -> ModeSpec:
+    """Look a mode up by dimension letters, e.g. ``mode("SA", "R")``, among
+    the training and evaluation-only modes."""
+    label = " ".join(letters_in) + f" => {letter_out}"
     try:
         return _BY_LABEL[label]
     except KeyError:
         raise KeyError(f"unknown mode label {label!r}") from None
-
-
-def mode(letters_in: str, letter_out: str) -> ModeSpec:
-    """Look a mode up by dimension letters, e.g. ``mode("SA", "R")``."""
-    label = " ".join(letters_in) + f" => {letter_out}"
-    return mode_by_label(label)
 
 
 #: The premises-to-formalization mode goes by the task prefix "formalize".

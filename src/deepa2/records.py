@@ -22,7 +22,7 @@ import json
 import re
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable
 
 # The argument and formula parsers are imported where a text is parsed or
 # rendered, so a stage that only copies texts loads neither.
@@ -343,20 +343,7 @@ def corpus_line(record: DeepA2Record) -> str:
     return encode_json(record_to_dict(record)) + "\n"
 
 
-def dump_corpus(records: Iterable[DeepA2Record], path) -> int:
-    count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(corpus_line(record))
-            count += 1
-    return count
-
-
 def load_corpus(path, views: Iterable[DimensionId] = ()) -> list[DeepA2Record]:
-    return list(iter_corpus(path, views))
-
-
-def iter_corpus(path, views: Iterable[DimensionId] = ()) -> Iterator[DeepA2Record]:
     """The records of a JSON-lines corpus, in file order, with their texts
     as the lines hold them.
 
@@ -365,6 +352,7 @@ def iter_corpus(path, views: Iterable[DimensionId] = ()) -> Iterator[DeepA2Recor
     first read, if ever.  A malformed line or a repeated
     ``meta.record_id`` raises ``DeepA2Error``."""
     views = tuple(views)
+    records = []
     first_line: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for number, line in enumerate(fh, 1):
@@ -387,7 +375,8 @@ def iter_corpus(path, views: Iterable[DimensionId] = ()) -> Iterator[DeepA2Recor
                         f"{path}:{number}: duplicate record id '{record_id}' "
                         f"(first at line {first})"
                     )
-            yield record
+            records.append(record)
+    return records
 
 
 # ---------------------------------------------------------------------------

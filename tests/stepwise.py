@@ -21,7 +21,8 @@ def stepwise_run_chains(
     with_formalization: bool = False,
     record_id: str | None = None,
 ) -> list[ChainResult]:
-    """What ``run_chains`` must return, and the requests it must send."""
+    """What ``run_plan(compile_plan(chains, with_formalization), ...)``
+    must return, and the requests it must send."""
     memo: dict[tuple[str, tuple[str, ...]], str] = {}
     suffix = formalization_subchain() if with_formalization else ()
     results = []

@@ -10,7 +10,6 @@ from deepa2.backends import (
     HttpBackend,
     NoisyOracleBackend,
     OracleBackend,
-    format_prompt,
     make_backend,
 )
 from deepa2.dimensions import DimensionId as D
@@ -20,7 +19,7 @@ from deepa2.errors import (
     ConfigError,
     MissingDimensionError,
 )
-from deepa2.modes import full_mode_catalog, mode
+from deepa2.modes import EVAL_ONLY_MODES, TRAINING_MODES, format_prompt, mode
 from deepa2.records import record_to_dict, serialize_dimension
 
 from .helpers import dilemma_record
@@ -100,7 +99,7 @@ class TestOracle:
         backend = OracleBackend(records)
         noisy = NoisyOracleBackend(records, 0.5, seed=1)
         for record in records:
-            for m in full_mode_catalog():
+            for m in TRAINING_MODES + EVAL_ONLY_MODES:
                 request = GenerationRequest(
                     m, {d: "x" for d in m.inputs}, record_id=record.meta.record_id
                 )

@@ -88,6 +88,14 @@ class TestGenerate:
         census = json.loads((tmp_path / "c.jsonl.census.json").read_text())
         assert set(census) >= {"simple", "complex", "plain", "mutilated", "C&M"}
 
+    def test_census_option_names_the_census_path(self, tmp_path):
+        out, custom = tmp_path / "c.jsonl", tmp_path / "custom.json"
+        assert run_cli("generate", "-n", "5", "--seed", "1", "--out", str(out),
+                       "--census", str(custom)) == EXIT_OK
+        census = json.loads(custom.read_text())
+        assert sum(census.values()) >= 5
+        assert not (tmp_path / "c.jsonl.census.json").exists()
+
     def test_zero_records_warns_and_writes_empty(self, tmp_path, caplog, capsys):
         out = tmp_path / "empty.jsonl"
         assert run_cli("generate", "-n", "0", "--out", str(out)) == EXIT_OK

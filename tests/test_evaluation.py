@@ -4,7 +4,14 @@ import pytest
 
 import deepa2.evaluation as evaluation
 from deepa2.backends import NoisyOracleBackend, OracleBackend
-from deepa2.chains import ChainResult, chain_by_id, chain_catalog, run_chain, run_chains
+from deepa2.chains import (
+    ChainResult,
+    chain_by_id,
+    chain_catalog,
+    compile_plan,
+    run_chain,
+    run_plan,
+)
 from deepa2.errors import DeepA2Error, UndefinedMetricError
 from deepa2.evaluation import (
     METRIC_COLUMNS,
@@ -17,7 +24,7 @@ from deepa2.evaluation import (
 from deepa2.generator import GeneratorConfig, generate_corpus
 from deepa2.memo import clear_memos
 from deepa2.metrics import evaluate_analysis
-from deepa2.records import dump_corpus, load_corpus
+from deepa2.records import corpus_line, load_corpus
 
 
 @pytest.fixture(scope="module")
@@ -58,11 +65,11 @@ class TestEvaluateTraces:
 
 
 def all_chain_traces(corpus, backend):
+    plan = compile_plan(chain_catalog(), with_formalization=True)
     return [
         result
         for record_id, record in corpus.items()
-        for result in run_chains(chain_catalog(), record.source, backend,
-                                 with_formalization=True, record_id=record_id)
+        for result in run_plan(plan, record.source, backend, record_id)
     ]
 
 
@@ -219,7 +226,9 @@ class TestProcessMemos:
         from deepa2.records import _parse_statements
 
         path = tmp_path / "corpus.jsonl"
-        dump_corpus(list(corpus.values())[:10], path)
+        path.write_text(
+            "".join(map(corpus_line, list(corpus.values())[:10])), encoding="utf-8"
+        )
         # Loaded as eval loads it: the scored dimensions parsed at load.
         loaded = load_corpus(path, views=SCORED_DIMENSIONS)
         parses = (parse_argdown, _parse_statements, parse_formula)

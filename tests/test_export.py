@@ -9,7 +9,7 @@ from deepa2.chains import export_training
 from deepa2.cli import EXIT_OK, main
 from deepa2.errors import GenerationError
 from deepa2.generator import GeneratorConfig, generate_corpus
-from deepa2.records import DeepA2Record, QuotedStatement, dump_corpus
+from deepa2.records import DeepA2Record, QuotedStatement, corpus_line
 
 from .helpers import dilemma_record, with_parts
 from .reference_export import reference_export_training
@@ -66,7 +66,7 @@ def test_cli_pair_lines_are_json_dumps_bytes(tmp_path):
     other = with_parts(record, source='"\\"', meta=dilemma_record("dilemma-1").meta)
     records = [record, other]
     corpus = tmp_path / "corpus.jsonl"
-    dump_corpus(records, corpus)
+    corpus.write_text("".join(map(corpus_line, records)), encoding="utf-8")
     out = tmp_path / "pairs.jsonl"
     argv = ["export-training", "--corpus", str(corpus), "-n", "40", "--out", str(out)]
     assert main(argv) == EXIT_OK

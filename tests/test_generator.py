@@ -137,7 +137,7 @@ class TestComposeAndValidate:
     def test_generated_records_validate(self):
         config = GeneratorConfig()
         for record, distractors in records_with_distractors(config, 30, seed=21):
-            assert validate_record(record, config, distractors) == []
+            assert validate_record(record, distractors) == []
 
     def test_plain_records_quote_every_statement(self):
         for record in small_corpus(120, seed=22):

@@ -150,7 +150,7 @@ class TestHoeFeatures:
             (chain_result(cid, f"claim {cid}"), report()) for cid in range(1, 14)
         ]
         features = extract_hoe_features(results)
-        assert features.dimensionality == 13 * 6 + 1 == 79
+        assert len(features.values) == 13 * 6 + 1 == 79
 
     def test_fewer_than_two_chains_rejected(self):
         with pytest.raises(ValueError):

@@ -9,24 +9,19 @@ from deepa2.backends import OracleBackend
 from deepa2.chains import (
     ChainSpec,
     chain_by_id,
-    chain_by_name,
     chain_catalog,
+    compile_plan,
     export_training,
     formalization_subchain,
     run_chain,
-    run_chains,
+    run_plan,
     sophistication,
 )
 from deepa2.dimensions import DimensionId
 from deepa2.errors import ChainDefinitionError
 from deepa2.evaluation import default_ranking_key, pool_index
 from deepa2.metrics import MetricReport
-from deepa2.modes import (
-    EVAL_ONLY_MODES,
-    full_mode_catalog,
-    mode,
-    mode_registry,
-)
+from deepa2.modes import EVAL_ONLY_MODES, TRAINING_MODES, mode, mode_registry
 from deepa2.records import serialize_dimension
 
 from .helpers import dilemma_record
@@ -54,12 +49,12 @@ class TestModeRegistry:
         assert mode("A", "P").weight_eb == 0.2
 
     def test_full_catalog_adds_eval_only_reformalization_modes(self):
-        assert len(full_mode_catalog()) == 23
+        assert len(TRAINING_MODES + EVAL_ONLY_MODES) == 23
         assert mode("PCO", "F") in EVAL_ONLY_MODES
         assert mode("CPF", "O") in EVAL_ONLY_MODES
 
     def test_labels_unique(self):
-        labels = [m.label for m in full_mode_catalog()]
+        labels = [m.label for m in TRAINING_MODES + EVAL_ONLY_MODES]
         assert len(set(labels)) == len(labels)
 
 
@@ -74,9 +69,8 @@ class TestChainCatalog:
         assert got == FIXTURE.read_text()
 
     def test_named_chains(self):
-        assert chain_by_name("straight").id == 1
-        assert chain_by_name("hermeneutic cycle").id == 9
-        assert chain_by_name("logical streamlining").id == 13
+        named = {c.name: c.id for c in chain_catalog() if c.name}
+        assert named == {"straight": 1, "hermeneutic cycle": 9, "logical streamlining": 13}
 
     def test_sophistication_examples(self):
         assert sophistication(chain_by_id(1)) == 0
@@ -174,8 +168,8 @@ class TestRunChain:
                 return super().generate(request)
 
         backend = FailOnceBackend([record])
-        first, second = run_chains(
-            [chain_by_id(9), chain_by_id(10)], record.source, backend,
+        first, second = run_plan(
+            compile_plan([chain_by_id(9), chain_by_id(10)]), record.source, backend,
             record_id=record.meta.record_id,
         )
         assert first.error is not None and len(first.trace) == 1

@@ -9,15 +9,17 @@ import pytest
 from deepa2.backends import NoisyOracleBackend, OracleBackend
 from deepa2.chains import (
     ChainResult,
+    ChainSpec,
     TraceStep,
     chain_by_id,
     chain_catalog,
     compile_plan,
-    run_chains,
+    run_plan,
 )
 from deepa2.dimensions import DimensionId
-from deepa2.errors import BackendUnavailableError
+from deepa2.errors import BackendUnavailableError, ChainDefinitionError
 from deepa2.generator import GeneratorConfig, generate_corpus
+from deepa2.modes import mode
 from deepa2.traces import trace_lines
 
 from .helpers import dilemma_record
@@ -76,6 +78,7 @@ def test_plan_matches_stepwise_execution(records, chains, with_formalization, ki
     chain_list = chain_lists()[chains]
     fail_at = FAIL_AT if kind == "failing" else ()
     failures = asked_again = 0
+    plan = compile_plan(chain_list, with_formalization)
     for record in records:
         record_id = record.meta.record_id
         expected_backend = Recording(make_backend(kind, records), fail_at)
@@ -83,8 +86,7 @@ def test_plan_matches_stepwise_execution(records, chains, with_formalization, ki
             chain_list, record.source, expected_backend, with_formalization, record_id
         )
         backend = Recording(make_backend(kind, records), fail_at)
-        results = run_chains(chain_list, record.source, backend, with_formalization,
-                             record_id)
+        results = run_plan(plan, record.source, backend, record_id)
         assert as_compared(results) == as_compared(expected)
         assert backend.requests == expected_backend.requests
         failures += sum(1 for result in results if result.error)
@@ -95,6 +97,13 @@ def test_plan_matches_stepwise_execution(records, chains, with_formalization, ki
     assert (failures > 0) == (kind == "failing")
     # Some failed node is asked for again by a later chain.
     assert (asked_again > 0) == (kind == "failing")
+
+
+def test_chain_without_argdown_cannot_take_the_formalization_suffix():
+    """The suffix starts from the argdown dimension, so a chain that never
+    produces it is refused as a chain definition."""
+    with pytest.raises(ChainDefinitionError, match="chain 99.*argdown"):
+        compile_plan([ChainSpec(99, (mode("S", "R"),))], with_formalization=True)
 
 
 def test_catalog_with_formalization_shares_nodes():
@@ -144,8 +153,8 @@ def test_trace_lines_equal_json_dumps(results):
 @pytest.mark.parametrize("kind", ["oracle", "noisy:0.2", "failing"])
 def test_trace_lines_of_executed_chains(records, kind):
     fail_at = FAIL_AT if kind == "failing" else ()
+    plan = compile_plan(chain_catalog(), with_formalization=True)
     for record in records:
         backend = Recording(make_backend(kind, records), fail_at)
-        results = run_chains(chain_catalog(), record.source, backend,
-                             with_formalization=True, record_id=record.meta.record_id)
+        results = run_plan(plan, record.source, backend, record.meta.record_id)
         assert trace_lines(results) == reference_lines(results)

@@ -19,7 +19,7 @@ from deepa2.records import (
     QuotedStatement,
     RecordMeta,
     classify_subsets,
-    dump_corpus,
+    corpus_line,
     load_corpus,
     parse_dimension,
     parse_statements,
@@ -267,12 +267,13 @@ class TestCorpusFiles:
     def test_records_without_ids_may_repeat(self, tmp_path):
         path = tmp_path / "c.jsonl"
         records = [make_record(), make_record(), make_record(meta=RecordMeta("a"))]
-        dump_corpus(records, path)
+        path.write_text("".join(map(corpus_line, records)), encoding="utf-8")
         assert load_corpus(path) == records
 
     def test_repeated_id_names_both_lines(self, tmp_path):
         path = tmp_path / "c.jsonl"
-        dump_corpus([make_record(meta=RecordMeta(rid)) for rid in "abcb"], path)
+        records = [make_record(meta=RecordMeta(rid)) for rid in "abcb"]
+        path.write_text("".join(map(corpus_line, records)), encoding="utf-8")
         with pytest.raises(DeepA2Error, match=r"c.jsonl:4: duplicate record id 'b' "
                                               r"\(first at line 2\)"):
             load_corpus(path)

@@ -44,32 +44,40 @@ MOVED_CHECKS = ("target formalization not valid", "self-prediction below 1", "qu
 
 @pytest.fixture()
 def compared(monkeypatch):
-    """Wraps ``generator.validate_record``: each attempt's problems under both
-    validators, in attempt order."""
-    seen = []
+    """Wraps ``generator.validate_record`` for builds under one config: the
+    returned list gets each attempt's problems under both validators, in
+    attempt order.  The full validator reads the config (quote drift)."""
     fast = generator.validate_record
 
-    def both(record, config, distractors):
-        problems = fast(record, config, distractors)
-        seen.append((problems, reference_validate.validate_record(record, config, distractors)))
-        return problems
+    def wrap(config):
+        seen = []
 
-    monkeypatch.setattr(generator, "validate_record", both)
+        def both(record, distractors):
+            problems = fast(record, distractors)
+            seen.append(
+                (problems, reference_validate.validate_record(record, config, distractors))
+            )
+            return problems
+
+        monkeypatch.setattr(generator, "validate_record", both)
+        return seen
+
     # One process builds every record, so the wrapper sees every attempt.
     monkeypatch.setattr(generator, "_available_cpus", lambda: 1)
-    return seen
+    return wrap
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_per_attempt_checks_agree_with_the_full_validator(compared, name):
     config, seeds, n = CONFIGS[name]
+    seen = compared(config)
     rejections: Counter = Counter()
     for seed in seeds:
         generate_corpus(config, n, seed=seed, rejections=rejections)
-    assert [full for _new, full in compared if any(p.startswith(MOVED_CHECKS) for p in full)] == []
-    assert [(new, full) for new, full in compared if new != full[:1]] == []
-    rejected = [new for new, _full in compared if new]
-    assert rejected and len(compared) == n * len(seeds) + len(rejected)
+    assert [full for _new, full in seen if any(p.startswith(MOVED_CHECKS) for p in full)] == []
+    assert [(new, full) for new, full in seen if new != full[:1]] == []
+    rejected = [new for new, _full in seen if new]
+    assert rejected and len(seen) == n * len(seeds) + len(rejected)
     # The rejection counts name each rejected attempt by its first problem;
     # the attempts that never reach validation are sampling failures.
     by_check = Counter(generator._check_name(problems) for problems in rejected)
@@ -128,7 +136,7 @@ def corrupted(name, record, distractors):
 def test_each_kept_check_rejects_as_the_full_validator_does(name):
     config = GeneratorConfig.preset("aaac01")
     record, distractors = corrupted(name, *record_with_distractors(config, 12))
-    new = generator.validate_record(record, config, distractors)
+    new = generator.validate_record(record, distractors)
     full = reference_validate.validate_record(record, config, distractors)
     assert new == full[:1]
     assert generator._check_name(new) == name
