@@ -19,18 +19,17 @@ key letters and the distractors' consistency with the premises.  The rest
 of a perfect self-score (``sys_val``, self-prediction, quote drift and the
 serialization round trip) holds by construction;
 ``tests/test_validate_differential.py`` holds ``validate_record`` to the
-full validator on every attempt.  ``_record_at`` retries a rejected
-attempt, a sampling dead end included, and counts the rejections by check.
+full validator on every attempt.  ``generate_corpus`` builds the records
+one after another in the calling process; it retries a rejected attempt, a
+sampling dead end included, and counts the rejections by check.
 """
 
 from __future__ import annotations
 
-import os
 import random
-import threading
 from collections import Counter
 from dataclasses import dataclass, replace
-from functools import cache, partial
+from functools import cache
 from typing import Iterable
 
 from deepa2.argdown import ArgdownArgument, InferenceStep
@@ -615,44 +614,9 @@ def _contains_complexity(formula: Formula) -> bool:
 # ---------------------------------------------------------------------------
 
 
-# Consecutive indices per pool task; a pool gets one worker per full chunk,
-# as fewer records do not repay starting it.
-_CHUNK = 25
-
 #: Share of indices whose every attempt may be rejected before generation
 #: gives up (at least one is always allowed).
 _MAX_FAILURE_RATE = 0.01
-
-
-def _available_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-@dataclass(frozen=True)
-class _Rejection:
-    """An index whose every attempt was rejected; the last reason."""
-
-    problems: object
-
-
-def _record_at(config: GeneratorConfig, seed: int, index: int):
-    """Record ``index`` of the corpus, or a ``_Rejection`` after 120
-    rejected attempts, and the rejected attempts by ``_check_name``."""
-    lexicon = builtin_lexicon(config.lexicon_id)
-    rng = random.Random(f"{config.lexicon_id}:{seed}:{index}")
-    record_id = f"{config.lexicon_id}-{seed}-{index:05d}"
-    rejected: Counter = Counter()
-    problems: object = None
-    for _attempt in range(120):
-        try:
-            return _generate_record(config, rng, lexicon, record_id)[0], rejected
-        except _RecordRejected as rejection:
-            problems = rejection.args[0] if rejection.args else None
-            rejected[_check_name(problems)] += 1
-    return _Rejection(problems), rejected
 
 
 #: ``validate_record`` problems that carry a detail after the check's name.
@@ -677,61 +641,36 @@ def generate_corpus(
     (config, n, seed).  ``rejections``, when given, gains the rejected
     attempts by check name (see ``_check_name``).
 
-    Record ``i`` draws only from its own generator, seeded with the
-    lexicon, the seed and ``i``, so records are built independently.  With
-    two or more CPUs available to the process and ``n >= 50``, they are
-    built on a ``fork`` process pool, one worker per CPU but at most one
-    per 25 records; a caller with other threads running stays serial.
-    Results are read back in index order, so the output does not depend on
-    the CPU count.
+    Records are built one index after another in the calling process.
+    Index ``i`` draws only from its own generator, seeded with the lexicon,
+    the seed and ``i``, and gets up to 120 attempts; an index whose every
+    attempt is rejected is skipped and counts as a failure.
     """
-    build = partial(_record_at, config, seed)
-    workers = min(_available_cpus(), n // _CHUNK)
-    mapper, pool = map, None
-    # ``fork`` skips a re-import per worker, but copies only the calling
-    # thread: a lock another thread holds would stay held in the workers,
-    # so threaded callers stay serial.
-    if workers >= 2 and threading.active_count() == 1:
-        import multiprocessing
-        import signal
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            # Workers inherit these copy-on-write instead of each building them.
-            _builtin_sampler()
-            builtin_lexicon(config.lexicon_id)
-            # Ctrl-C reaches the parent, which terminates the workers.
-            pool = multiprocessing.get_context("fork").Pool(
-                workers, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN)
-            )
-            mapper = partial(pool.imap, chunksize=_CHUNK)
-    try:
-        out: list = []
-        failures = 0
-        start = 0
-        while len(out) < n:
-            # Exactly as many indices as records still missing, so no index
-            # past the n-th record is built.
-            stop = start + n - len(out)
-            for result, rejected in mapper(build, range(start, stop)):
-                if rejections is not None:
-                    rejections.update(rejected)
-                if not isinstance(result, _Rejection):
-                    out.append(result)
-                    continue
-                failures += 1
-                if failures > max(1, int(_MAX_FAILURE_RATE * n)):
-                    raise GenerationError(
-                        f"generation failure rate exceeded {_MAX_FAILURE_RATE:.0%}; "
-                        f"last rejection: {result.problems}"
-                    )
-            start = stop
-        return out
-    finally:
-        # Every result is read by now, or an exception (Ctrl-C included)
-        # makes the rest unwanted: no worker may outlive the call.
-        if pool is not None:
-            pool.terminate()
-            pool.join()
+    lexicon = builtin_lexicon(config.lexicon_id)
+    if rejections is None:
+        rejections = Counter()
+    out: list[DeepA2Record] = []
+    failures = 0
+    index = 0
+    while len(out) < n:
+        rng = random.Random(f"{config.lexicon_id}:{seed}:{index}")
+        record_id = f"{config.lexicon_id}-{seed}-{index:05d}"
+        index += 1
+        for _attempt in range(120):
+            try:
+                out.append(_generate_record(config, rng, lexicon, record_id)[0])
+                break
+            except _RecordRejected as rejection:
+                problems = rejection.args[0] if rejection.args else None
+                rejections[_check_name(problems)] += 1
+        else:
+            failures += 1
+            if failures > max(1, int(_MAX_FAILURE_RATE * n)):
+                raise GenerationError(
+                    f"generation failure rate exceeded {_MAX_FAILURE_RATE:.0%}; "
+                    f"last rejection: {problems}"
+                )
+    return out
 
 
 class _RecordRejected(Exception):

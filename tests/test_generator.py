@@ -1,11 +1,7 @@
 """Corpus generator tests: sampling, verbalization, composition, corpora."""
 
 import json
-import multiprocessing
-import multiprocessing.pool
 import random
-import threading
-from collections import Counter
 
 import pytest
 
@@ -287,17 +283,6 @@ class TestConfig:
             GeneratorConfig.from_dict({"nonsense": 1})
 
 
-def serial_reference(config, n, seed):
-    """The first n records built index by index in this process."""
-    records, index = [], 0
-    while len(records) < n:
-        result, _rejected = generator._record_at(config, seed, index)
-        index += 1
-        if not isinstance(result, generator._Rejection):
-            records.append(result)
-    return records
-
-
 def always_rejected(config, rng, lexicon, record_id):
     raise generator._RecordRejected(["always rejected"])
 
@@ -306,72 +291,14 @@ def always_failing(config, rng, lexicon, record_id):
     raise ConfigError("boom")
 
 
-class TestPool:
-    @pytest.fixture()
-    def pool_maps(self, monkeypatch):
-        """Two CPUs for the generator; the chunk sizes of every pool map."""
-        maps = []
-        imap = multiprocessing.pool.Pool.imap
+def test_failure_rate_overrun_names_the_last_rejection(monkeypatch):
+    monkeypatch.setattr(generator, "_generate_record", always_rejected)
+    with pytest.raises(GenerationError) as failed:
+        generate_corpus(GeneratorConfig(), 120, seed=5)
+    assert "last rejection: ['always rejected']" in str(failed.value)
 
-        def recording_imap(pool, func, iterable, chunksize=1):
-            maps.append(chunksize)
-            return imap(pool, func, iterable, chunksize)
 
-        monkeypatch.setattr(generator, "_available_cpus", lambda: 2)
-        monkeypatch.setattr(multiprocessing.pool.Pool, "imap", recording_imap)
-        yield maps
-        assert multiprocessing.active_children() == []
-
-    @pytest.mark.parametrize("preset", ["aaac01", "aaac02"])
-    def test_pool_matches_a_serial_loop(self, pool_maps, preset):
-        config = GeneratorConfig.preset(preset)
-        pooled = generate_corpus(config, 120, seed=3)
-        assert pool_maps == [generator._CHUNK]
-        assert [record_to_dict(r) for r in pooled] == [
-            record_to_dict(r) for r in serial_reference(config, 120, 3)
-        ]
-
-    def test_pool_counts_rejections_as_a_serial_build(self, pool_maps, monkeypatch):
-        config = GeneratorConfig.preset("aaac02")
-        pooled, serial = Counter(), Counter()
-        generate_corpus(config, 120, seed=4, rejections=pooled)
-        assert pool_maps
-        monkeypatch.setattr(generator, "_available_cpus", lambda: 1)
-        generate_corpus(config, 120, seed=4, rejections=serial)
-        assert len(pool_maps) == 1
-        assert pooled == serial
-        assert pooled["scheme ratio"] > 0
-
-    def test_failure_rate_overrun_reads_as_in_serial(self, pool_maps, monkeypatch):
-        monkeypatch.setattr(generator, "_generate_record", always_rejected)
-        with pytest.raises(GenerationError) as pooled:
-            generate_corpus(GeneratorConfig(), 120, seed=5)
-        assert pool_maps
-        assert multiprocessing.active_children() == []
-        monkeypatch.setattr(generator, "_available_cpus", lambda: 1)
-        with pytest.raises(GenerationError) as serial:
-            generate_corpus(GeneratorConfig(), 120, seed=5)
-        assert len(pool_maps) == 1
-        assert str(pooled.value) == str(serial.value)
-        assert "last rejection: ['always rejected']" in str(serial.value)
-
-    def test_worker_errors_reach_the_caller(self, pool_maps, monkeypatch):
-        monkeypatch.setattr(generator, "_generate_record", always_failing)
-        with pytest.raises(ConfigError, match="boom"):
-            generate_corpus(GeneratorConfig(), 60, seed=6)
-        assert pool_maps
-
-    def test_small_corpora_stay_serial(self, pool_maps):
-        generate_corpus(GeneratorConfig(), 49, seed=8)
-        assert pool_maps == []
-
-    def test_threaded_callers_stay_serial(self, pool_maps):
-        config, built = GeneratorConfig(), []
-        thread = threading.Thread(
-            target=lambda: built.append(generate_corpus(config, 60, seed=9))
-        )
-        thread.start()
-        thread.join(timeout=120)
-        assert not thread.is_alive()
-        assert pool_maps == []
-        assert built == [serial_reference(config, 60, 9)]
+def test_build_errors_reach_the_caller(monkeypatch):
+    monkeypatch.setattr(generator, "_generate_record", always_failing)
+    with pytest.raises(ConfigError, match="boom"):
+        generate_corpus(GeneratorConfig(), 60, seed=6)

@@ -12,6 +12,10 @@ the text-level paths: its corpus is rendered with the imprecise templates,
 and without formalizations every scheme check parses statement texts
 against the template bank.  Its digests were taken before each connective
 became a subclass of ``Binary`` or ``Quantified``.
+
+``generate -n 120 --seed 3`` under each preset pins a corpus of the size
+that a process pool once built (it did so from 50 records on); the digests
+were taken from the pool's output, so the serial build must match it.
 """
 
 import hashlib
@@ -87,3 +91,25 @@ def text_level_pipeline(tmp_path_factory):
 def test_text_level_output_bytes_match_golden_digest(text_level_pipeline, name):
     digest = hashlib.sha256((text_level_pipeline / name).read_bytes()).hexdigest()
     assert digest == GOLDEN_AAAC02[name]
+
+
+GOLDEN_120 = {
+    "aaac01": (
+        "8e56fb8551253f8ea8bfd4614b4d967479e90dc4b06ab82db7bd71e00812c4eb",
+        "8832b36b32890b6076cee140f1aac8aac7eec88adaf8afd7d5fe9d8fdb427ab3",
+    ),
+    "aaac02": (
+        "7c69d511ec795ba8d14165c4a4c8c9234ecc2154530d1357407f7867cec560b9",
+        "03658f5263c33095d0eca676c07657ba6244a4feaf9d62017ad17588614019bc",
+    ),
+}
+
+
+@pytest.mark.parametrize("preset", sorted(GOLDEN_120))
+def test_120_record_corpus_matches_golden_digest(tmp_path, preset):
+    corpus = tmp_path / "corpus.jsonl"
+    assert main(["generate", "-n", "120", "--seed", "3", "--preset", preset,
+                 "--out", str(corpus)]) == EXIT_OK
+    census = tmp_path / "corpus.jsonl.census.json"
+    digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (corpus, census))
+    assert digests == GOLDEN_120[preset]

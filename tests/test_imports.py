@@ -79,11 +79,11 @@ def test_cli_help_exits_zero():
     assert "generate" in proc.stdout and "export-training" in proc.stdout
 
 
-def test_small_generate_loads_no_multiprocessing(tmp_path):
+def test_generate_loads_no_multiprocessing(tmp_path):
     code = f"""
 import sys
 from deepa2.cli import main
-assert main(["generate", "-n", "2", "--out", {str(tmp_path / "c.jsonl")!r}]) == 0
+assert main(["generate", "-n", "60", "--out", {str(tmp_path / "c.jsonl")!r}]) == 0
 print(" ".join(m for m in sys.modules if m.split(".")[0] == "multiprocessing"))
 """
     proc = run_python("-c", code)

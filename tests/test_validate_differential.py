@@ -62,8 +62,6 @@ def compared(monkeypatch):
         monkeypatch.setattr(generator, "validate_record", both)
         return seen
 
-    # One process builds every record, so the wrapper sees every attempt.
-    monkeypatch.setattr(generator, "_available_cpus", lambda: 1)
     return wrap
 
 
