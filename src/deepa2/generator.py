@@ -12,14 +12,12 @@ irrelevant distractor sentences, prefixes a limited number of indicator
 words, and records the verbatim reason/conjecture quotes.
 
 ``_generate_record`` is the one build path and ``validate_record`` the one
-check.  It runs, from the record's parts, only the checks that can reject
-an attempt: the basic-flaw bits, the scheme ratio, verbatim and mutually
-exclusive quotes, the final conclusion's explicitness, dangling references,
-key letters and the distractors' consistency with the premises.  The rest
-of a perfect self-score (``sys_val``, self-prediction, quote drift and the
-serialization round trip) holds by construction;
-``tests/test_validate_differential.py`` holds ``validate_record`` to the
-full validator on every attempt.  ``generate_corpus`` builds the records
+check.  It runs, from the record's parts, only the three checks that can
+reject an attempt: the scheme ratio, verbatim and mutually exclusive
+quotes, and, when the source holds distractors, the premises' consistency.
+The rest of a sound record holds by construction, as ``validate_record``
+argues check by check; ``tests/test_validate_differential.py`` holds it to
+the full validator on every attempt.  ``generate_corpus`` builds the records
 one after another in the calling process; it retries a rejected attempt, a
 sampling dead end included, and counts the rejections by check.
 """
@@ -40,13 +38,12 @@ from deepa2.formula import (
     Not,
     Or,
     check_satisfiable,
-    predicates_of,
     render_formula,
 )
 from deepa2.formula.syntax import Binary, Quantified, parse_formula
 from deepa2.lexicon import DomainLexicon, builtin_lexicon
 from deepa2.memo import process_memo
-from deepa2.metrics import eval_basic_flaws, eval_exe_meq, te_prediction
+from deepa2.metrics import eval_exe_meq
 from deepa2.nl_templates import render_statement, shape_of, templates_for
 from deepa2.records import DeepA2Record, QuotedStatement, RecordMeta
 from deepa2.schemes import (
@@ -620,7 +617,7 @@ _MAX_FAILURE_RATE = 0.01
 
 
 #: ``validate_record`` problems that carry a detail after the check's name.
-_DETAILED_CHECKS = ("basic flaws", "scheme ratio", "dangling ref", "keys miss letters")
+_DETAILED_CHECKS = ("scheme ratio",)
 
 
 def _check_name(problems) -> str:
@@ -716,28 +713,29 @@ def validate_record(record: DeepA2Record, distractors: list[Distractor]) -> list
     """The first problem that rejects the attempt, as a one-item list; an
     empty list means the record is sound.
 
-    The checks run in this order, from the record's parts: the basic-flaw
-    bits, the scheme ratio, verbatim and mutually exclusive quotes, the
-    final conclusion's explicitness, dangling references, key letters and
-    the consistency of the distractors with the premises.  No dimension
-    text is parsed, only the formalization's formulas.  The checks that
-    hold by construction are not run (see the comments below).
+    The checks run in this order, from the record's parts: the scheme
+    ratio, verbatim and mutually exclusive quotes and, when the source holds
+    distractors, the premises' consistency.  No dimension text is parsed,
+    only the formalization's formulas.  The checks that hold by construction
+    are not run (see the comments below).
     ``tests/test_validate_differential.py`` holds this function to the full
     validator, ``tests/reference_validate.py``, on every attempt."""
     arg = record.argdown
-    flaws = eval_basic_flaws(arg)
-    if flaws != (1, 1, 1, 1):
-        return [f"basic flaws {flaws}"]
+    # The basic-flaw bits are all 1: ``verbalize_argument`` renders pairwise
+    # distinct texts or rejects the attempt, and ``normalize_ws`` leaves a
+    # rendered text as it is, so no premise or conclusion repeats another.
+    # Every statement but the last is a leaf premise of its step or the
+    # conclusion the next step consumes (for i > 0 every candidate of
+    # ``_try_sample_tree`` fills a slot with it), so every statement is used.
+    #
     # sys_val == 1 holds by construction: every catalog variant is proved
     # valid when the catalog loads, a step instantiates its variant by a
     # uniform letter substitution, which keeps it valid, and chaining valid
     # steps through their conclusions keeps the leaf premises entailing the
     # final conclusion.  The formalization renders those formulas, and
     # parse_formula inverts render_formula.
-    formalized = [
-        (q, parse_formula(q.text)) for q in (*record.premises_form, *record.conclusion_form)
-    ]
-    sys_sch = sys_sch_ratio(arg, {q.ref: f for q, f in formalized if q.ref is not None})
+    forms = (*record.premises_form, *record.conclusion_form)
+    sys_sch = sys_sch_ratio(arg, {q.ref: parse_formula(q.text) for q in forms if q.ref is not None})
     if sys_sch != 1.0:
         return [f"scheme ratio {sys_sch}"]
     if eval_exe_meq(record.source, record.reasons, record.conjectures) != 1:
@@ -745,22 +743,20 @@ def validate_record(record: DeepA2Record, distractors: list[Distractor]) -> list
     # The self-prediction scores are exactly 1: the record's reasons (and
     # conjectures) are scored against themselves, and identical lists match
     # greedily on the diagonal, as a text's token F1 with itself is 1.
-    if te_prediction(record.conjectures, arg) != record.meta.final_conclusion_explicit:
-        return ["text-exploitation prediction mismatch"]
-
-    statements = dict(arg.statements)
-    for dim_items in (record.reasons, record.conjectures, record.premises,
-                      record.conclusion, record.premises_form, record.conclusion_form):
-        for q in dim_items:
-            if q.ref not in statements:
-                return [f"dangling ref {q.ref}"]
-
-    letters = {letter for letter, _ in record.keys}
-    for _q, formula in formalized:
-        missing = predicates_of(formula) - letters
-        if missing:
-            return [f"keys miss letters {sorted(missing)}"]
-
+    #
+    # The text-exploitation prediction matches the metadata:
+    # ``compose_source`` quotes each retained non-premise statement as a
+    # conjecture, and it retains the final conclusion exactly when
+    # ``plan.final_explicit`` holds, which ``meta.final_conclusion_explicit``
+    # records.
+    #
+    # No reference dangles: every quote and formalization refers by the
+    # number of a tree statement, and the argdown holds every tree statement.
+    #
+    # The keys name every letter of the formalization: they list every
+    # letter the tree's allocator handed out, and every formula takes its
+    # letters from that allocator.
+    #
     # No quote drifts from its statement: without imprecise rendition a
     # quote is its statement's text, decapitalized after an indicator word
     # (token overlap ignores case) or with one word inserted into a text of
@@ -776,21 +772,19 @@ def validate_record(record: DeepA2Record, distractors: list[Distractor]) -> list
     # Formula sets that share no predicate letter are satisfiable together
     # when each is on its own (the language has no identity: a model of each
     # extends to the product of the two domains).  ``_build_distractors``
-    # gives every distractor letters of its own, past the tree's, so the
-    # premises and each distractor are decided apart, each once per process.
-    if distractors and not (
-        _satisfiable(tuple(q.text for q in record.premises_form))
-        and all(_satisfiable((), (d.formula,)) for d in distractors)
-    ):
+    # gives every distractor letters of its own, past the tree's, and each
+    # of ``_DISTRACTOR_SHAPES`` is satisfiable, so the premises and their
+    # distractors are consistent exactly when the premises are.
+    if distractors and not _satisfiable(tuple(q.text for q in record.premises_form)):
         return ["distractors made premises unsatisfiable"]
     return []
 
 
 @process_memo
-def _satisfiable(texts: tuple[str, ...], formulas: tuple[Formula, ...] = ()) -> bool:
-    """``check_satisfiable`` of the formalized texts and the formulas, for
-    the whole process."""
-    return check_satisfiable([*map(parse_formula, texts), *formulas])
+def _satisfiable(texts: tuple[str, ...]) -> bool:
+    """``check_satisfiable`` of the formalized texts, for the whole
+    process."""
+    return check_satisfiable(list(map(parse_formula, texts)))
 
 
 def subset_census(records: Iterable[DeepA2Record]) -> dict[str, int]:

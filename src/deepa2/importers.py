@@ -165,7 +165,7 @@ def load_entailmentbank(path) -> list[EntailmentTreeRecord]:
                         steps=steps,
                     )
                 )
-            except (KeyError, TypeError, json.JSONDecodeError) as err:
+            except (KeyError, TypeError, json.JSONDecodeError, ImportFormatError) as err:
                 raise ImportFormatError(f"{path}:{line_number}: {err}") from err
     return records
 

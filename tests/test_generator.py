@@ -9,7 +9,7 @@ from deepa2 import generator
 from deepa2.cli import EXIT_OK, main
 from deepa2.dimensions import DimensionId
 from deepa2.errors import ConfigError, GenerationError
-from deepa2.formula import check_entailment, parse_formula, predicates_of
+from deepa2.formula import check_entailment, check_satisfiable, parse_formula, predicates_of
 from deepa2.generator import (
     GeneratorConfig,
     generate_corpus,
@@ -111,6 +111,15 @@ class TestVerbalize:
                 used |= predicates_of(parse_formula(q.text))
             assert used <= letters
 
+    def test_repeated_statement_texts_reject_the_attempt(self, monkeypatch):
+        """Statement texts come out pairwise distinct or not at all; the
+        basic-flaw bits of a generated record rest on this."""
+        rng = random.Random(4)
+        tree = sample_tree(GeneratorConfig(), rng)
+        monkeypatch.setattr(generator, "render_statement", lambda *args: "Same text.")
+        with pytest.raises(GenerationError, match="could not verbalize statements uniquely"):
+            verbalize_argument(tree, builtin_lexicon("places_people"), rng)
+
     def test_dilemma_record_shape(self):
         # A one-step generalized dilemma yields the three-premise,
         # one-conclusion, four-key record shape.
@@ -174,8 +183,11 @@ class TestComposeAndValidate:
         assert checked >= 30
 
     def test_each_distractor_has_letters_of_its_own(self):
-        """``validate_record`` decides the premises and each distractor apart,
-        which holds only if no two of them share a predicate letter."""
+        """``validate_record`` decides the premises alone.  That decides the
+        premises and their distractors together only if every distractor
+        shape is satisfiable and no two of them share a predicate letter."""
+        assert all(check_satisfiable([parse_formula(shape)])
+                   for shape in generator._DISTRACTOR_SHAPES)
         config = GeneratorConfig(distractor_weights=(0, 0, 1))
         for record, distractors in records_with_distractors(config, 60, seed=26):
             tree = set().union(*(predicates_of(parse_formula(q.text))

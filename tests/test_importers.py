@@ -42,6 +42,15 @@ def simple_tree(**overrides) -> EntailmentTreeRecord:
     return EntailmentTreeRecord(**base)
 
 
+#: A well-formed EntailmentBank row, as ``load_entailmentbank`` reads it.
+EB_ROW = {
+    "id": "x1",
+    "sentences": {"s1": "p", "s2": "q"},
+    "hypothesis": "h",
+    "steps": [{"from": ["s1", "s2"], "id": "hypothesis"}],
+}
+
+
 class TestEntailmentBankImport:
     def test_one_step_tree_maps_to_three_statements(self):
         record = import_entailmentbank(simple_tree())
@@ -108,6 +117,22 @@ class TestEntailmentBankImport:
         records = load_entailmentbank(path)
         assert len(records) == 1
         assert import_entailmentbank(records[0]).meta.record_id == "x1"
+
+    @pytest.mark.parametrize("line, message", [
+        ("{not json", "Expecting property name"),
+        (json.dumps({k: v for k, v in EB_ROW.items() if k != "steps"}), "'steps'"),
+        (json.dumps({**EB_ROW, "steps": [{"from": ["s1", "s9"], "id": "hypothesis"}]}),
+         "step uses unknown sentence 's9'"),
+        (json.dumps({**EB_ROW, "steps": [{"from": ["s1", "s2"], "id": "int1", "text": "i"}]}),
+         "the last step must derive the hypothesis"),
+    ], ids=["not-json", "missing-steps", "unknown-sentence", "hypothesis-not-derived"])
+    def test_loader_names_the_line_of_a_malformed_row(self, tmp_path, line, message):
+        path = tmp_path / "eb.jsonl"
+        path.write_text(f"{json.dumps(EB_ROW)}\n\n{line}\n")
+        with pytest.raises(ImportFormatError) as raised:
+            load_entailmentbank(path)
+        assert str(raised.value).startswith(f"{path}:3: ")
+        assert message in str(raised.value)
 
 
 def report(**overrides) -> MetricReport:

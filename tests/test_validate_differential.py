@@ -1,12 +1,15 @@
 """The generator's per-attempt validator against the full one.
 
-``generator.validate_record`` runs only the checks that can reject an
-attempt, and stops at the first problem; the ones that hold by
-construction (``sys_val``, self-prediction, quote drift and the
-serialization round trip) are left out.  Every attempt of a serial build
-goes through both validators here, accepted or not: the checks left out
-must never fire, and the per-attempt validator must return the full one's
-first problem, or nothing when the full one finds none.
+``generator.validate_record`` runs only the three checks that can reject
+an attempt (the scheme ratio, verbatim and mutually exclusive quotes and,
+when the source holds distractors, the premises' consistency), and stops
+at the first problem; the ones that hold by construction (the basic-flaw
+bits, ``sys_val``, self-prediction, the text-exploitation prediction,
+dangling references, key letters, quote drift and the serialization round
+trip) are left out.  Every attempt of a serial build goes through both
+validators here, accepted or not: the checks left out must never fire, and
+the per-attempt validator must return the full one's first problem, or
+nothing when the full one finds none.
 """
 
 import random
@@ -16,8 +19,7 @@ from dataclasses import replace
 import pytest
 
 from deepa2 import generator
-from deepa2.formula import parse_formula
-from deepa2.generator import Distractor, GeneratorConfig, generate_corpus
+from deepa2.generator import GeneratorConfig, generate_corpus
 from deepa2.lexicon import builtin_lexicon
 from deepa2.records import QuotedStatement
 
@@ -38,8 +40,9 @@ CONFIGS = {
 SAMPLING_FAILURES = {"sampling dead end", "could not verbalize statements uniquely"}
 
 #: The problems of the checks that hold by construction.
-MOVED_CHECKS = ("target formalization not valid", "self-prediction below 1", "quote for (",
-                "serialization round trip failed")
+MOVED_CHECKS = ("basic flaws", "target formalization not valid", "self-prediction below 1",
+                "text-exploitation prediction mismatch", "dangling ref", "keys miss letters",
+                "quote for (", "serialization round trip failed")
 
 
 @pytest.fixture()
@@ -99,11 +102,6 @@ def record_with_distractors(config, seed):
 def corrupted(name, record, distractors):
     """The record and distractors with one kept check broken."""
     arg = record.argdown
-    if name == "basic flaws":
-        # The final conclusion repeats a premise: a petitio.
-        (first, text), *rest = arg.statements
-        statements = ((first, text), *rest[:-1], (rest[-1][0], text))
-        return with_parts(record, argdown=replace(arg, statements=statements)), distractors
     if name == "scheme ratio":
         *steps, last = arg.inferences
         steps.append(replace(last, scheme_name="no such scheme"))
@@ -111,24 +109,16 @@ def corrupted(name, record, distractors):
     if name == "quotes not mutually exclusive verbatim":
         reasons = (*record.reasons, QuotedStatement("Nothing of this is in the source.", 1))
         return with_parts(record, reasons=reasons), distractors
-    if name == "text-exploitation prediction mismatch":
-        explicit = record.meta.final_conclusion_explicit
-        meta = replace(record.meta, final_conclusion_explicit=not explicit)
-        return with_parts(record, meta=meta), distractors
-    if name == "dangling ref":
-        premises = (*record.premises, QuotedStatement("x", 99))
-        return with_parts(record, premises=premises), distractors
-    if name == "keys miss letters":
-        return with_parts(record, keys=record.keys[1:]), distractors
-    # A distractor inconsistent on its own, over a letter of its own, as
-    # ``_build_distractors`` gives every distractor.
+    # An inconsistent formalized premise, over a letter of its own.  It goes
+    # before premise (1)'s own formula, so the scheme check reads that one.
     assert name == "distractors made premises unsatisfiable"
-    return record, [*distractors, Distractor("contradiction", parse_formula("Z a & not Z a"))]
+    premises_form = (QuotedStatement("Z a & not Z a", 1), *record.premises_form)
+    keys = (*record.keys, ("Z", "contradictory"))
+    return with_parts(record, premises_form=premises_form, keys=keys), distractors
 
 
 @pytest.mark.parametrize("name", [
-    "basic flaws", "scheme ratio", "quotes not mutually exclusive verbatim",
-    "text-exploitation prediction mismatch", "dangling ref", "keys miss letters",
+    "scheme ratio", "quotes not mutually exclusive verbatim",
     "distractors made premises unsatisfiable",
 ])
 def test_each_kept_check_rejects_as_the_full_validator_does(name):
