@@ -35,10 +35,7 @@ _PUBLIC = {
     "deepa2.generator": (
         "GeneratorConfig", "generate_corpus", "subset_census", "verbalize_argument",
     ),
-    "deepa2.importers": (
-        "EntailmentTreeRecord", "HoeFeatures", "apply_label_classifier",
-        "extract_hoe_features", "fit_label_classifier", "import_entailmentbank",
-    ),
+    "deepa2.importers": ("EntailmentTreeRecord", "import_entailmentbank"),
     "deepa2.metrics": ("MetricReport", "default_scorer", "evaluate_analysis"),
     "deepa2.modes": (
         "ModeSpec", "format_prompt", "mode", "mode_registry",

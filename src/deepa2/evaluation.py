@@ -18,6 +18,7 @@ from deepa2.metrics import (
     MetricReport,
     eval_exe_te,
     evaluate_analysis,
+    mean,
     work_dict_of_record,
 )
 from deepa2.records import DeepA2Record
@@ -140,7 +141,7 @@ def _aggregate_reports(
     for column in METRIC_COLUMNS[:-1]:  # all but exe_te, which is corpus-level
         values = [getattr(r, column) for r, _ in pairs]
         values = [v for v in values if v is not None]
-        row[column] = sum(values) / len(values) if values else None
+        row[column] = mean(values) if values else None
     te_items = [
         (r.exe_te_prediction, record.meta.final_conclusion_explicit)
         for r, record in pairs

@@ -133,6 +133,18 @@ def eval_exe_meq(
     return 1
 
 
+def mean(values: Sequence[float]) -> float:
+    """The mean of a non-empty sequence, its sum taken left to right.
+
+    From Python 3.12 on, ``sum`` adds floats with compensated summation and
+    so changes the last digits of some means; this loop writes the same
+    bytes on every supported interpreter."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values)
+
+
 def _counterpart_mean(
     quotes: Sequence[QuotedStatement],
     counterparts: list[tuple[int, str]],
@@ -162,7 +174,7 @@ def _counterpart_mean(
             contributions.append(-1.0)
     if not contributions:
         return 0.0
-    return sum(contributions) / len(contributions)
+    return mean(contributions)
 
 
 def eval_exe_rss(

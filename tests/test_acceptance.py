@@ -34,11 +34,6 @@ from deepa2.errors import BackendUnavailableError
 from deepa2.evaluation import aggregate_table, evaluate_traces, oracle_reports
 from deepa2.formula import check_entailment, parse_formula, render_formula
 from deepa2.generator import GeneratorConfig, generate_corpus
-from deepa2.importers import (
-    apply_label_classifier,
-    extract_hoe_features,
-    fit_label_classifier,
-)
 from deepa2.metrics import default_scorer, eval_exe_rss, eval_exe_jss
 from deepa2.modes import mode, mode_registry
 from deepa2.records import DeepA2Record, parse_dimension, serialize_dimension
@@ -46,6 +41,7 @@ from deepa2.textnorm import normalize_ws
 
 from .bruteforce import brute_force_entails
 from .helpers import random_closed_formula, random_formula_set
+from .hoe import apply_label_classifier, extract_hoe_features, fit_label_classifier
 from .stubserver import start_stub_server, stop_stub_server
 
 CHAIN_FIXTURE = Path(__file__).parent / "data" / "chain_table.txt"

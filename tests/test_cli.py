@@ -7,7 +7,7 @@ import pytest
 
 from deepa2 import evaluation
 from deepa2.backends import GenerationRequest, NoisyOracleBackend, OracleBackend
-from deepa2.chains import ChainResult, chain_catalog, formalization_subchain
+from deepa2.chains import chain_catalog, formalization_subchain
 from deepa2.cli import EXIT_BACKEND, EXIT_CONFIG, EXIT_OK, EXIT_VALIDATION, main
 from deepa2.dimensions import DimensionId
 from deepa2.evaluation import aggregate_table
@@ -15,6 +15,7 @@ from deepa2.memo import clear_memos
 from deepa2.metrics import evaluate_analysis
 from deepa2.records import _parse_statements, load_corpus
 from deepa2.textnorm import normalize_ws
+from deepa2.traces import read_finals
 
 from .stubserver import digest_echo, start_stub_server, stop_stub_server
 
@@ -312,9 +313,8 @@ class TestEval:
         # The same table as with every report scored from scratch.
         monkeypatch.undo()
         clear_memos()
-        results = [ChainResult.from_dict(json.loads(line))
-                   for line in traces.read_text().splitlines()]
-        table = aggregate_table(evaluation.evaluate_traces(results, corpus), corpus)
+        table = aggregate_table(evaluation.evaluate_traces(read_finals(traces), corpus),
+                                corpus)
         aggregate = tmp_path / "metrics.jsonl.aggregate.json"
         assert aggregate.read_text() == json.dumps(table, indent=2)
 
@@ -439,8 +439,7 @@ class TestEval:
                        "--out", str(metrics)) == EXIT_OK
         clear_memos()
         corpus = {r.meta.record_id: r for r in load_corpus(corpus_file)}
-        results = [ChainResult.from_dict(json.loads(line)) for line in lines]
-        rows = evaluation.evaluate_traces(results, corpus)
+        rows = evaluation.evaluate_traces(read_finals(traces), corpus)
         assert len({id(row.report) for row in rows}) < len(rows)  # shared reports
         diagnostics = [d for row in rows for d in row.report.diagnostics]
         assert any("ë" in d for d in diagnostics) and any('"' in d for d in diagnostics)

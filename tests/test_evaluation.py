@@ -23,7 +23,7 @@ from deepa2.evaluation import (
 )
 from deepa2.generator import GeneratorConfig, generate_corpus
 from deepa2.memo import clear_memos
-from deepa2.metrics import evaluate_analysis
+from deepa2.metrics import evaluate_analysis, mean
 from deepa2.records import corpus_line, load_corpus
 
 
@@ -217,6 +217,12 @@ def test_oracle_reports_match_targets(corpus):
     for record, report in oracle_reports(list(corpus.values())[:10]):
         assert report.sys_val == 1
         assert report.exe_te_prediction == record.meta.final_conclusion_explicit
+
+
+def test_mean_sums_left_to_right():
+    """Metric means add in order on every interpreter; Python 3.12's
+    compensated ``sum`` would give 0.1 here."""
+    assert mean([0.1] * 10) == 0.09999999999999999
 
 
 class TestProcessMemos:

@@ -1,4 +1,5 @@
-"""External-dataset import and higher-order-evidence tests."""
+"""EntailmentBank import tests, and tests of the higher-order-evidence
+features and classifier that acceptance criterion 10 uses."""
 
 import dataclasses
 import json
@@ -12,16 +13,19 @@ from deepa2.dimensions import DimensionId
 from deepa2.errors import ImportFormatError
 from deepa2.importers import (
     EntailmentTreeRecord,
-    HoeFeatures,
     TreeProofStep,
-    apply_label_classifier,
-    extract_hoe_features,
-    fit_label_classifier,
     import_entailmentbank,
     load_entailmentbank,
 )
 from deepa2.metrics import MetricReport
 from deepa2.records import record_from_dict, record_to_dict
+
+from .hoe import (
+    HoeFeatures,
+    apply_label_classifier,
+    extract_hoe_features,
+    fit_label_classifier,
+)
 
 
 def simple_tree(**overrides) -> EntailmentTreeRecord:
@@ -116,7 +120,7 @@ class TestEntailmentBankImport:
         path.write_text(json.dumps(row) + "\n")
         records = load_entailmentbank(path)
         assert len(records) == 1
-        assert import_entailmentbank(records[0]).meta.record_id == "x1"
+        assert records[0].meta.record_id == "x1"
 
     @pytest.mark.parametrize("line, message", [
         ("{not json", "Expecting property name"),
@@ -125,7 +129,12 @@ class TestEntailmentBankImport:
          "step uses unknown sentence 's9'"),
         (json.dumps({**EB_ROW, "steps": [{"from": ["s1", "s2"], "id": "int1", "text": "i"}]}),
          "the last step must derive the hypothesis"),
-    ], ids=["not-json", "missing-steps", "unknown-sentence", "hypothesis-not-derived"])
+        (json.dumps({**EB_ROW, "distractors": ["s2"]}),
+         "x1: proof uses a distractor sentence"),
+        (json.dumps({**EB_ROW, "sentences": ["abc"]}), "dictionary update sequence"),
+        (json.dumps({**EB_ROW, "hypothesis": 5}), "x1: every text must be a string"),
+    ], ids=["not-json", "missing-steps", "unknown-sentence", "hypothesis-not-derived",
+            "proof-uses-distractor", "sentences-not-a-mapping", "text-not-a-string"])
     def test_loader_names_the_line_of_a_malformed_row(self, tmp_path, line, message):
         path = tmp_path / "eb.jsonl"
         path.write_text(f"{json.dumps(EB_ROW)}\n\n{line}\n")

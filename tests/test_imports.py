@@ -27,14 +27,14 @@ def run_python(*args: str) -> subprocess.CompletedProcess:
 #: The package's public surface, by name, so that a removal shows in review.
 PUBLIC_NAMES = [
     "ArgdownArgument", "ChainResult", "ChainSpec", "DeepA2Record", "DimensionId",
-    "EntailmentTreeRecord", "GenerationRequest", "GeneratorConfig", "HoeFeatures",
+    "EntailmentTreeRecord", "GenerationRequest", "GeneratorConfig",
     "HttpBackend", "InferenceStep", "MetricReport", "ModeSpec", "ModelBackend",
     "NoisyOracleBackend", "OracleBackend", "QuotedStatement", "RecordMeta",
-    "SchemeCatalog", "__version__", "aggregate_table", "apply_label_classifier",
+    "SchemeCatalog", "__version__", "aggregate_table",
     "builtin_catalog", "chain_by_id", "chain_catalog", "check_entailment",
     "check_satisfiable", "check_scheme_instantiation", "classify_subsets",
     "default_scorer", "evaluate_analysis", "evaluate_traces", "export_training",
-    "extract_hoe_features", "final_conclusion_of", "fit_label_classifier",
+    "final_conclusion_of",
     "formalization_subchain", "format_prompt", "generate_corpus",
     "import_entailmentbank", "load_corpus", "make_backend", "mode", "mode_registry",
     "oracle_reports", "parse_argdown", "parse_dimension", "parse_formula",
@@ -53,7 +53,7 @@ for info in pkgutil.walk_packages(deepa2.__path__, "deepa2."):
     __import__(info.name)
 for name in deepa2.__all__:
     getattr(deepa2, name)
-from deepa2 import GeneratorConfig, fit_label_classifier, HttpBackend
+from deepa2 import GeneratorConfig, import_entailmentbank, HttpBackend
 print(json.dumps(sorted(deepa2.__all__)))
 """
     proc = run_python("-c", code)
@@ -67,6 +67,17 @@ import sys
 import deepa2.cli
 stage_modules = ("backends", "chains", "generator", "importers", "metrics", "records")
 print(" ".join(m for m in stage_modules if "deepa2." + m in sys.modules))
+"""
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
+
+
+def test_entailmentbank_import_loads_no_chain_or_metric():
+    code = """
+import sys
+import deepa2.importers
+print(" ".join(m for m in ("chains", "metrics") if "deepa2." + m in sys.modules))
 """
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
@@ -121,6 +132,20 @@ print(" ".join(m for m in sys.modules if m.startswith("deepa2.")))
 METRIC_MODULES = {
     "deepa2.metrics", "deepa2.schemes", "deepa2.nl_templates", "deepa2.formula.decide",
 }
+
+
+def test_no_stage_loads_the_importers(tiny_run):
+    tmp, corpus, traces = tiny_run
+    stages = [
+        ("generate", "-n", "2", "--seed", "1", "--out", str(tmp / "c.jsonl")),
+        ("run", "--corpus", str(corpus), "--chains", "all", "--with-formalization",
+         "--out", str(tmp / "t.jsonl")),
+        ("eval", "--traces", str(traces), "--corpus", str(corpus),
+         "--out", str(tmp / "metrics.jsonl")),
+        ("export-training", "--corpus", str(corpus), "--out", str(tmp / "pairs.jsonl")),
+    ]
+    for argv in stages:
+        assert "deepa2.importers" not in stage_modules(*argv), argv[0]
 
 
 def test_run_and_export_load_no_metric_module(tiny_run):
