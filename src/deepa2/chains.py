@@ -6,14 +6,13 @@ reads its input dimensions and overwrites its output dimension, so later
 modes can revise earlier results.  For evaluation a fixed formalization
 sub-chain can be appended to derive the formal dimensions.
 
-A chain set runs as one compiled dataflow plan (``compile_plan``).  A node
-of the plan is a mode together with the slots that hold its inputs; slot 0
-holds the source and node ``i`` fills slot ``i + 1``.  Chains that share a
-prefix of steps share its nodes, so under the catalogue with formalization
-a record's 175 steps come from 127 nodes.  ``run_plan`` fills each node's
-slot at most once per record, and a content memo over (mode, input texts)
-decides which nodes reach the backend.  ``deepa2.traces`` writes the
-results as JSON lines and reads them back for ``eval``.
+``run_chains`` runs a chain set over one record step by step.  A memo
+over (mode, input texts), local to the record, sends each distinct
+request to the backend once, so chains that share a prefix of steps
+(``S>A SA>R SA>J`` in chains 9-11) share its requests and its step
+objects; under the catalogue with ``formalized`` chains a record's 175
+steps take 23 backend calls.  ``deepa2.traces`` writes the results as JSON
+lines and reads them back for ``eval``.
 
 ``export_training`` samples training modes per record and reads prompts
 and targets from each record's stored ``texts`` (see ``deepa2.records``),
@@ -35,7 +34,7 @@ from deepa2.modes import ModeSpec, TRAINING_MODES, format_prompt, mode
 from deepa2.records import DeepA2Record
 
 # For type checking only, so that ``eval`` and ``export-training`` load no
-# backend; ``run_plan`` imports what it calls from the backends when called.
+# backend; ``run_chains`` imports what it calls from the backends when called.
 if TYPE_CHECKING:
     from deepa2.backends import ModelBackend
 
@@ -176,111 +175,52 @@ class ChainResult:
         )
 
 
-@dataclass(frozen=True)
-class ChainPlan:
-    """A chain set compiled into one dataflow graph (see the module notes).
-
-    ``nodes[i]`` is the mode that fills slot ``i + 1`` and the slots of its
-    inputs, in topological order.  ``paths[c]`` lists the slot of each step
-    of chain ``c``, and ``finals[c]`` pairs each dimension of its final
-    dictionary with the slot that last wrote it, in first-assignment order."""
-
-    chain_ids: tuple[int, ...]
-    nodes: tuple[tuple[ModeSpec, tuple[int, ...]], ...]
-    paths: tuple[tuple[int, ...], ...]
-    finals: tuple[tuple[tuple[DimensionId, int], ...], ...]
+def formalized(chain: ChainSpec) -> ChainSpec:
+    """The chain with the formalization sub-chain appended.  A chain that
+    never produces the argdown dimension raises ``ChainDefinitionError``,
+    as any chain whose mode needs a dimension no earlier mode produces."""
+    return ChainSpec(chain.id, chain.modes + formalization_subchain(), chain.name)
 
 
-def compile_plan(
-    chains: Sequence[ChainSpec], with_formalization: bool = False
-) -> ChainPlan:
-    """Compile the chains, in order, into one plan; a step whose mode and
-    input slots equal an earlier step's, in any chain, reuses its node.
-
-    Each chain is checked together with the formalization suffix, as
-    ``ChainSpec`` checks a chain: a mode that needs a dimension no earlier
-    mode produces raises ``ChainDefinitionError``."""
-    suffix = formalization_subchain() if with_formalization else ()
-    nodes: list[tuple[ModeSpec, tuple[int, ...]]] = []
-    slot_of: dict[tuple[ModeSpec, tuple[int, ...]], int] = {}
-    paths, finals = [], []
-    for chain in chains:
-        modes = chain.modes + suffix
-        ChainSpec(chain.id, modes)
-        work = {DimensionId.SOURCE: 0}
-        path = []
-        for m in modes:
-            node = (m, tuple(work[d] for d in m.inputs))
-            slot = slot_of.get(node)
-            if slot is None:
-                nodes.append(node)
-                slot = slot_of[node] = len(nodes)
-            work[m.output] = slot
-            path.append(slot)
-        paths.append(tuple(path))
-        finals.append(tuple(work.items()))
-    return ChainPlan(
-        tuple(chain.id for chain in chains), tuple(nodes), tuple(paths), tuple(finals)
-    )
-
-
-def run_plan(
-    plan: ChainPlan,
+def run_chains(
+    chains: Sequence[ChainSpec],
     source: str,
     backend: ModelBackend,
     record_id: str | None = None,
 ) -> list[ChainResult]:
-    """Execute the plan's chains over one source text, in order.
+    """Execute the chains over one source text, in order, one step at a time.
 
     A request asked before for this source (same mode, same input texts),
-    by an earlier step of any of the chains, is answered with the earlier
-    output instead of reaching the backend again; this is exact as long as
-    the backend is a function of the request.  Each chain walks its path
-    and fills the slots still empty; a filled slot holds the output every
-    later step of that node gets.  A backend failure ends only the chain
-    that hit it, with its partial trace preserved and the error recorded;
-    failures are not remembered, so the failed slot stays empty and a later
-    chain through that node asks again."""
+    by an earlier step of any of the chains, is answered with the step it
+    made instead of reaching the backend again; this is exact as long as
+    the backend is a function of the request.  A backend failure ends only
+    the chain that hit it, with its partial trace preserved and the error
+    recorded; failures are not remembered, so a later chain asks again."""
     from deepa2.backends import GenerationRequest
 
-    outputs: list[str | None] = [source] + [None] * len(plan.nodes)
-    steps: list[TraceStep | None] = [None] * len(outputs)
-    memo: dict[tuple[str, tuple[str, ...]], str] = {}
+    memo: dict[tuple[str, tuple[str, ...]], TraceStep] = {}
     results = []
-    for chain_id, path, final in zip(plan.chain_ids, plan.paths, plan.finals):
-        for done, slot in enumerate(path):
-            if outputs[slot] is not None:
-                continue
-            m, input_slots = plan.nodes[slot - 1]
-            texts = tuple([outputs[i] for i in input_slots])
+    for chain in chains:
+        work = {DimensionId.SOURCE: source}
+        trace = []
+        error = None
+        for m in chain.modes:
+            texts = tuple([work[d] for d in m.inputs])
             key = (m.label, texts)
-            output = memo.get(key)
-            if output is None:
+            step = memo.get(key)
+            if step is None:
                 request = GenerationRequest(
                     mode=m, inputs=dict(zip(m.inputs, texts)), record_id=record_id
                 )
                 try:
-                    output = backend.generate(request)
+                    step = TraceStep(m.label, backend.generate(request))
                 except BackendError as err:
-                    # The dictionary as the steps before this one left it.
-                    work = {DimensionId.SOURCE: source}
-                    for s in path[:done]:
-                        work[plan.nodes[s - 1][0].output] = outputs[s]
-                    trace = tuple([steps[s] for s in path[:done]])
-                    results.append(
-                        ChainResult(chain_id, record_id, work, trace, error=str(err))
-                    )
+                    error = str(err)
                     break
-                memo[key] = output
-            outputs[slot] = output
-            steps[slot] = TraceStep(m.label, output)
-        else:
-            results.append(ChainResult(
-                chain_id,
-                record_id,
-                {d: outputs[slot] for d, slot in final},
-                tuple([steps[slot] for slot in path]),
-            ))
+                memo[key] = step
+            work[m.output] = step.output
+            trace.append(step)
+        results.append(ChainResult(chain.id, record_id, work, tuple(trace), error))
     return results
 
 
@@ -291,10 +231,9 @@ def run_chain(
     with_formalization: bool = False,
     record_id: str | None = None,
 ) -> ChainResult:
-    """Execute one chain over the source text (see ``run_plan``)."""
-    plan = compile_plan([chain], with_formalization)
-    (result,) = run_plan(plan, source, backend, record_id)
-    return result
+    """Execute one chain over the source text (see ``run_chains``)."""
+    chain = formalized(chain) if with_formalization else chain
+    return run_chains([chain], source, backend, record_id)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -147,7 +147,7 @@ def cmd_run(args) -> int:
     from concurrent.futures import ThreadPoolExecutor
 
     from deepa2.backends import HttpBackend, make_backend
-    from deepa2.chains import compile_plan, run_plan
+    from deepa2.chains import formalized, run_chains
     from deepa2.dimensions import DimensionId
     from deepa2.records import load_corpus
     from deepa2.traces import trace_lines
@@ -162,17 +162,17 @@ def cmd_run(args) -> int:
         timeout=timeout_ms / 1000.0,
         max_in_flight=args.jobs,
     )
-
-    plan = compile_plan(chains, args.with_formalization)
+    if args.with_formalization:
+        chains = [formalized(chain) for chain in chains]
 
     def execute(record) -> tuple[list[ChainResult], int]:
         counted = _CountingBackend(backend)
         source = record.texts.get(DimensionId.SOURCE, "")
-        results = run_plan(plan, source, counted, record.meta.record_id)
+        results = run_chains(chains, source, counted, record.meta.record_id)
         return results, counted.calls
 
-    # A record is the unit of parallel work: its chains share one plan run,
-    # so each distinct request reaches the backend once.
+    # A record is the unit of parallel work: its chains share one request
+    # memo, so each distinct request reaches the backend once.
     try:
         if args.jobs > 1:
             with ThreadPoolExecutor(max_workers=args.jobs) as executor:

@@ -39,6 +39,10 @@ class EntailmentTreeRecord:
                  *(step.conclusion_text for step in self.steps)]
         if not all(isinstance(text, str) for text in texts):
             raise ImportFormatError(f"{self.record_id}: every text must be a string")
+        for text in texts:
+            # A text becomes one statement, and a statement is one line.
+            if not text.strip() or text.splitlines() != [text]:
+                raise ImportFormatError(f"{self.record_id}: text {text!r} is not one line")
         known = set(self.sentences)
         for step in self.steps:
             for sid in step.from_ids:

@@ -58,10 +58,15 @@ class RecordMeta:
     domain_tag: str = ""
 
     def __post_init__(self):
-        for name in ("n_inference_steps", "n_implicit_premises",
-                     "n_implicit_conclusions", "n_distractors"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+        # Each field has its default's exact type (``record_id`` may also be
+        # a string), so a bool is not taken for a count.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            allowed = (str, type(None)) if f.name == "record_id" else (type(f.default),)
+            if type(value) not in allowed:
+                raise TypeError(f"{f.name} must be {f.type}, got {type(value).__name__}")
+            if type(value) is int and value < 0:
+                raise ValueError(f"{f.name} must be non-negative")
 
     def to_dict(self) -> dict:
         data = {f.name: getattr(self, f.name) for f in fields(self)}

@@ -1,9 +1,9 @@
 """Step-by-step chain execution used as an independent reference in tests.
 
 Runs each chain's modes one at a time over its own dictionary of dimensions,
-with one (mode, input texts) memo per source text, the way chains ran before
-they were compiled into a dataflow plan.  Shares no execution code with
-``deepa2.chains.run_plan``.
+with one (mode, input texts) -> output memo per source text, and appends the
+formalization sub-chain itself instead of taking ``formalized`` chains.
+Shares no execution code with ``deepa2.chains.run_chains``.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ def stepwise_run_chains(
     with_formalization: bool = False,
     record_id: str | None = None,
 ) -> list[ChainResult]:
-    """What ``run_plan(compile_plan(chains, with_formalization), ...)``
-    must return, and the requests it must send."""
+    """What ``run_chains`` must return for the chains (each ``formalized``
+    when ``with_formalization``), and the requests it must send."""
     memo: dict[tuple[str, tuple[str, ...]], str] = {}
     suffix = formalization_subchain() if with_formalization else ()
     results = []

@@ -553,6 +553,34 @@ def rewrite_corpus(src, dst, change) -> None:
     dst.write_text("".join(json.dumps(data) + "\n" for data in rows))
 
 
+@pytest.mark.parametrize("stage", ["run", "eval", "export-training"])
+@pytest.mark.parametrize("field, bad", [
+    ("record_id", ["r"]),
+    ("record_id", 7),
+    ("n_inference_steps", 1.5),
+    ("n_distractors", True),
+    ("final_conclusion_explicit", ["yes"]),
+    ("uses_complex_schemes", 0),
+    ("domain_tag", None),
+], ids=["id-list", "id-int", "count-float", "count-bool", "flag-list", "flag-int",
+        "tag-null"])
+def test_mistyped_meta_field_exit_4(tmp_path, corpus_file, caplog, stage, field, bad):
+    def spoil(index, data):
+        if index == 3:
+            data["meta"][field] = bad
+
+    rewrite_corpus(corpus_file, corpus_file, spoil)
+    traces = tmp_path / "traces.jsonl"
+    traces.write_text("")
+    extra = {"run": (), "eval": ("--traces", str(traces)), "export-training": ()}
+    out = tmp_path / "out.jsonl"
+    code = run_cli(stage, "--corpus", str(corpus_file), *extra[stage], "--out", str(out))
+    assert code == EXIT_VALIDATION
+    assert f"{corpus_file}:4: malformed corpus line" in caplog.text
+    assert field in caplog.text
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("keyword, bad, eval_code", [
     ("argdown", "no argument here", EXIT_VALIDATION),
     ("premises_form", "F x y (ref: (1))", EXIT_VALIDATION),

@@ -8,9 +8,9 @@ from deepa2.chains import (
     ChainResult,
     chain_by_id,
     chain_catalog,
-    compile_plan,
+    formalized,
     run_chain,
-    run_plan,
+    run_chains,
 )
 from deepa2.errors import DeepA2Error, UndefinedMetricError
 from deepa2.evaluation import (
@@ -65,11 +65,11 @@ class TestEvaluateTraces:
 
 
 def all_chain_traces(corpus, backend):
-    plan = compile_plan(chain_catalog(), with_formalization=True)
+    chains = [formalized(chain) for chain in chain_catalog()]
     return [
         result
         for record_id, record in corpus.items()
-        for result in run_plan(plan, record.source, backend, record_id)
+        for result in run_chains(chains, record.source, backend, record_id)
     ]
 
 

@@ -133,8 +133,23 @@ class TestEntailmentBankImport:
          "x1: proof uses a distractor sentence"),
         (json.dumps({**EB_ROW, "sentences": ["abc"]}), "dictionary update sequence"),
         (json.dumps({**EB_ROW, "hypothesis": 5}), "x1: every text must be a string"),
+        # A text becomes one statement of the argdown and the lists, so one
+        # that is blank or spans lines would not read back.
+        (json.dumps({**EB_ROW, "sentences": {"s1": "", "s2": "q"}}),
+         "x1: text '' is not one line"),
+        (json.dumps({**EB_ROW, "sentences": {"s1": "p", "s2": "   "}}),
+         "x1: text '   ' is not one line"),
+        (json.dumps({**EB_ROW, "sentences": {"s1": "p\nq", "s2": "q"}}),
+         "x1: text 'p\\nq' is not one line"),
+        (json.dumps({**EB_ROW, "hypothesis": "h\r"}), "x1: text 'h\\r' is not one line"),
+        (json.dumps({**EB_ROW, "steps": [
+            {"from": ["s1", "s2"], "id": "int1", "text": "i\u2028j"},
+            {"from": ["int1"], "id": "hypothesis"}]}),
+         "x1: text 'i\\u2028j' is not one line"),
     ], ids=["not-json", "missing-steps", "unknown-sentence", "hypothesis-not-derived",
-            "proof-uses-distractor", "sentences-not-a-mapping", "text-not-a-string"])
+            "proof-uses-distractor", "sentences-not-a-mapping", "text-not-a-string",
+            "empty-text", "blank-text", "text-with-newline", "text-with-carriage-return",
+            "step-text-with-line-separator"])
     def test_loader_names_the_line_of_a_malformed_row(self, tmp_path, line, message):
         path = tmp_path / "eb.jsonl"
         path.write_text(f"{json.dumps(EB_ROW)}\n\n{line}\n")

@@ -10,11 +10,10 @@ from deepa2.chains import (
     ChainSpec,
     chain_by_id,
     chain_catalog,
-    compile_plan,
     export_training,
     formalization_subchain,
     run_chain,
-    run_plan,
+    run_chains,
     sophistication,
 )
 from deepa2.dimensions import DimensionId
@@ -168,8 +167,8 @@ class TestRunChain:
                 return super().generate(request)
 
         backend = FailOnceBackend([record])
-        first, second = run_plan(
-            compile_plan([chain_by_id(9), chain_by_id(10)]), record.source, backend,
+        first, second = run_chains(
+            [chain_by_id(9), chain_by_id(10)], record.source, backend,
             record_id=record.meta.record_id,
         )
         assert first.error is not None and len(first.trace) == 1

@@ -1,5 +1,5 @@
-"""The compiled chain plan against step-by-step execution, and the trace
-line writer against ``json.dumps``."""
+"""Chain-set execution against an independent step-by-step reference, and
+the trace line writer against ``json.dumps``."""
 
 import json
 import random
@@ -13,8 +13,8 @@ from deepa2.chains import (
     TraceStep,
     chain_by_id,
     chain_catalog,
-    compile_plan,
-    run_plan,
+    formalized,
+    run_chains,
 )
 from deepa2.dimensions import DimensionId
 from deepa2.errors import BackendUnavailableError, ChainDefinitionError
@@ -78,7 +78,7 @@ def test_plan_matches_stepwise_execution(records, chains, with_formalization, ki
     chain_list = chain_lists()[chains]
     fail_at = FAIL_AT if kind == "failing" else ()
     failures = asked_again = 0
-    plan = compile_plan(chain_list, with_formalization)
+    to_run = [formalized(c) for c in chain_list] if with_formalization else chain_list
     for record in records:
         record_id = record.meta.record_id
         expected_backend = Recording(make_backend(kind, records), fail_at)
@@ -86,7 +86,7 @@ def test_plan_matches_stepwise_execution(records, chains, with_formalization, ki
             chain_list, record.source, expected_backend, with_formalization, record_id
         )
         backend = Recording(make_backend(kind, records), fail_at)
-        results = run_plan(plan, record.source, backend, record_id)
+        results = run_chains(to_run, record.source, backend, record_id)
         assert as_compared(results) == as_compared(expected)
         assert backend.requests == expected_backend.requests
         failures += sum(1 for result in results if result.error)
@@ -95,7 +95,7 @@ def test_plan_matches_stepwise_execution(records, chains, with_formalization, ki
             1 for i in fail_at if i < len(requests) and requests[i] in requests[i + 1:]
         )
     assert (failures > 0) == (kind == "failing")
-    # Some failed node is asked for again by a later chain.
+    # Some refused request is asked again by a later chain.
     assert (asked_again > 0) == (kind == "failing")
 
 
@@ -103,20 +103,21 @@ def test_chain_without_argdown_cannot_take_the_formalization_suffix():
     """The suffix starts from the argdown dimension, so a chain that never
     produces it is refused as a chain definition."""
     with pytest.raises(ChainDefinitionError, match="chain 99.*argdown"):
-        compile_plan([ChainSpec(99, (mode("S", "R"),))], with_formalization=True)
+        formalized(ChainSpec(99, (mode("S", "R"),)))
 
 
-def test_catalog_with_formalization_shares_nodes():
-    plan = compile_plan(chain_catalog(), with_formalization=True)
-    assert sum(len(path) for path in plan.paths) == 175
-    assert len(plan.nodes) == 127
-    assert plan.chain_ids == tuple(range(1, 17))
-    for (m, input_slots), slot in zip(plan.nodes, range(1, len(plan.nodes) + 1)):
-        assert all(i < slot for i in input_slots)
-        assert len(input_slots) == len(m.inputs)
-    for path, final in zip(plan.paths, plan.finals):
-        assert final[0] == (DimensionId.SOURCE, 0)
-        assert {slot for _, slot in final[1:]} <= set(path)
+def test_catalog_with_formalization_shares_requests(records):
+    """Under the oracle a record's 175 steps take 23 backend calls, and a
+    repeated request shares the step object of its first answer."""
+    chains = [formalized(chain) for chain in chain_catalog()]
+    for record in records:
+        backend = Recording(OracleBackend(records))
+        results = run_chains(chains, record.source, backend, record.meta.record_id)
+        assert [result.chain_id for result in results] == list(range(1, 17))
+        steps = [step for result in results for step in result.trace]
+        assert len(steps) == 175
+        assert len(backend.requests) == len(set(backend.requests)) == 23
+        assert len({id(step) for step in steps}) == 23
 
 
 def reference_lines(results):
@@ -153,8 +154,8 @@ def test_trace_lines_equal_json_dumps(results):
 @pytest.mark.parametrize("kind", ["oracle", "noisy:0.2", "failing"])
 def test_trace_lines_of_executed_chains(records, kind):
     fail_at = FAIL_AT if kind == "failing" else ()
-    plan = compile_plan(chain_catalog(), with_formalization=True)
+    chains = [formalized(chain) for chain in chain_catalog()]
     for record in records:
         backend = Recording(make_backend(kind, records), fail_at)
-        results = run_plan(plan, record.source, backend, record.meta.record_id)
+        results = run_chains(chains, record.source, backend, record.meta.record_id)
         assert trace_lines(results) == reference_lines(results)
