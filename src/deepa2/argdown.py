@@ -19,27 +19,51 @@ above it that are not themselves derived.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from deepa2.errors import ArgdownParseError
+from deepa2.frozen import Frozen
 from deepa2.memo import process_memo
 from deepa2.textnorm import normalize_ws
 
 
-@dataclass(frozen=True)
-class InferenceStep:
+class InferenceStep(Frozen):
     """One sub-inference; ``scheme_name`` is None for undeclared schemes."""
 
-    from_numbers: tuple[int, ...]
-    derives: int
-    scheme_name: str | None = None
-    variant: str | None = None
+    _fields = ("from_numbers", "derives", "scheme_name", "variant")
+
+    def __init__(
+        self,
+        from_numbers: tuple[int, ...],
+        derives: int,
+        scheme_name: str | None = None,
+        variant: str | None = None,
+    ):
+        fields = self.__dict__
+        fields["from_numbers"] = from_numbers
+        fields["derives"] = derives
+        fields["scheme_name"] = scheme_name
+        fields["variant"] = variant
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.from_numbers, self.derives, self.scheme_name, self.variant) == (
+                other.from_numbers, other.derives, other.scheme_name, other.variant
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.from_numbers, self.derives, self.scheme_name, self.variant))
 
 
-@dataclass(frozen=True)
-class ArgdownArgument:
-    statements: tuple[tuple[int, str], ...]
-    inferences: tuple[InferenceStep, ...]
+class ArgdownArgument(Frozen):
+    _fields = ("statements", "inferences")
+
+    def __init__(
+        self,
+        statements: tuple[tuple[int, str], ...],
+        inferences: tuple[InferenceStep, ...],
+    ):
+        self.__dict__.update(statements=statements, inferences=inferences)
 
     @property
     def derived_numbers(self) -> set[int]:

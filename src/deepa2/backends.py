@@ -9,13 +9,11 @@ talks to an external inference service over a small JSON protocol.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 import re
 import threading
 import time
-from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Mapping, Protocol
 from urllib.parse import urlsplit
@@ -27,6 +25,7 @@ from deepa2.errors import (
     ConfigError,
     MissingDimensionError,
 )
+from deepa2.frozen import Frozen
 from deepa2.modes import ModeSpec
 from deepa2.records import DeepA2Record, serialize_dimension
 
@@ -36,21 +35,27 @@ _BEAM_WIDTH = 2
 _JSON_HEADERS = {"Content-Type": "application/json"}
 
 
-@dataclass(frozen=True)
-class GenerationRequest:
+class GenerationRequest(Frozen):
     """One mode's inputs for one record; ``record_id`` names the target
     record for the oracle backends."""
 
-    mode: ModeSpec
-    inputs: Mapping[DimensionId, str]
-    record_id: str | None = None
+    _fields = ("mode", "inputs", "record_id")
 
-    def __post_init__(self):
-        if set(self.inputs) != set(self.mode.inputs):
+    def __init__(
+        self,
+        mode: ModeSpec,
+        inputs: Mapping[DimensionId, str],
+        record_id: str | None = None,
+    ):
+        if set(inputs) != set(mode.inputs):
             raise MissingDimensionError(
-                f"request inputs {sorted(d.keyword for d in self.inputs)} do not "
-                f"cover exactly the {self.mode.label} inputs"
+                f"request inputs {sorted(d.keyword for d in inputs)} do not "
+                f"cover exactly the {mode.label} inputs"
             )
+        fields = self.__dict__
+        fields["mode"] = mode
+        fields["inputs"] = inputs
+        fields["record_id"] = record_id
 
 
 class ModelBackend(Protocol):
@@ -95,8 +100,12 @@ class NoisyOracleBackend:
     probability; deterministic given the seed."""
 
     def __init__(self, records: Iterable[DeepA2Record], corruption_rate: float, seed: int):
+        # Imported here, so that a run against the plain oracle loads no hashlib.
+        from hashlib import sha256
+
         if not 0 <= corruption_rate <= 1:
             raise ValueError("corruption_rate must lie in [0, 1]")
+        self._sha256 = sha256
         self._oracle = OracleBackend(records)
         self.corruption_rate = corruption_rate
         self.seed = seed
@@ -115,7 +124,7 @@ class NoisyOracleBackend:
             f"{d.keyword}={request.inputs[d]}" for d in request.mode.inputs
         )
         key = f"{self.seed}:{request.record_id}:{request.mode.label}:{inputs}:{text}"
-        digest = hashlib.sha256(key.encode("utf-8")).digest()
+        digest = self._sha256(key.encode("utf-8")).digest()
         return random.Random(int.from_bytes(digest[:8], "big"))
 
 
@@ -166,7 +175,6 @@ def _mangle_statement(item: str, rng: random.Random) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class HttpBackend:
     """Client for an external inference service.
 
@@ -180,24 +188,30 @@ class HttpBackend:
     one attempt each, without backoff, until one succeeds.
     """
 
-    endpoint: str
-    timeout: float = 30.0
-    max_in_flight: int = 4
-    max_attempts: int = 3
-    backoff: float = 0.25
-
-    def __post_init__(self):
+    def __init__(
+        self,
+        endpoint: str,
+        timeout: float = 30.0,
+        max_in_flight: int = 4,
+        max_attempts: int = 3,
+        backoff: float = 0.25,
+    ):
         # http.client loads ssl and email with it, so it is imported only
         # when an HTTP backend is built.
         import http.client
 
         try:
-            parts = urlsplit(self.endpoint)
+            parts = urlsplit(endpoint)
             port = parts.port
         except ValueError as err:
-            raise ConfigError(f"endpoint {self.endpoint!r}: {err}") from None
+            raise ConfigError(f"endpoint {endpoint!r}: {err}") from None
         if parts.scheme not in ("http", "https") or not parts.hostname:
-            raise ConfigError(f"endpoint {self.endpoint!r} is not an http(s) URL")
+            raise ConfigError(f"endpoint {endpoint!r} is not an http(s) URL")
+        self.endpoint = endpoint
+        self.timeout = timeout
+        self.max_in_flight = max_in_flight
+        self.max_attempts = max_attempts
+        self.backoff = backoff
         if parts.scheme == "https":
             self._connect = partial(http.client.HTTPSConnection, parts.hostname, port)
         else:

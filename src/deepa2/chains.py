@@ -24,12 +24,12 @@ backend.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from deepa2.dimensions import DimensionId
 from deepa2.errors import BackendError, ChainDefinitionError, GenerationError
+from deepa2.frozen import Frozen
 from deepa2.modes import ModeSpec, TRAINING_MODES, format_prompt, mode
 from deepa2.records import DeepA2Record
 
@@ -39,25 +39,23 @@ if TYPE_CHECKING:
     from deepa2.backends import ModelBackend
 
 
-@dataclass(frozen=True)
-class ChainSpec:
+class ChainSpec(Frozen):
     """An ordered mode sequence; every input dimension must be the source
     or produced by an earlier mode."""
 
-    id: int
-    modes: tuple[ModeSpec, ...]
-    name: str | None = None
+    _fields = ("id", "modes", "name")
 
-    def __post_init__(self):
+    def __init__(self, id: int, modes: tuple[ModeSpec, ...], name: str | None = None):
         available = {DimensionId.SOURCE}
-        for m in self.modes:
+        for m in modes:
             for d in m.inputs:
                 if d not in available:
                     raise ChainDefinitionError(
-                        f"chain {self.id}: mode {m.label} needs {d.keyword} "
+                        f"chain {id}: mode {m.label} needs {d.keyword} "
                         "before any mode produces it"
                     )
             available.add(m.output)
+        self.__dict__.update(id=id, modes=modes, name=name)
 
     def __len__(self) -> int:
         return len(self.modes)
@@ -127,27 +125,37 @@ def chain_by_id(chain_id: int) -> ChainSpec:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(Frozen):
     """One executed mode.  Its inputs are not stored: they are the source
     and the outputs of earlier steps, so a replay of the trace recovers
     them."""
 
-    mode_label: str
-    output: str
+    _fields = ("mode_label", "output")
+
+    def __init__(self, mode_label: str, output: str):
+        fields = self.__dict__
+        fields["mode_label"] = mode_label
+        fields["output"] = output
 
 
-@dataclass(frozen=True)
-class ChainResult:
+class ChainResult(Frozen):
     """One chain run over one record.  ``to_dict`` is the trace line that
     ``deepa2.traces.trace_lines`` writes; ``eval`` reads such lines through
     ``deepa2.traces.read_finals``, not through ``from_dict``."""
 
-    chain_id: int
-    record_id: str | None
-    final: dict[DimensionId, str]
-    trace: tuple[TraceStep, ...]
-    error: str | None = None
+    _fields = ("chain_id", "record_id", "final", "trace", "error")
+
+    def __init__(
+        self,
+        chain_id: int,
+        record_id: str | None,
+        final: dict[DimensionId, str],
+        trace: tuple[TraceStep, ...],
+        error: str | None = None,
+    ):
+        self.__dict__.update(
+            chain_id=chain_id, record_id=record_id, final=final, trace=trace, error=error
+        )
 
     def to_dict(self) -> dict:
         return {

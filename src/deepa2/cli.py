@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import logging
 import math
 import os
 import sys
@@ -36,14 +35,23 @@ if TYPE_CHECKING:
     from deepa2.backends import GenerationRequest, ModelBackend
     from deepa2.chains import ChainResult, ChainSpec
 
-logger = logging.getLogger("deepa2")
-
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_BACKEND = 3
 EXIT_VALIDATION = 4
 
 ENV_TIMEOUT_MS = "DEEPA2_TIMEOUT_MS"
+
+
+def _log(level: str, message: str) -> None:
+    """Log one message at ``level`` ("warning", "error") on the ``deepa2``
+    logger, which writes ``LEVEL message`` to stderr.  ``logging`` is
+    imported here, so a stage that has nothing to say does not load it."""
+    import logging
+
+    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
+    getattr(logging.getLogger("deepa2"), level)(message)
+
 
 class _CountingBackend:
     """Counts the requests one record's chains send to the backend."""
@@ -125,7 +133,7 @@ def cmd_generate(args) -> int:
 
     out = Path(args.out)
     if args.n == 0:
-        logger.warning("n=0: writing an empty corpus and an all-zero census")
+        _log("warning", "n=0: writing an empty corpus and an all-zero census")
     rejections: Counter = Counter()
     records = generate_corpus(config, args.n, seed=args.seed, rejections=rejections)
     _atomic_write_lines(out, map(corpus_line, records))
@@ -144,8 +152,6 @@ def cmd_generate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    from concurrent.futures import ThreadPoolExecutor
-
     from deepa2.backends import HttpBackend, make_backend
     from deepa2.chains import formalized, run_chains
     from deepa2.dimensions import DimensionId
@@ -153,7 +159,9 @@ def cmd_run(args) -> int:
     from deepa2.traces import trace_lines
 
     chains = _parse_chains(args.chains)
-    records = load_corpus(args.corpus)
+    # The oracle backends look each record up by its id.
+    oracle = args.backend == "oracle" or args.backend.startswith("noisy:")
+    records = load_corpus(args.corpus, ids_required=oracle)
     timeout_ms = _timeout_ms()
     backend = make_backend(
         args.backend,
@@ -175,6 +183,9 @@ def cmd_run(args) -> int:
     # memo, so each distinct request reaches the backend once.
     try:
         if args.jobs > 1:
+            # Imported here: concurrent.futures loads logging with it.
+            from concurrent.futures import ThreadPoolExecutor
+
             with ThreadPoolExecutor(max_workers=args.jobs) as executor:
                 per_record = list(executor.map(execute, records))
         else:
@@ -198,8 +209,7 @@ def cmd_run(args) -> int:
         f"{calls} backend calls for {steps} steps)"
     )
     if failed:
-        logger.error("backend failures on %d traces (first: %s)", len(failed),
-                     failed[0].error)
+        _log("error", f"backend failures on {len(failed)} traces (first: {failed[0].error})")
         return EXIT_BACKEND
     return EXIT_OK
 
@@ -353,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -362,13 +371,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ConfigError, ChainDefinitionError) as err:
-        logger.error("%s", err)
+        _log("error", str(err))
         return EXIT_CONFIG
     except BackendError as err:
-        logger.error("backend: %s", err)
+        _log("error", f"backend: {err}")
         return EXIT_BACKEND
     except (DeepA2Error, OSError) as err:
-        logger.error("%s", err)
+        _log("error", str(err))
         return EXIT_VALIDATION
 
 

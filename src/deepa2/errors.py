@@ -5,6 +5,10 @@ class DeepA2Error(Exception):
     """Base class for all toolkit errors."""
 
 
+class FrozenInstanceError(AttributeError):
+    """An assignment to, or deletion of, a field of an immutable value."""
+
+
 class MissingDimensionError(DeepA2Error):
     """A record dimension required by an operation is absent."""
 

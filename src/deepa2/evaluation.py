@@ -8,11 +8,11 @@ loads neither the chain catalogue nor the modes."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from deepa2.dimensions import DimensionId
 from deepa2.errors import DeepA2Error, UndefinedMetricError
+from deepa2.frozen import Frozen
 from deepa2.memo import process_memo
 from deepa2.metrics import (
     MetricReport,
@@ -44,11 +44,14 @@ SCORED_DIMENSIONS = (
 )
 
 
-@dataclass(frozen=True)
-class EvaluatedTrace:
-    record_id: str
-    chain_id: int
-    report: MetricReport
+class EvaluatedTrace(Frozen):
+    _fields = ("record_id", "chain_id", "report")
+
+    def __init__(self, record_id: str, chain_id: int, report: MetricReport):
+        fields = self.__dict__
+        fields["record_id"] = record_id
+        fields["chain_id"] = chain_id
+        fields["report"] = report
 
     def to_dict(self) -> dict:
         data = {"record_id": self.record_id, "chain_id": self.chain_id}

@@ -29,10 +29,10 @@ a count, not a clock, so every verdict is reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count
 
 from deepa2.errors import UnsupportedFragmentError
+from deepa2.frozen import Frozen
 from deepa2.formula.syntax import (
     And,
     Atom,
@@ -61,11 +61,21 @@ MAX_PREDICATES = 10
 MAX_SEARCH_NODES = 10_000
 
 
-@dataclass(frozen=True)
-class _Block:
+class _Block(Frozen):
     """The eliminated quantifier "some realized profile is in witnesses"."""
 
-    witnesses: int
+    _fields = ("witnesses",)
+
+    def __init__(self, witnesses: int):
+        self.__dict__["witnesses"] = witnesses
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.witnesses == other.witnesses
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.witnesses,))
 
 
 # A skeleton is True, False, or a formula over And/Or/Not/Iff whose leaves

@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import re
 from collections.abc import Callable
-from dataclasses import dataclass
-
 from deepa2.errors import FormulaParseError
+from deepa2.frozen import Frozen
 from deepa2.memo import process_memo
 
 VARIABLE_NAMES = ("x", "y", "z")
@@ -30,9 +29,19 @@ VARIABLE_NAMES = ("x", "y", "z")
 RESERVED_LOWER = "v"
 
 
-@dataclass(frozen=True)
-class Term:
-    name: str
+class Term(Frozen):
+    _fields = ("name",)
+
+    def __init__(self, name: str):
+        self.__dict__["name"] = name
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.name == other.name
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name,))
 
 
 class Var(Term):
@@ -43,21 +52,49 @@ class Const(Term):
     pass
 
 
-class Formula:
-    """Base class for formula nodes."""
+class Formula(Frozen):
+    """Base class for formula nodes.
 
-    __slots__ = ()
+    A node's hash, that of its tuple of fields, is taken once, when the node
+    is built; memos keyed by formulas look it up on every call.  ``==``
+    compares classes, then hashes, then fields; a node's ``vars()`` are its
+    fields."""
+
+    __slots__ = ("_hash",)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._hash == other._hash and self.__dict__ == other.__dict__
+        return NotImplemented
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuilt through the constructor: a hash taken in one process is
+        # wrong in another, whose strings hash differently.
+        return self.__class__, tuple(self.__dict__.values())
 
 
-@dataclass(frozen=True)
+_set_hash = Formula._hash.__set__
+
+
 class Atom(Formula):
-    pred: str
-    term: Term
+    _fields = ("pred", "term")
+
+    def __init__(self, pred: str, term: Term):
+        fields = self.__dict__
+        fields["pred"] = pred
+        fields["term"] = term
+        _set_hash(self, hash((pred, term)))
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    sub: Formula
+    _fields = ("sub",)
+
+    def __init__(self, sub: Formula):
+        self.__dict__["sub"] = sub
+        _set_hash(self, hash((sub,)))
 
 
 # Binding strength; operands whose own level is below the required level get
@@ -68,15 +105,19 @@ _LEVEL_QUANT = 0
 _LEVEL_NOT = 5
 
 
-@dataclass(frozen=True)
 class Binary(Formula):
     """A binary connective.  Each subclass names its printed ``symbol``, the
     parser's token ``kind`` for it and its binding ``level`` (higher binds
-    tighter); all are right-associative.  The dataclass ``==`` compares
-    classes, so ``And(p, q) != Or(p, q)``."""
+    tighter); all are right-associative.  ``==`` compares classes, so
+    ``And(p, q) != Or(p, q)``."""
 
-    left: Formula
-    right: Formula
+    _fields = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        fields = self.__dict__
+        fields["left"] = left
+        fields["right"] = right
+        _set_hash(self, hash((left, right)))
 
 
 class And(Binary):
@@ -95,13 +136,17 @@ class Iff(Binary):
     symbol, kind, level = "<->", "iff", 1
 
 
-@dataclass(frozen=True)
 class Quantified(Formula):
     """A quantifier prefix over the rest of the formula; each subclass names
     the ``mark`` printed before its variable."""
 
-    var: str
-    body: Formula
+    _fields = ("var", "body")
+
+    def __init__(self, var: str, body: Formula):
+        fields = self.__dict__
+        fields["var"] = var
+        fields["body"] = body
+        _set_hash(self, hash((var, body)))
 
 
 class ForAll(Quantified):

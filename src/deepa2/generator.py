@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, replace
 from functools import cache
 from typing import Iterable
 
@@ -41,9 +40,9 @@ from deepa2.formula import (
     render_formula,
 )
 from deepa2.formula.syntax import Binary, Quantified, parse_formula
+from deepa2.frozen import Frozen, replace
 from deepa2.lexicon import DomainLexicon, builtin_lexicon
 from deepa2.memo import process_memo
-from deepa2.metrics import eval_exe_meq
 from deepa2.nl_templates import render_statement, shape_of, templates_for
 from deepa2.records import DeepA2Record, QuotedStatement, RecordMeta
 from deepa2.schemes import (
@@ -55,7 +54,7 @@ from deepa2.schemes import (
     patterns_unify,
     sys_sch_ratio,
 )
-from deepa2.textnorm import tokenize
+from deepa2.textnorm import eval_exe_meq, tokenize
 
 MAX_PREDICATE_LETTERS = 8
 _LETTER_POOL = "FGHIJKLMNOPQRST"  # E left out, it marks existential prefixes
@@ -72,20 +71,36 @@ _DECAPITALIZABLE = {
     "Each", "It", "Assuming", "Being",
 }
 
-@dataclass(frozen=True)
-class GeneratorConfig:
+class GeneratorConfig(Frozen):
     """Knobs for one corpus flavor; distributions must be proper."""
 
-    lexicon_id: str = "places_people"
-    step_weights: tuple[float, ...] = (0.40, 0.20, 0.15, 0.25)
-    p_intricate: float = 0.45
-    implicit_premise_weights: tuple[float, ...] = (0.50, 0.25, 0.25)
-    p_implicit_intermediate: float = 0.35
-    p_final_explicit: float = 0.70
-    distractor_weights: tuple[float, ...] = (0.40, 0.25, 0.35)
-    imprecise_rendition: bool = False
+    _fields = (
+        "lexicon_id", "step_weights", "p_intricate", "implicit_premise_weights",
+        "p_implicit_intermediate", "p_final_explicit", "distractor_weights",
+        "imprecise_rendition",
+    )
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        lexicon_id: str = "places_people",
+        step_weights: tuple[float, ...] = (0.40, 0.20, 0.15, 0.25),
+        p_intricate: float = 0.45,
+        implicit_premise_weights: tuple[float, ...] = (0.50, 0.25, 0.25),
+        p_implicit_intermediate: float = 0.35,
+        p_final_explicit: float = 0.70,
+        distractor_weights: tuple[float, ...] = (0.40, 0.25, 0.35),
+        imprecise_rendition: bool = False,
+    ):
+        self.__dict__.update(
+            lexicon_id=lexicon_id,
+            step_weights=step_weights,
+            p_intricate=p_intricate,
+            implicit_premise_weights=implicit_premise_weights,
+            p_implicit_intermediate=p_implicit_intermediate,
+            p_final_explicit=p_final_explicit,
+            distractor_weights=distractor_weights,
+            imprecise_rendition=imprecise_rendition,
+        )
         for name in ("step_weights", "implicit_premise_weights", "distractor_weights"):
             weights = getattr(self, name)
             if not weights or any(w < 0 for w in weights) or sum(weights) <= 0:
@@ -95,16 +110,10 @@ class GeneratorConfig:
                 raise ConfigError(f"{name} must lie in [0, 1]")
 
     def to_dict(self) -> dict:
-        return {
-            "lexicon_id": self.lexicon_id,
-            "step_weights": list(self.step_weights),
-            "p_intricate": self.p_intricate,
-            "implicit_premise_weights": list(self.implicit_premise_weights),
-            "p_implicit_intermediate": self.p_implicit_intermediate,
-            "p_final_explicit": self.p_final_explicit,
-            "distractor_weights": list(self.distractor_weights),
-            "imprecise_rendition": self.imprecise_rendition,
-        }
+        data = dict(vars(self))
+        for name in ("step_weights", "implicit_premise_weights", "distractor_weights"):
+            data[name] = list(data[name])
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "GeneratorConfig":
@@ -131,27 +140,33 @@ class GeneratorConfig:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class TreeStatement:
-    number: int
-    formula: Formula
-    role: str  # "premise" | "intermediate" | "final"
-    text: str = ""
+    def __init__(self, number: int, formula: Formula, role: str, text: str = ""):
+        self.number = number
+        self.formula = formula
+        self.role = role  # "premise" | "intermediate" | "final"
+        self.text = text
 
 
-@dataclass
 class StepInstance:
-    variant: SchemeVariant
-    from_numbers: tuple[int, ...]
-    derives: int
+    def __init__(self, variant: SchemeVariant, from_numbers: tuple[int, ...], derives: int):
+        self.variant = variant
+        self.from_numbers = from_numbers
+        self.derives = derives
 
 
-@dataclass
 class ArgumentTree:
-    statements: list[TreeStatement]
-    steps: list[StepInstance]
-    letters: list[str]
-    constants: list[str]
+    def __init__(
+        self,
+        statements: list[TreeStatement],
+        steps: list[StepInstance],
+        letters: list[str],
+        constants: list[str],
+    ):
+        self.statements = statements
+        self.steps = steps
+        self.letters = letters
+        self.constants = constants
 
     def statement(self, number: int) -> TreeStatement:
         return self.statements[number - 1]
@@ -331,17 +346,28 @@ _VERBALIZE_ATTEMPTS = 20
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class VerbalizedArgument:
-    tree: ArgumentTree
-    key_phrases: dict[str, str]
-    const_names: dict[str, str]
-    argdown: ArgdownArgument
-    premises: tuple[QuotedStatement, ...]
-    conclusion: tuple[QuotedStatement, ...]
-    premises_form: tuple[QuotedStatement, ...]
-    conclusion_form: tuple[QuotedStatement, ...]
-    keys: tuple[tuple[str, str], ...]
+    def __init__(
+        self,
+        tree: ArgumentTree,
+        key_phrases: dict[str, str],
+        const_names: dict[str, str],
+        argdown: ArgdownArgument,
+        premises: tuple[QuotedStatement, ...],
+        conclusion: tuple[QuotedStatement, ...],
+        premises_form: tuple[QuotedStatement, ...],
+        conclusion_form: tuple[QuotedStatement, ...],
+        keys: tuple[tuple[str, str], ...],
+    ):
+        self.tree = tree
+        self.key_phrases = key_phrases
+        self.const_names = const_names
+        self.argdown = argdown
+        self.premises = premises
+        self.conclusion = conclusion
+        self.premises_form = premises_form
+        self.conclusion_form = conclusion_form
+        self.keys = keys
 
 
 def verbalize_argument(
@@ -402,18 +428,29 @@ def verbalize_argument(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PresentationPlan:
-    statement_order: tuple[int, ...]  # retained statements, source order
-    omitted: frozenset[int]
-    final_explicit: bool
-    distractor_slots: tuple[int, ...]
+class PresentationPlan(Frozen):
+    _fields = ("statement_order", "omitted", "final_explicit", "distractor_slots")
+
+    def __init__(
+        self,
+        statement_order: tuple[int, ...],  # retained statements, source order
+        omitted: frozenset[int],
+        final_explicit: bool,
+        distractor_slots: tuple[int, ...],
+    ):
+        self.__dict__.update(
+            statement_order=statement_order,
+            omitted=omitted,
+            final_explicit=final_explicit,
+            distractor_slots=distractor_slots,
+        )
 
 
-@dataclass(frozen=True)
-class Distractor:
-    text: str
-    formula: Formula
+class Distractor(Frozen):
+    _fields = ("text", "formula")
+
+    def __init__(self, text: str, formula: Formula):
+        self.__dict__.update(text=text, formula=formula)
 
 
 def plan_presentation(

@@ -10,53 +10,56 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 
 from deepa2.argdown import ArgdownArgument, InferenceStep, final_conclusion_of
 from deepa2.errors import ImportFormatError
+from deepa2.frozen import Frozen
 from deepa2.records import DeepA2Record, QuotedStatement, RecordMeta
 
 SOURCE_TEMPLATE_GLUE = "All this entails:"
 
 
-@dataclass(frozen=True)
-class TreeProofStep:
-    from_ids: tuple[str, ...]
-    conclusion_id: str
-    conclusion_text: str
+class TreeProofStep(Frozen):
+    _fields = ("from_ids", "conclusion_id", "conclusion_text")
+
+    def __init__(self, from_ids: tuple[str, ...], conclusion_id: str, conclusion_text: str):
+        self.__dict__.update(
+            from_ids=from_ids, conclusion_id=conclusion_id, conclusion_text=conclusion_text
+        )
 
 
-@dataclass(frozen=True)
-class EntailmentTreeRecord:
-    record_id: str
-    sentences: dict[str, str]  # leaf id -> text, distractors included
-    distractor_ids: frozenset[str]
-    hypothesis: str
-    steps: tuple[TreeProofStep, ...]
+class EntailmentTreeRecord(Frozen):
+    _fields = ("record_id", "sentences", "distractor_ids", "hypothesis", "steps")
 
-    def __post_init__(self):
-        texts = [*self.sentences.values(), self.hypothesis,
-                 *(step.conclusion_text for step in self.steps)]
+    def __init__(
+        self,
+        record_id: str,
+        sentences: dict[str, str],  # leaf id -> text, distractors included
+        distractor_ids: frozenset[str],
+        hypothesis: str,
+        steps: tuple[TreeProofStep, ...],
+    ):
+        texts = [*sentences.values(), hypothesis, *(step.conclusion_text for step in steps)]
         if not all(isinstance(text, str) for text in texts):
-            raise ImportFormatError(f"{self.record_id}: every text must be a string")
+            raise ImportFormatError(f"{record_id}: every text must be a string")
         for text in texts:
             # A text becomes one statement, and a statement is one line.
             if not text.strip() or text.splitlines() != [text]:
-                raise ImportFormatError(f"{self.record_id}: text {text!r} is not one line")
-        known = set(self.sentences)
-        for step in self.steps:
+                raise ImportFormatError(f"{record_id}: text {text!r} is not one line")
+        known = set(sentences)
+        for step in steps:
             for sid in step.from_ids:
                 if sid not in known:
-                    raise ImportFormatError(
-                        f"{self.record_id}: step uses unknown sentence {sid!r}"
-                    )
+                    raise ImportFormatError(f"{record_id}: step uses unknown sentence {sid!r}")
             known.add(step.conclusion_id)
-        if not self.steps:
-            raise ImportFormatError(f"{self.record_id}: no proof steps")
-        if self.steps[-1].conclusion_text != self.hypothesis:
-            raise ImportFormatError(
-                f"{self.record_id}: the last step must derive the hypothesis"
-            )
+        if not steps:
+            raise ImportFormatError(f"{record_id}: no proof steps")
+        if steps[-1].conclusion_text != hypothesis:
+            raise ImportFormatError(f"{record_id}: the last step must derive the hypothesis")
+        self.__dict__.update(
+            record_id=record_id, sentences=sentences, distractor_ids=distractor_ids,
+            hypothesis=hypothesis, steps=steps,
+        )
 
 
 def _natural_order(sid: str) -> tuple:

@@ -9,27 +9,32 @@ so two lexicons with disjoint relations and objects share no phrase.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from importlib import resources
+from pathlib import Path
 
 from deepa2.errors import ConfigError
+from deepa2.frozen import Frozen
 
 BUILTIN_LEXICON_IDS = ("places_people", "sports_clubs")
 
 
-@dataclass(frozen=True)
-class DomainLexicon:
-    lexicon_id: str
-    names: tuple[str, ...]
-    relations: tuple[str, ...]
-    objects: tuple[str, ...]
+class DomainLexicon(Frozen):
+    _fields = ("lexicon_id", "names", "relations", "objects")
 
-    def __post_init__(self):
-        if not (self.names and self.relations and self.objects):
-            raise ConfigError(f"lexicon {self.lexicon_id!r} has an empty pool")
-        for relation in self.relations:
+    def __init__(
+        self,
+        lexicon_id: str,
+        names: tuple[str, ...],
+        relations: tuple[str, ...],
+        objects: tuple[str, ...],
+    ):
+        if not (names and relations and objects):
+            raise ConfigError(f"lexicon {lexicon_id!r} has an empty pool")
+        for relation in relations:
             if "%" not in relation:
                 raise ConfigError(f"relation {relation!r} lacks the % object slot")
+        self.__dict__.update(
+            lexicon_id=lexicon_id, names=names, relations=relations, objects=objects
+        )
 
     def phrases(self) -> tuple[str, ...]:
         """All predicate phrases, relation-major order; built on first call."""
@@ -72,9 +77,5 @@ def builtin_lexicon(lexicon_id: str) -> DomainLexicon:
         raise ConfigError(
             f"unknown lexicon {lexicon_id!r}; built in: {BUILTIN_LEXICON_IDS}"
         )
-    text = (
-        resources.files("deepa2.data")
-        .joinpath(f"lexicons/{lexicon_id}.txt")
-        .read_text("utf-8")
-    )
-    return DomainLexicon.from_text(text)
+    path = Path(__file__).parent / "data" / "lexicons" / f"{lexicon_id}.txt"
+    return DomainLexicon.from_text(path.read_text("utf-8"))

@@ -12,8 +12,6 @@ plus diagnostics, never an exception.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from deepa2.argdown import (
@@ -26,12 +24,11 @@ from deepa2.argdown import (
 from deepa2.dimensions import DimensionId
 from deepa2.errors import DeepA2Error, UndefinedMetricError
 from deepa2.formula import Formula, check_entailment, parse_formula
+from deepa2.frozen import Frozen
 from deepa2.memo import process_memo
 from deepa2.records import DeepA2Record, QuotedStatement, parse_statements
 from deepa2.schemes import sys_sch_ratio
-from deepa2.textnorm import normalize_ws, token_f1
-
-logger = logging.getLogger(__name__)
+from deepa2.textnorm import eval_exe_meq, normalize_ws, token_f1
 
 #: Minimum token-overlap F1 for a predicted statement to count as matching a
 #: target statement in the predictive-performance metrics.
@@ -103,34 +100,8 @@ def _decide_sys_val(
 
 
 # ---------------------------------------------------------------------------
-# Exegetic metrics
+# Exegetic metrics (``eval_exe_meq`` is ``deepa2.textnorm``'s)
 # ---------------------------------------------------------------------------
-
-
-def eval_exe_meq(
-    source: str,
-    reasons: Sequence[QuotedStatement],
-    conjectures: Sequence[QuotedStatement],
-) -> int:
-    """1 iff every reason and conjecture occurs verbatim in the source and
-    pairwise-disjoint spans can be assigned greedily left to right."""
-    haystack = normalize_ws(source)
-    quotes = [normalize_ws(q.text) for q in list(reasons) + list(conjectures)]
-    if not quotes:
-        return 1
-    first_positions = []
-    for idx, quote in enumerate(quotes):
-        pos = haystack.find(quote)
-        if pos < 0:
-            return 0
-        first_positions.append((pos, idx, quote))
-    cursor = 0
-    for _, _, quote in sorted(first_positions):
-        pos = haystack.find(quote, cursor)
-        if pos < 0:
-            return 0
-        cursor = pos + len(quote)
-    return 1
 
 
 def mean(values: Sequence[float]) -> float:
@@ -246,24 +217,37 @@ def eval_exe_te(items: Sequence[tuple[bool, bool]]) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MetricReport:
+class MetricReport(Frozen):
     """The metric values for one analysis; exe_te is corpus-level, so the
     per-item report carries only the explicitness prediction."""
 
-    sys_pp: int
-    sys_rp: int
-    sys_rc: int
-    sys_us: int
-    sys_sch: float | None
-    sys_val: int
-    exe_meq: int
-    exe_rss: float
-    exe_jss: float
-    exe_ppr: float | None
-    exe_ppj: float | None
-    exe_te_prediction: bool
-    diagnostics: tuple[str, ...] = ()
+    _fields = (
+        "sys_pp", "sys_rp", "sys_rc", "sys_us", "sys_sch", "sys_val", "exe_meq",
+        "exe_rss", "exe_jss", "exe_ppr", "exe_ppj", "exe_te_prediction", "diagnostics",
+    )
+
+    def __init__(
+        self,
+        sys_pp: int,
+        sys_rp: int,
+        sys_rc: int,
+        sys_us: int,
+        sys_sch: float | None,
+        sys_val: int,
+        exe_meq: int,
+        exe_rss: float,
+        exe_jss: float,
+        exe_ppr: float | None,
+        exe_ppj: float | None,
+        exe_te_prediction: bool,
+        diagnostics: tuple[str, ...] = (),
+    ):
+        self.__dict__.update(
+            sys_pp=sys_pp, sys_rp=sys_rp, sys_rc=sys_rc, sys_us=sys_us, sys_sch=sys_sch,
+            sys_val=sys_val, exe_meq=exe_meq, exe_rss=exe_rss, exe_jss=exe_jss,
+            exe_ppr=exe_ppr, exe_ppj=exe_ppj, exe_te_prediction=exe_te_prediction,
+            diagnostics=diagnostics,
+        )
 
     def to_flat_dict(self) -> dict:
         data = {

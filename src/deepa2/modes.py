@@ -14,30 +14,35 @@ loads no backend.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
 from deepa2.dimensions import DimensionId as D
 from deepa2.errors import MissingDimensionError
+from deepa2.frozen import Frozen
 
 
-@dataclass(frozen=True)
-class ModeSpec:
+class ModeSpec(Frozen):
     """A generative mode with training-sampling weights."""
 
-    inputs: tuple[D, ...]
-    output: D
-    weight_aaac: float
-    weight_eb: float | None = None
+    _fields = ("inputs", "output", "weight_aaac", "weight_eb")
 
-    def __post_init__(self):
-        if self.output in self.inputs:
-            raise ValueError(f"output {self.output} among inputs")
-        if not 0 < self.weight_aaac <= 1:
+    def __init__(
+        self,
+        inputs: tuple[D, ...],
+        output: D,
+        weight_aaac: float,
+        weight_eb: float | None = None,
+    ):
+        if output in inputs:
+            raise ValueError(f"output {output} among inputs")
+        if not 0 < weight_aaac <= 1:
             raise ValueError("weight_aaac must lie in (0, 1]")
-        if self.weight_eb is not None and not 0 < self.weight_eb <= 1:
+        if weight_eb is not None and not 0 < weight_eb <= 1:
             raise ValueError("weight_eb must lie in (0, 1]")
+        self.__dict__.update(
+            inputs=inputs, output=output, weight_aaac=weight_aaac, weight_eb=weight_eb
+        )
 
     @cached_property
     def label(self) -> str:

@@ -11,9 +11,10 @@ best-effort; statements phrased outside the bank simply yield no candidates.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from functools import cached_property
 
 from deepa2.formula.syntax import Formula, parse_formula, render_formula, substitute
+from deepa2.frozen import Frozen
 from deepa2.memo import process_memo
 from deepa2.textnorm import normalize_ws
 
@@ -31,13 +32,16 @@ def with_article(phrase: str) -> str:
     return f"{article} {phrase}"
 
 
-@dataclass(frozen=True)
-class StatementShape:
+class StatementShape(Frozen):
     """Canonical pattern string plus the original letters per position."""
 
-    key: str
-    pred_letters: tuple[str, ...]
-    const_letters: tuple[str, ...]
+    _fields = ("key", "pred_letters", "const_letters")
+
+    def __init__(self, key: str, pred_letters: tuple[str, ...], const_letters: tuple[str, ...]):
+        fields = self.__dict__
+        fields["key"] = key
+        fields["pred_letters"] = pred_letters
+        fields["const_letters"] = const_letters
 
 
 @process_memo
@@ -56,21 +60,24 @@ def shape_of(formula: Formula) -> StatementShape:
     return StatementShape(key, tuple(preds), tuple(consts))
 
 
-@dataclass(frozen=True)
-class SentenceTemplate:
+class SentenceTemplate(Frozen):
     """A fill-in sentence for one shape.
 
     Slots: ``{P1}`` noun phrase with article, ``{P1bare}`` bare noun phrase,
     ``{c1}`` proper name.  ``imprecise`` templates loosen the logical form
-    and are only used when a corpus configuration asks for them.
+    and are only used when a corpus configuration asks for them.  The
+    regex that ``recover`` matches is compiled on its first call, as the
+    generator only renders.
     """
 
-    shape_key: str
-    text: str
-    imprecise: bool = False
+    _fields = ("shape_key", "text", "imprecise")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_regex", _compile_template(self.text))
+    def __init__(self, shape_key: str, text: str, imprecise: bool = False):
+        self.__dict__.update(shape_key=shape_key, text=text, imprecise=imprecise)
+
+    @cached_property
+    def _regex(self) -> re.Pattern:
+        return _compile_template(self.text)
 
     def render(self, pred_phrases: dict[str, str], const_names: dict[str, str]) -> str:
         def fill(m: re.Match) -> str:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Iterable
 
@@ -28,54 +27,80 @@ from typing import Iterable
 # rendered, so a stage that only copies texts loads neither.
 from deepa2.dimensions import FORMULA_DIMENSIONS, LIST_DIMENSIONS, DimensionId
 from deepa2.errors import DeepA2Error, DimensionParseError, MissingDimensionError
+from deepa2.frozen import Frozen
 from deepa2.memo import process_memo
 from deepa2.textnorm import normalize_ws
 
 
-@dataclass(frozen=True)
-class QuotedStatement:
+class QuotedStatement(Frozen):
     """A statement string with an optional reference to a statement number."""
 
-    text: str
-    ref: int | None = None
+    _fields = ("text", "ref")
 
-    def __post_init__(self):
-        if self.ref is not None and self.ref < 1:
-            raise ValueError(f"ref must be a positive integer, got {self.ref}")
+    def __init__(self, text: str, ref: int | None = None):
+        if ref is not None and ref < 1:
+            raise ValueError(f"ref must be a positive integer, got {ref}")
+        fields = self.__dict__
+        fields["text"] = text
+        fields["ref"] = ref
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.text, self.ref) == (other.text, other.ref)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.text, self.ref))
 
 
-@dataclass(frozen=True)
-class RecordMeta:
-    """Construction facts about a record, used for subset classification."""
+class RecordMeta(Frozen):
+    """Construction facts about a record, used for subset classification.
 
-    record_id: str | None = None
-    n_inference_steps: int = 0
-    n_implicit_premises: int = 0
-    n_implicit_conclusions: int = 0
-    final_conclusion_explicit: bool = True
-    n_distractors: int = 0
-    uses_complex_schemes: bool = False
-    domain_tag: str = ""
+    Each field has its default's exact type (``record_id`` may also be
+    None), so a bool is not taken for a count."""
 
-    def __post_init__(self):
-        # Each field has its default's exact type (``record_id`` may also be
-        # a string), so a bool is not taken for a count.
-        for f in fields(self):
-            value = getattr(self, f.name)
-            allowed = (str, type(None)) if f.name == "record_id" else (type(f.default),)
+    #: Each field, in order, with its type's name and the exact types it admits.
+    _TYPES = {
+        "record_id": ("str | None", (str, type(None))),
+        "n_inference_steps": ("int", (int,)),
+        "n_implicit_premises": ("int", (int,)),
+        "n_implicit_conclusions": ("int", (int,)),
+        "final_conclusion_explicit": ("bool", (bool,)),
+        "n_distractors": ("int", (int,)),
+        "uses_complex_schemes": ("bool", (bool,)),
+        "domain_tag": ("str", (str,)),
+    }
+    _fields = tuple(_TYPES)
+
+    def __init__(
+        self,
+        record_id: str | None = None,
+        n_inference_steps: int = 0,
+        n_implicit_premises: int = 0,
+        n_implicit_conclusions: int = 0,
+        final_conclusion_explicit: bool = True,
+        n_distractors: int = 0,
+        uses_complex_schemes: bool = False,
+        domain_tag: str = "",
+    ):
+        values = (
+            record_id, n_inference_steps, n_implicit_premises, n_implicit_conclusions,
+            final_conclusion_explicit, n_distractors, uses_complex_schemes, domain_tag,
+        )
+        fields = self.__dict__
+        for (name, (type_name, allowed)), value in zip(self._TYPES.items(), values):
             if type(value) not in allowed:
-                raise TypeError(f"{f.name} must be {f.type}, got {type(value).__name__}")
+                raise TypeError(f"{name} must be {type_name}, got {type(value).__name__}")
             if type(value) is int and value < 0:
-                raise ValueError(f"{f.name} must be non-negative")
+                raise ValueError(f"{name} must be non-negative")
+            fields[name] = value
 
     def to_dict(self) -> dict:
-        data = {f.name: getattr(self, f.name) for f in fields(self)}
-        return {k: v for k, v in data.items() if v is not None}
+        return {name: value for name, value in vars(self).items() if value is not None}
 
     @classmethod
     def from_dict(cls, data: dict) -> "RecordMeta":
-        known = {f.name for f in fields(cls)}
-        return cls(**{k: v for k, v in data.items() if k in known})
+        return cls(**{k: v for k, v in data.items() if k in cls._TYPES})
 
 
 #: Dimensions that hold exactly one statement when present.
@@ -94,8 +119,7 @@ def _view(dim: DimensionId) -> cached_property:
     return cached_property(view)
 
 
-@dataclass(frozen=True, eq=False)
-class DeepA2Record:
+class DeepA2Record(Frozen):
     """One comprehensive argumentative analysis, stored as its dimension
     texts and its meta.
 
@@ -106,8 +130,7 @@ class DeepA2Record:
     ``record.premises_form``, ...), parsed on first read; a malformed text
     raises ``DimensionParseError`` there."""
 
-    texts: dict[DimensionId, str] = field(default_factory=dict)
-    meta: RecordMeta = field(default_factory=RecordMeta)
+    _fields = ("texts", "meta")
 
     # The parsed views, not fields: each is a ``cached_property``.
     source = _view(DimensionId.SOURCE)
@@ -120,14 +143,15 @@ class DeepA2Record:
     conclusion_form = _view(DimensionId.CONCLUSION_FORM)
     keys = _view(DimensionId.KEYS)
 
-    def __post_init__(self):
-        # In DimensionId order, so that equal records hash alike.
-        texts = {dim: self.texts[dim] for dim in DimensionId if dim in self.texts}
-        if len(texts) != len(self.texts) or not all(
-            isinstance(text, str) for text in texts.values()
+    def __init__(self, texts: dict[DimensionId, str] = {}, meta: RecordMeta = RecordMeta()):
+        # The copy is in DimensionId order, so that equal records hash
+        # alike; ``texts`` itself, the shared default included, is not changed.
+        ordered = {dim: texts[dim] for dim in DimensionId if dim in texts}
+        if len(ordered) != len(texts) or not all(
+            isinstance(text, str) for text in ordered.values()
         ):
             raise TypeError("texts must map DimensionId members to strings")
-        object.__setattr__(self, "texts", texts)
+        self.__dict__.update(texts=ordered, meta=meta)
 
     @classmethod
     def from_parts(cls, meta: RecordMeta = RecordMeta(), **parts) -> DeepA2Record:
@@ -348,14 +372,16 @@ def corpus_line(record: DeepA2Record) -> str:
     return encode_json(record_to_dict(record)) + "\n"
 
 
-def load_corpus(path, views: Iterable[DimensionId] = ()) -> list[DeepA2Record]:
+def load_corpus(
+    path, views: Iterable[DimensionId] = (), ids_required: bool = False
+) -> list[DeepA2Record]:
     """The records of a JSON-lines corpus, in file order, with their texts
     as the lines hold them.
 
     The view of each dimension in ``views`` is parsed as its line is read,
     so a malformed one is reported with its line; the rest are parsed on
-    first read, if ever.  A malformed line or a repeated
-    ``meta.record_id`` raises ``DeepA2Error``."""
+    first read, if ever.  A malformed line, a repeated ``meta.record_id``
+    or, with ``ids_required``, a missing one raises ``DeepA2Error``."""
     views = tuple(views)
     records = []
     first_line: dict[str, int] = {}
@@ -373,6 +399,8 @@ def load_corpus(path, views: Iterable[DimensionId] = ()) -> list[DeepA2Record]:
                     f"{path}:{number}: malformed corpus line ({err!r})"
                 ) from None
             record_id = record.meta.record_id
+            if record_id is None and ids_required:
+                raise DeepA2Error(f"{path}:{number}: record has no id (meta.record_id)")
             if record_id is not None:
                 first = first_line.setdefault(record_id, number)
                 if first != number:

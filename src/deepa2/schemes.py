@@ -13,14 +13,13 @@ formalized analyses does not load it.
 from __future__ import annotations
 
 import functools
-import logging
-from dataclasses import dataclass, field
-from importlib import resources
 from itertools import permutations
+from pathlib import Path
 
 from deepa2.argdown import ArgdownArgument, InferenceStep
 from deepa2.errors import CatalogError
 from deepa2.formula import check_entailment, parse_formula
+from deepa2.frozen import Frozen
 from deepa2.formula.syntax import (
     Atom,
     Binary,
@@ -32,28 +31,52 @@ from deepa2.formula.syntax import (
     substitute,
 )
 
-logger = logging.getLogger(__name__)
-
 _MAX_PERMUTED_PREMISES = 4
 
 
-@dataclass(frozen=True)
-class SchemeVariant:
-    scheme_name: str
-    variant: str | None
-    premises: tuple[Formula, ...]
-    conclusion: Formula
-    intricate: bool = False
+class SchemeVariant(Frozen):
+    _fields = ("scheme_name", "variant", "premises", "conclusion", "intricate")
+
+    def __init__(
+        self,
+        scheme_name: str,
+        variant: str | None,
+        premises: tuple[Formula, ...],
+        conclusion: Formula,
+        intricate: bool = False,
+    ):
+        fields = self.__dict__
+        fields["scheme_name"] = scheme_name
+        fields["variant"] = variant
+        fields["premises"] = premises
+        fields["conclusion"] = conclusion
+        fields["intricate"] = intricate
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (
+                self.scheme_name, self.variant, self.premises, self.conclusion, self.intricate
+            ) == (
+                other.scheme_name, other.variant, other.premises, other.conclusion,
+                other.intricate,
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(
+            (self.scheme_name, self.variant, self.premises, self.conclusion, self.intricate)
+        )
 
     @property
     def label(self) -> str:
         return self.scheme_name + (f" ({self.variant})" if self.variant else "")
 
 
-@dataclass(frozen=True)
-class SchemeSpec:
-    name: str
-    variants: tuple[SchemeVariant, ...]
+class SchemeSpec(Frozen):
+    _fields = ("name", "variants")
+
+    def __init__(self, name: str, variants: tuple[SchemeVariant, ...]):
+        self.__dict__.update(name=name, variants=variants)
 
     def variant_named(self, label: str | None) -> SchemeVariant | None:
         for v in self.variants:
@@ -62,9 +85,11 @@ class SchemeSpec:
         return None
 
 
-@dataclass
 class SchemeCatalog:
-    schemes: dict[str, SchemeSpec] = field(default_factory=dict)
+    """The scheme specs by name."""
+
+    def __init__(self, schemes: dict[str, SchemeSpec]):
+        self.schemes = schemes
 
     def get(self, name: str) -> SchemeSpec | None:
         return self.schemes.get(name)
@@ -127,7 +152,7 @@ class SchemeCatalog:
 @functools.cache
 def builtin_catalog() -> SchemeCatalog:
     """The packaged catalog; loaded and validity-checked once."""
-    text = resources.files("deepa2.data").joinpath("schemes.txt").read_text("utf-8")
+    text = (Path(__file__).parent / "data" / "schemes.txt").read_text("utf-8")
     return SchemeCatalog.from_text(text)
 
 
@@ -308,8 +333,6 @@ def match_step(
         return False, None
     candidates = _candidate_variants(step)
     if not candidates:
-        logger.debug("unknown scheme %r declared by step deriving (%d)",
-                     step.scheme_name, step.derives)
         return False, None
 
     premise_formulas = [formulas_by_number.get(n) for n in step.from_numbers]

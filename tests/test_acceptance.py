@@ -33,6 +33,7 @@ from deepa2.dimensions import DimensionId
 from deepa2.errors import BackendUnavailableError
 from deepa2.evaluation import aggregate_table, evaluate_traces, oracle_reports
 from deepa2.formula import check_entailment, parse_formula, render_formula
+from deepa2.frozen import replace
 from deepa2.generator import GeneratorConfig, generate_corpus
 from deepa2.metrics import default_scorer, eval_exe_rss, eval_exe_jss
 from deepa2.modes import mode, mode_registry
@@ -181,7 +182,7 @@ def test_criterion_04_registry_exactness(corpus1000):
         tiled.append(
             DeepA2Record(
                 source.texts,
-                dataclasses.replace(source.meta, record_id=f"tile-{i:05d}"),
+                replace(source.meta, record_id=f"tile-{i:05d}"),
             )
         )
     pairs = export_training(tiled, weights="aaac", n_per_record=14, seed=99)

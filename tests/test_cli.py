@@ -581,6 +581,27 @@ def test_mistyped_meta_field_exit_4(tmp_path, corpus_file, caplog, stage, field,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("backend", ["oracle", "noisy:0.2"])
+def test_record_without_id_is_refused_by_an_oracle_run_with_its_line(
+    tmp_path, corpus_file, caplog, backend
+):
+    """The oracle backends look records up by id: a line whose
+    ``meta.record_id`` is null is a malformed corpus (exit 4, with its line),
+    not a backend failure."""
+
+    def spoil(index, data):
+        if index == 3:
+            data["meta"]["record_id"] = None
+
+    rewrite_corpus(corpus_file, corpus_file, spoil)
+    out = tmp_path / "traces.jsonl"
+    code = run_cli("run", "--corpus", str(corpus_file), "--backend", backend,
+                   "--out", str(out))
+    assert code == EXIT_VALIDATION
+    assert f"{corpus_file}:4: record has no id (meta.record_id)" in caplog.text
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("keyword, bad, eval_code", [
     ("argdown", "no argument here", EXIT_VALIDATION),
     ("premises_form", "F x y (ref: (1))", EXIT_VALIDATION),

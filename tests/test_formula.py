@@ -1,6 +1,5 @@
 """Parser, printer, and decision-procedure tests for the formula language."""
 
-import dataclasses
 import pickle
 import random
 import time
@@ -8,7 +7,7 @@ import traceback
 
 import pytest
 
-from deepa2.errors import FormulaParseError, UnsupportedFragmentError
+from deepa2.errors import FormulaParseError, FrozenInstanceError, UnsupportedFragmentError
 from deepa2.formula import (
     And,
     Atom,
@@ -173,7 +172,7 @@ class TestNodes:
     def test_fields_are_frozen(self):
         for node, name in ((Or(fa("F"), fa("G")), "left"), (ForAll("x", fx("F")), "body"),
                            (Var("x"), "name")):
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(FrozenInstanceError):
                 setattr(node, name, fa("H"))
 
     def test_shape_numbers_letters_by_first_occurrence(self):

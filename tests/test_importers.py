@@ -1,7 +1,6 @@
 """EntailmentBank import tests, and tests of the higher-order-evidence
 features and classifier that acceptance criterion 10 uses."""
 
-import dataclasses
 import json
 import math
 import random
@@ -11,6 +10,7 @@ import pytest
 from deepa2.chains import ChainResult
 from deepa2.dimensions import DimensionId
 from deepa2.errors import ImportFormatError
+from deepa2.frozen import replace
 from deepa2.importers import (
     EntailmentTreeRecord,
     TreeProofStep,
@@ -206,7 +206,7 @@ class TestHoeFeatures:
             extract_hoe_features([(chain_result(1, "x"), report())])
 
     def test_mixed_records_rejected(self):
-        other = dataclasses.replace(chain_result(2, "x"), record_id="r1")
+        other = replace(chain_result(2, "x"), record_id="r1")
         with pytest.raises(ValueError, match="several records"):
             extract_hoe_features([(chain_result(1, "x"), report()), (other, report())])
 

@@ -115,17 +115,50 @@ def tiny_run(tmp_path_factory):
     return tmp, corpus, traces
 
 
-def stage_modules(*argv: str) -> set[str]:
-    """The deepa2 modules a fresh interpreter has loaded after one stage."""
+def loaded_modules(*argv: str) -> set[str]:
+    """The modules a fresh interpreter has loaded after one successful stage."""
     code = f"""
 import sys
 from deepa2.cli import main
 assert main({list(argv)!r}) == 0
-print(" ".join(m for m in sys.modules if m.startswith("deepa2.")))
+print(" ".join(sys.modules))
 """
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.splitlines()[-1].split())
+
+
+def stage_modules(*argv: str) -> set[str]:
+    """The deepa2 modules a fresh interpreter has loaded after one stage."""
+    return {m for m in loaded_modules(*argv) if m.startswith("deepa2.")}
+
+
+#: What no stage runs: ``dataclasses`` (which loads ``inspect``, ``ast`` and
+#: ``dis`` and compiles each class's methods at every start) and ``logging``.
+UNUSED_AT_START_UP = {"dataclasses", "inspect", "ast", "dis", "logging"}
+
+
+def test_stages_load_no_module_they_do_not_run(tiny_run):
+    """Each stage is a fresh process that compiles its modules from source,
+    so every module it loads is paid for on every run."""
+    tmp, corpus, traces = tiny_run
+    stages = {
+        "generate": ("generate", "-n", "2", "--seed", "1", "--out", str(tmp / "c.jsonl")),
+        "run": ("run", "--jobs", "1", "--backend", "oracle", "--corpus", str(corpus),
+                "--chains", "all", "--with-formalization", "--out", str(tmp / "t.jsonl")),
+        "eval": ("eval", "--traces", str(traces), "--corpus", str(corpus),
+                 "--out", str(tmp / "metrics.jsonl")),
+        "export-training": ("export-training", "--corpus", str(corpus),
+                            "--out", str(tmp / "pairs.jsonl")),
+        "--help": ("--help",),
+    }
+    loaded = {name: loaded_modules(*argv) for name, argv in stages.items()}
+    for name, modules in loaded.items():
+        assert not modules & UNUSED_AT_START_UP, name
+    # A serial run starts no thread pool, and the plain oracle hashes nothing.
+    assert not loaded["run"] & {"concurrent.futures", "hashlib"}
+    # The generator checks quotes with ``textnorm.eval_exe_meq``.
+    assert "deepa2.metrics" not in loaded["generate"]
 
 
 #: Modules only scoring needs; the decider decides sys_val.

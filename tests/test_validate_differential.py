@@ -14,11 +14,11 @@ nothing when the full one finds none.
 
 import random
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
 from deepa2 import generator
+from deepa2.frozen import replace
 from deepa2.generator import GeneratorConfig, generate_corpus
 from deepa2.lexicon import builtin_lexicon
 from deepa2.records import QuotedStatement
