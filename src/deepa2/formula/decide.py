@@ -20,11 +20,22 @@ block, and holds a profile matching each constant's ground literals.
 ``check_entailment`` reduces to unsatisfiability of premises plus negated
 conclusion.
 
-The skeleton search branches on one leaf at a time and learns nothing from
-a failed branch, so a long premise list of disjunctions can take
-exponentially many nodes.  A check that would visit more than
-``MAX_SEARCH_NODES`` of them raises ``UnsupportedFragmentError`` instead:
-a count, not a clock, so every verdict is reproducible.
+The skeleton is not built from formula nodes but from plain tuples, tagged
+with the connective they stand for: ``("not", s)``, ``("&", a, b)``,
+``("v", a, b)`` and ``("<->", a, b)``, over the parsed atoms and blocks
+``("block", W)``.  Building a tuple takes no hash, and a search node
+rebuilds the skeleton with its leaves' values substituted.  A formula set is
+conjoined as a balanced tree, so the skeleton stays shallow however many
+formulas the set holds.
+
+Both halves can take exponentially many steps.  Elimination splits a body
+on each outer leaf in turn, in every branch of the split before, so k outer
+leaves take up to 2^k splits.  The search branches on one leaf at a time and
+learns nothing from a failed branch, so a long premise list of disjunctions
+can take exponentially many nodes.  Splits and search nodes count on one
+budget per check; a check that would take more than ``MAX_SEARCH_NODES``
+raises ``UnsupportedFragmentError`` instead: a count, not a clock, so every
+verdict is reproducible.
 """
 
 from __future__ import annotations
@@ -32,17 +43,13 @@ from __future__ import annotations
 from itertools import count
 
 from deepa2.errors import UnsupportedFragmentError
-from deepa2.frozen import Frozen
 from deepa2.formula.syntax import (
-    And,
     Atom,
     Exists,
     ForAll,
     Formula,
-    Iff,
     Implies,
     Not,
-    Or,
     Var,
     free_variables,
     predicates_of,
@@ -55,37 +62,25 @@ from deepa2.formula.syntax import (
 # anything beyond is malformed model output.
 MAX_PREDICATES = 10
 
-# Search nodes (``_Eliminator.satisfiable`` calls) one check may visit, over
-# all its components.  No check of a generated record needs more than 12,
-# and none in the differential tests against brute force more than 57.
+# Nodes one check may visit over all its components: search nodes
+# (``_Eliminator.satisfiable`` calls) and elimination splits.  No check made
+# while generating 1 800 records needs more than 7, and none in the tests'
+# differential checks against brute force and nested families more than 87.
 MAX_SEARCH_NODES = 10_000
 
 
-class _Block(Frozen):
-    """The eliminated quantifier "some realized profile is in witnesses"."""
-
-    _fields = ("witnesses",)
-
-    def __init__(self, witnesses: int):
-        self.__dict__["witnesses"] = witnesses
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.witnesses == other.witnesses
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.witnesses,))
+# A skeleton is True, False, or a tuple tree (see the module docstring) that
+# holds no Boolean constant.
 
 
-# A skeleton is True, False, or a formula over And/Or/Not/Iff whose leaves
-# are atoms and blocks and which holds no Boolean constant.
+def _is_leaf(s) -> bool:
+    return s.__class__ is not tuple or s[0] == "block"
 
 
 def _not(a):
     if isinstance(a, bool):
         return not a
-    return a.sub if isinstance(a, Not) else Not(a)
+    return a[1] if a.__class__ is tuple and a[0] == "not" else ("not", a)
 
 
 def _and(a, b):
@@ -93,7 +88,7 @@ def _and(a, b):
         return False
     if a is True:
         return b
-    return a if b is True else And(a, b)
+    return a if b is True else ("&", a, b)
 
 
 def _or(a, b):
@@ -101,7 +96,7 @@ def _or(a, b):
         return True
     if a is False:
         return b
-    return a if b is False else Or(a, b)
+    return a if b is False else ("v", a, b)
 
 
 def _iff(a, b):
@@ -109,19 +104,19 @@ def _iff(a, b):
         return b if a else _not(b)
     if isinstance(b, bool):
         return a if b else _not(a)
-    return Iff(a, b)
+    return ("<->", a, b)
 
 
-_COMBINE = {And: _and, Or: _or, Iff: _iff}
+_COMBINE = {"&": _and, "v": _or, "<->": _iff}
 
 
 def _assign(s, values: dict):
     """The skeleton s with each leaf in values replaced by its value."""
-    if isinstance(s, (Atom, _Block)):
+    if _is_leaf(s):
         return values.get(s, s)
-    if isinstance(s, Not):
-        return _not(_assign(s.sub, values))
-    return _COMBINE[type(s)](_assign(s.left, values), _assign(s.right, values))
+    if s[0] == "not":
+        return _not(_assign(s[1], values))
+    return _COMBINE[s[0]](_assign(s[1], values), _assign(s[2], values))
 
 
 def _leaves(s):
@@ -129,12 +124,10 @@ def _leaves(s):
     stack = [s]
     while stack:
         node = stack.pop()
-        if isinstance(node, (Atom, _Block)):
+        if _is_leaf(node):
             yield node
-        elif isinstance(node, Not):
-            stack.append(node.sub)
         else:
-            stack += (node.right, node.left)
+            stack += node[:0:-1]  # its operands, right to left
 
 
 def _forced(s):
@@ -142,12 +135,12 @@ def _forced(s):
     stack = [s]
     while stack:
         node = stack.pop()
-        if isinstance(node, And):
-            stack += (node.right, node.left)
-        elif isinstance(node, (Atom, _Block)):
+        if _is_leaf(node):
             yield node, True
-        elif isinstance(node, Not) and isinstance(node.sub, (Atom, _Block)):
-            yield node.sub, False
+        elif node[0] == "&":
+            stack += (node[2], node[1])
+        elif node[0] == "not" and _is_leaf(node[1]):
+            yield node[1], False
 
 
 class _Eliminator:
@@ -155,7 +148,7 @@ class _Eliminator:
     predicate letters."""
 
     def __init__(self, predicates: list[str], nodes: count):
-        # nodes: numbers the search nodes of the whole check
+        # nodes: numbers the nodes of the whole check
         self.nodes = nodes
         n = 1 << len(predicates)
         self.full = (1 << n) - 1
@@ -183,34 +176,40 @@ class _Eliminator:
         left, right = self.reduce(f.left), self.reduce(f.right)
         if isinstance(f, Implies):
             return _or(_not(left), right)
-        return _COMBINE[type(f)](left, right)
+        return _COMBINE[f.symbol](left, right)
 
     def _exists(self, var: str, body):
         if isinstance(body, bool):
             return body  # domains are non-empty
         bound = Var(var)
-        leaf = next((a for a in _leaves(body) if isinstance(a, _Block) or a.term != bound), None)
+        leaf = next((a for a in _leaves(body) if a.__class__ is tuple or a.term != bound), None)
         if leaf is None:
             witnesses = self._witnesses(body)
             if witnesses == 0 or witnesses == self.full:
                 return witnesses != 0
-            return _Block(witnesses)
+            return ("block", witnesses)
+        self._count("quantifier elimination")
         then = self._exists(var, _assign(body, {leaf: True}))
         other = self._exists(var, _assign(body, {leaf: False}))
         if then == other:
             return then
         return _or(_and(leaf, then), _and(_not(leaf), other))
 
+    def _count(self, what: str) -> None:
+        """Count one node of the check; past the budget, refuse the check."""
+        if next(self.nodes) > MAX_SEARCH_NODES:
+            raise UnsupportedFragmentError(f"{what} exceeds {MAX_SEARCH_NODES} nodes")
+
     def _witnesses(self, s) -> int:
         """The profiles satisfying s, whose leaves are atoms of one variable."""
-        if isinstance(s, Atom):
+        if s.__class__ is not tuple:
             return self.masks[s.pred]
-        if isinstance(s, Not):
-            return self.full ^ self._witnesses(s.sub)
-        left, right = self._witnesses(s.left), self._witnesses(s.right)
-        if isinstance(s, And):
+        if s[0] == "not":
+            return self.full ^ self._witnesses(s[1])
+        left, right = self._witnesses(s[1]), self._witnesses(s[2])
+        if s[0] == "&":
             return left & right
-        if isinstance(s, Or):
+        if s[0] == "v":
             return left | right
         return self.full ^ left ^ right
 
@@ -220,10 +219,7 @@ class _Eliminator:
         needs: what the realized profiles must meet so far -- each true
         block's witness set, and per constant the profiles that match its
         ground literals."""
-        if next(self.nodes) > MAX_SEARCH_NODES:
-            raise UnsupportedFragmentError(
-                f"satisfiability search exceeds {MAX_SEARCH_NODES} nodes"
-            )
+        self._count("satisfiability search")
         realized = self.full & ~excluded
         if skeleton is False or not realized or not all(realized & w for w in needs.values()):
             return False
@@ -241,10 +237,10 @@ class _Eliminator:
         for values in choices:
             branch_excluded, branch_needs = excluded, dict(needs)
             for leaf, value in values.items():
-                if isinstance(leaf, _Block) and not value:
-                    branch_excluded |= leaf.witnesses
-                elif isinstance(leaf, _Block):
-                    branch_needs[leaf] = leaf.witnesses
+                if leaf.__class__ is tuple and not value:
+                    branch_excluded |= leaf[1]
+                elif leaf.__class__ is tuple:
+                    branch_needs[leaf] = leaf[1]
                 else:
                     mask = self.masks[leaf.pred] if value else self.full ^ self.masks[leaf.pred]
                     name = leaf.term.name
@@ -313,10 +309,17 @@ def _component_satisfiable(formulas: list[Formula], letters: set[str], nodes: co
             f"{len(predicates)} distinct predicates exceed the supported bound of {MAX_PREDICATES}"
         )
     eliminator = _Eliminator(predicates, nodes)
-    skeleton = True
-    for f in formulas:
-        skeleton = _and(skeleton, eliminator.reduce(f))
+    skeleton = _conjoin([eliminator.reduce(f) for f in formulas])
     return eliminator.satisfiable(skeleton, 0, {})
+
+
+def _conjoin(skeletons: list):
+    """The conjunction of skeletons as a balanced tree with its leaves in
+    order, so its depth grows with the logarithm of their number."""
+    if len(skeletons) == 1:
+        return skeletons[0]
+    middle = len(skeletons) // 2
+    return _and(_conjoin(skeletons[:middle]), _conjoin(skeletons[middle:]))
 
 
 def check_entailment(premises: list[Formula], conclusion: Formula) -> bool:

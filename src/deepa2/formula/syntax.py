@@ -28,6 +28,15 @@ VARIABLE_NAMES = ("x", "y", "z")
 # "v" is the disjunction token, so it is excluded from the constant alphabet.
 RESERVED_LOWER = "v"
 
+# Levels a formula may nest: each parenthesis group, quantifier prefix,
+# ``not`` and chained binary connective opens one.  A group can also sit
+# under up to four connectives of decreasing binding, so a parsed tree is at
+# most about 4 * MAX_NESTING nodes deep, and every walk over it (the
+# printer, the decider, ``==``) stays inside the interpreter's default
+# recursion limit; a deeper text is refused at parse time.  Arguments in
+# practice nest fewer than 10 levels.
+MAX_NESTING = 50
+
 
 class Term(Frozen):
     _fields = ("name",)
@@ -328,11 +337,19 @@ class _Parser:
         tok = tok or self.peek()
         raise FormulaParseError(message, tok.pos)
 
+    def deeper(self, depth: int) -> int:
+        """The level the next token opens, one deeper than depth; past
+        ``MAX_NESTING``, a FormulaParseError at that token."""
+        if depth >= MAX_NESTING:
+            self.fail(f"formula nests deeper than {MAX_NESTING} levels")
+        return depth + 1
+
     # formula := quantifier-prefix formula | binary-expression
-    def formula(self, bound: frozenset[str]) -> Formula:
+    def formula(self, bound: frozenset[str], depth: int) -> Formula:
         ahead = self._quantifier_ahead()
         if ahead is None:
-            return self.binary_expr(bound, _LEVEL_QUANT)
+            return self.binary_expr(bound, _LEVEL_QUANT, depth)
+        depth = self.deeper(depth)
         node, var_tok, width = ahead
         self.i += width
         var = var_tok.text
@@ -343,7 +360,7 @@ class _Parser:
             )
         if var in bound:
             self.fail(f"variable {var!r} is already bound", var_tok)
-        return node(var, self.formula(bound | {var}))
+        return node(var, self.formula(bound | {var}, depth))
 
     def _quantifier_ahead(self):
         """``(ForAll, variable token, 4)`` for a prefix ``(x):``, ``(Exists,
@@ -366,34 +383,37 @@ class _Parser:
 
     # binary-expression := unary-expression [connective binary-expression],
     # grouped by the connectives' binding levels
-    def binary_expr(self, bound, level: int) -> Formula:
+    def binary_expr(self, bound, level: int, depth: int) -> Formula:
         """An expression whose connectives bind at ``level`` or tighter.  The
         operand right of a connective takes every connective that binds as
         tightly as it does, so connectives of one level group to the right."""
-        left = self.unary_expr(bound)
+        left = self.unary_expr(bound, depth)
         while True:
             node = _BINARY_BY_KIND.get(self.peek().kind)
             if node is None or node.level < level:
                 return left
+            right_depth = self.deeper(depth)
             self.next()
-            left = node(left, self.binary_expr(bound, node.level))
+            left = node(left, self.binary_expr(bound, node.level, right_depth))
 
-    def unary_expr(self, bound) -> Formula:
+    def unary_expr(self, bound, depth: int) -> Formula:
         tok = self.peek()
         if tok.kind == "not":
+            depth = self.deeper(depth)
             self.next()
-            return Not(self.unary_expr(bound))
-        return self.primary(bound)
+            return Not(self.unary_expr(bound, depth))
+        return self.primary(bound, depth)
 
-    def primary(self, bound) -> Formula:
+    def primary(self, bound, depth: int) -> Formula:
         tok = self.peek()
         if tok.kind == "lparen":
             if self._quantifier_ahead() is not None:
                 # A quantifier may start at operand position; it scopes over
                 # the whole remaining group.
-                return self.formula(bound)
+                return self.formula(bound, depth)
+            depth = self.deeper(depth)
             self.next()
-            inner = self.formula(bound)
+            inner = self.formula(bound, depth)
             closing = self.next()
             if closing.kind != "rparen":
                 self.fail("expected ')'", closing)
@@ -434,7 +454,7 @@ def parse_formula(text: str) -> Formula:
     caller shares its frozen AST; a malformed text is parsed again on each
     call."""
     parser = _Parser(text)
-    result = parser.formula(frozenset())
+    result = parser.formula(frozenset(), 0)
     trailing = parser.peek()
     if trailing.kind != "eof":
         if trailing.kind == "lower":

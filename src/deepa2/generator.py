@@ -25,6 +25,7 @@ sampling dead end included, and counts the rejections by check.
 from __future__ import annotations
 
 import random
+import sys
 from collections import Counter
 from functools import cache
 from typing import Iterable
@@ -71,14 +72,25 @@ _DECAPITALIZABLE = {
     "Each", "It", "Assuming", "Being",
 }
 
+
+def _bad_config(message: str) -> ConfigError:
+    return ConfigError(f"bad generator config: {message}")
+
+
 class GeneratorConfig(Frozen):
-    """Knobs for one corpus flavor; distributions must be proper."""
+    """Knobs for one corpus flavor; distributions must be proper.
+
+    Each field has its default's type, except that an int may stand for a
+    float and a list for a tuple of weights, so a config file of the wrong
+    shape is refused here rather than failing in the middle of a build."""
 
     _fields = (
         "lexicon_id", "step_weights", "p_intricate", "implicit_premise_weights",
         "p_implicit_intermediate", "p_final_explicit", "distractor_weights",
         "imprecise_rendition",
     )
+    _WEIGHTS = ("step_weights", "implicit_premise_weights", "distractor_weights")
+    _PROBABILITIES = ("p_intricate", "p_implicit_intermediate", "p_final_explicit")
 
     def __init__(
         self,
@@ -101,30 +113,39 @@ class GeneratorConfig(Frozen):
             distractor_weights=distractor_weights,
             imprecise_rendition=imprecise_rendition,
         )
-        for name in ("step_weights", "implicit_premise_weights", "distractor_weights"):
+        if type(lexicon_id) is not str:
+            raise _bad_config("lexicon_id must be a string")
+        if type(imprecise_rendition) is not bool:
+            raise _bad_config("imprecise_rendition must be true or false")
+        for name in self._WEIGHTS:
             weights = getattr(self, name)
-            if not weights or any(w < 0 for w in weights) or sum(weights) <= 0:
-                raise ConfigError(f"{name} must be a proper distribution")
-        for name in ("p_intricate", "p_implicit_intermediate", "p_final_explicit"):
-            if not 0 <= getattr(self, name) <= 1:
-                raise ConfigError(f"{name} must lie in [0, 1]")
+            if type(weights) not in (tuple, list) or any(
+                type(w) not in (int, float) for w in weights
+            ):
+                raise _bad_config(f"{name} must be a list of numbers")
+            # random.choices needs a positive, finite total; NaN fails both tests.
+            if not weights or min(weights) < 0 or not 0 < sum(weights) <= sys.float_info.max:
+                raise _bad_config(f"{name} must be a proper distribution")
+            self.__dict__[name] = tuple(weights)
+        for name in self._PROBABILITIES:
+            p = getattr(self, name)
+            if type(p) not in (int, float) or not 0 <= p <= 1:
+                raise _bad_config(f"{name} must be a number in [0, 1]")
 
     def to_dict(self) -> dict:
         data = dict(vars(self))
-        for name in ("step_weights", "implicit_premise_weights", "distractor_weights"):
+        for name in self._WEIGHTS:
             data[name] = list(data[name])
         return data
 
     @classmethod
-    def from_dict(cls, data: dict) -> "GeneratorConfig":
-        kwargs = dict(data)
-        for name in ("step_weights", "implicit_premise_weights", "distractor_weights"):
-            if name in kwargs:
-                kwargs[name] = tuple(kwargs[name])
+    def from_dict(cls, data) -> "GeneratorConfig":
+        if type(data) is not dict:
+            raise _bad_config(f"expected a JSON object, got {type(data).__name__}")
         try:
-            return cls(**kwargs)
-        except TypeError as err:
-            raise ConfigError(f"bad generator config: {err}") from None
+            return cls(**data)
+        except TypeError as err:  # a field the config does not have
+            raise _bad_config(str(err)) from None
 
     @classmethod
     def preset(cls, name: str) -> "GeneratorConfig":

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -153,6 +154,21 @@ class TestGenerate:
         config.write_text(json.dumps({"paraphrase": "x"}))
         out = tmp_path / "c.jsonl"
         assert run_cli("generate", "-n", "5", "--config", str(config),
+                       "--out", str(out)) == EXIT_CONFIG
+        assert "bad generator config" in caplog.text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config", [
+        [1, 2],
+        {"step_weights": 3},
+        {"step_weights": [1e308, 1e308]},
+        {"imprecise_rendition": "yes"},
+    ], ids=["not-an-object", "weights-not-a-list", "weights-sum-not-finite", "flag-not-a-bool"])
+    def test_config_of_the_wrong_shape_exits_2(self, tmp_path, caplog, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "c.jsonl"
+        assert run_cli("generate", "-n", "5", "--config", str(path),
                        "--out", str(out)) == EXIT_CONFIG
         assert "bad generator config" in caplog.text
         assert not out.exists()
@@ -447,6 +463,38 @@ class TestEval:
                            for row in rows)
         assert metrics.read_text(encoding="utf-8") == expected
 
+    @pytest.mark.parametrize("premises, diagnostic", [
+        (["(" * 300 + "F a" + ")" * 300],
+         "sys_val: formula nests deeper than 50 levels (at position 50)"),
+        (["F a"] * 1200, None),
+        (["(x): " + " & ".join(f"(G {c} -> F x)" for c in "abcdefghijklmnopqrst")],
+         "sys_val: quantifier elimination exceeds 10000 nodes"),
+    ], ids=["nested-300-deep", "1200-premises", "20-guarded-conjuncts"])
+    def test_hostile_formalization_is_scored_in_bounded_time(
+        self, tmp_path, corpus_file, premises, diagnostic
+    ):
+        """One formalization too deep, too long or too costly to eliminate
+        scores ``sys_val`` 0 with a diagnostic, or is decided, within 2 s."""
+        traces = tmp_path / "traces.jsonl"
+        run_cli("run", "--corpus", str(corpus_file), "--chains", "1",
+                "--backend", "oracle", "--with-formalization", "--out", str(traces))
+        lines = traces.read_text().splitlines(keepends=True)
+        row = json.loads(lines[0])
+        row["final"]["premises_form"] = " | ".join(
+            f"{p} (ref: ({i}))" for i, p in enumerate(premises, 1))
+        row["final"]["conclusion_form"] = f"F a v G a (ref: ({len(premises) + 1}))"
+        traces.write_text(json.dumps(row) + "\n" + "".join(lines[1:]))
+        metrics = tmp_path / "m.jsonl"
+        clear_memos()
+        start = time.perf_counter()
+        assert run_cli("eval", "--traces", str(traces), "--corpus", str(corpus_file),
+                       "--out", str(metrics)) == EXIT_OK
+        assert time.perf_counter() - start < 2.0
+        first = json.loads(metrics.read_text().splitlines()[0])
+        assert first["sys_val"] == (0 if diagnostic else 1)
+        assert [d for d in first.get("diagnostics", []) if d.startswith("sys_val")] == (
+            [diagnostic] if diagnostic else [])
+
     def test_reference_to_statement_zero_is_scored(self, tmp_path, corpus_file):
         traces = tmp_path / "traces.jsonl"
         run_cli("run", "--corpus", str(corpus_file), "--chains", "1",
@@ -605,6 +653,7 @@ def test_record_without_id_is_refused_by_an_oracle_run_with_its_line(
 @pytest.mark.parametrize("keyword, bad, eval_code", [
     ("argdown", "no argument here", EXIT_VALIDATION),
     ("premises_form", "F x y (ref: (1))", EXIT_VALIDATION),
+    ("premises_form", "(" * 300 + "F a" + ")" * 300 + " (ref: (1))", EXIT_VALIDATION),
     ("keys", "no key here", EXIT_OK),
 ])
 def test_malformed_dimension_is_rejected_only_where_scored(

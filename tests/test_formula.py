@@ -121,6 +121,30 @@ class TestParse:
             assert again.value.position == first.value.position == 4
             assert len(traceback.extract_tb(again.value.__traceback__)) == depth
 
+    # The parser's nesting bound is 50 levels; each text opens its 51st
+    # level at the given position.
+    @pytest.mark.parametrize("text, position", [
+        ("(" * 300 + "F a" + ")" * 300, 50),
+        ("not " * 990 + "F a", 200),
+        (" v ".join(["F a"] * 1000), 304),
+    ], ids=["parentheses", "nots", "connectives"])
+    def test_nesting_past_the_bound_is_refused_at_its_token(self, text, position):
+        with pytest.raises(FormulaParseError, match="nests deeper than 50 levels") as err:
+            parse_formula(text)
+        assert err.value.position == position
+
+    @pytest.mark.parametrize("text", [
+        "(" * 50 + "F a" + ")" * 50,
+        "not " * 50 + "F a",
+        " v ".join(["F a"] * 51),
+        # Each group sits four connectives deep in the next, 194 nodes in all.
+        "(x): " + "(" * 48 + "F x" + " & G x v H x -> I x <-> J x)" * 48,
+    ], ids=["parentheses", "nots", "connectives", "groups"])
+    def test_nesting_at_the_bound_is_parsed_and_decided(self, text):
+        f = parse_formula(text)
+        assert parse_formula(render_formula(f)) == f
+        assert check_satisfiable([f]) in (True, False)
+
 
 class TestRender:
     def test_universal_conditional(self):
@@ -417,8 +441,9 @@ class TestSearchBudget:
     heavy tail; the node budget bounds every check."""
 
     def test_probe_family_is_decided_or_refused_in_bounded_time(self):
-        # Unbounded, the worst of these 45 sets takes 36 865 nodes (3.6 s on
-        # a 2-CPU machine); the budget refuses it after 10 000 (about 1 s).
+        # Unbounded, the worst of these 45 sets takes 36 865 nodes (0.7 s on
+        # a 2-CPU machine); the budget refuses it after 10 000 (about 0.2 s),
+        # and all 45 checks take about 0.85 s.
         rng = random.Random(2)
         refused = 0
         for n in (24, 40, 48):
@@ -468,6 +493,29 @@ class TestSearchBudget:
             assert metrics.eval_sys_val(premises_form, conclusion_form, diagnostics) == 0
             assert diagnostics == ["sys_val: satisfiability search exceeds 1 nodes"]
         assert len(decided) == 1
+
+
+def test_a_long_premise_list_keeps_the_skeleton_shallow():
+    # Conjoined left to right, 1 000 premises overflowed the recursion limit.
+    premises = [parse_formula("F a")] * 3000
+    assert check_satisfiable(premises)
+    assert check_entailment(premises, parse_formula("F a"))
+    assert not check_satisfiable(premises + [parse_formula("not F a")])
+
+
+def test_quantifier_elimination_counts_against_the_node_budget():
+    """Each outer atom of a quantifier body doubles its Shannon expansion;
+    the splits count on the check's node budget."""
+
+    def guarded(constants):
+        return parse_formula("(x): " + " & ".join(f"(G {c} -> F x)" for c in constants))
+
+    # 12 constants take 4 095 splits, 20 would take over a million.
+    assert check_entailment([guarded("abcdefghijkl")], parse_formula("F a")) is False
+    start = time.perf_counter()
+    with pytest.raises(UnsupportedFragmentError, match="quantifier elimination exceeds"):
+        check_entailment([guarded("abcdefghijklmnopqrst")], parse_formula("F a"))
+    assert time.perf_counter() - start < 2.0
 
 
 def test_render_formula_is_parse_inverse_on_paper_style_strings():
