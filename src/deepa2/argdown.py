@@ -44,16 +44,6 @@ class InferenceStep(Frozen):
         fields["scheme_name"] = scheme_name
         fields["variant"] = variant
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.from_numbers, self.derives, self.scheme_name, self.variant) == (
-                other.from_numbers, other.derives, other.scheme_name, other.variant
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.from_numbers, self.derives, self.scheme_name, self.variant))
-
 
 class ArgdownArgument(Frozen):
     _fields = ("statements", "inferences")

@@ -34,6 +34,9 @@ _BEAM_WIDTH = 2
 
 _JSON_HEADERS = {"Content-Type": "application/json"}
 
+#: The attempts one HTTP request makes before it fails.
+MAX_ATTEMPTS = 3
+
 
 class GenerationRequest(Frozen):
     """One mode's inputs for one record; ``record_id`` names the target
@@ -70,7 +73,8 @@ class ModelBackend(Protocol):
 
 class OracleBackend:
     """Answers every request with the target record's output dimension, read
-    from the record's ``texts``, so it parses and renders nothing."""
+    from the record's ``texts``, so it parses and renders nothing; a record
+    without that dimension is a backend failure of the request."""
 
     def __init__(self, records: Iterable[DeepA2Record]):
         self._records: dict[str, DeepA2Record] = {}
@@ -89,7 +93,10 @@ class OracleBackend:
     def generate(self, request: GenerationRequest) -> str:
         if request.record_id is None:
             raise BackendError("oracle backend needs a record id on each request")
-        return serialize_dimension(self.target(request.record_id), request.mode.output)
+        try:
+            return serialize_dimension(self.target(request.record_id), request.mode.output)
+        except MissingDimensionError as err:
+            raise BackendError(f"record {request.record_id!r}: {err}") from None
 
 
 _JUNK_WORDS = ("quasar", "marzipan", "flotsam", "kumquat", "zephyr", "borogove")
@@ -183,7 +190,7 @@ class HttpBackend:
     2xx answer of any other shape is a malformed response (BackendError).
     Transient failures are retried with exponential backoff; at most
     ``max_in_flight`` requests run concurrently, each thread on its own
-    keep-alive connection.  Once a request has spent all ``max_attempts`` on
+    keep-alive connection.  Once a request has spent all ``MAX_ATTEMPTS`` on
     transport errors, the endpoint is taken for dead: later requests make
     one attempt each, without backoff, until one succeeds.
     """
@@ -193,7 +200,6 @@ class HttpBackend:
         endpoint: str,
         timeout: float = 30.0,
         max_in_flight: int = 4,
-        max_attempts: int = 3,
         backoff: float = 0.25,
     ):
         # http.client loads ssl and email with it, so it is imported only
@@ -210,7 +216,6 @@ class HttpBackend:
         self.endpoint = endpoint
         self.timeout = timeout
         self.max_in_flight = max_in_flight
-        self.max_attempts = max_attempts
         self.backoff = backoff
         if parts.scheme == "https":
             self._connect = partial(http.client.HTTPSConnection, parts.hostname, port)
@@ -218,6 +223,7 @@ class HttpBackend:
             self._connect = partial(http.client.HTTPConnection, parts.hostname, port)
         self._transport_errors = (OSError, http.client.HTTPException)
         self._path = parts.path.rstrip("/") + "/generate"
+        self._url = f"{parts.scheme}://{parts.netloc}{self._path}"
         self._semaphore = threading.Semaphore(self.max_in_flight)
         self._local = threading.local()
         self._lock = threading.Lock()
@@ -256,9 +262,8 @@ class HttpBackend:
             "inputs": {d.keyword: text for d, text in request.inputs.items()},
             "beam_width": _BEAM_WIDTH,
         }).encode()
-        url = self.endpoint.rstrip("/") + "/generate"
         with self._lock:
-            attempts = 1 if self._endpoint_dead else self.max_attempts
+            attempts = 1 if self._endpoint_dead else MAX_ATTEMPTS
         last_error: str = "no attempt made"
         transport_errors = 0
         with self._semaphore:
@@ -276,22 +281,22 @@ class HttpBackend:
                         output = json.loads(raw)["output"]
                     except (ValueError, KeyError, TypeError) as err:
                         raise BackendError(
-                            f"malformed response from {url}: {err}"
+                            f"malformed response from {self._url}: {err}"
                         ) from err
                     if type(output) is not str:
                         raise BackendError(
-                            f"malformed response from {url}: output is "
+                            f"malformed response from {self._url}: output is "
                             f"{type(output).__name__}, not a string"
                         )
                     with self._lock:
                         self._endpoint_dead = False
                     return output
                 last_error = f"HTTP {status}"
-        if transport_errors == self.max_attempts:
+        if transport_errors == MAX_ATTEMPTS:
             with self._lock:
                 self._endpoint_dead = True
         raise BackendUnavailableError(
-            f"{url} unavailable after {attempts} attempt{'s' if attempts > 1 else ''} "
+            f"{self._url} unavailable after {attempts} attempt{'s' if attempts > 1 else ''} "
             f"({last_error})"
         )
 

@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import tempfile
+from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
@@ -220,6 +221,7 @@ def cmd_eval(args) -> int:
         aggregate_table,
         evaluate_traces,
         render_table,
+        trace_record,
     )
     from deepa2.records import load_corpus
     from deepa2.traces import read_finals
@@ -233,13 +235,19 @@ def cmd_eval(args) -> int:
 
     def usable_traces():
         # Streamed: a trace is read, scored and dropped before the next
-        # line is read; failed traces are counted and skipped.
+        # line is read; failed traces are counted and skipped, and one that
+        # joins no corpus record is refused with its line.
         for trace in read_finals(args.traces):
             counts["traces"] += 1
             if trace.error:
                 counts["failed"] += 1
-            else:
-                yield trace
+                continue
+            try:
+                trace_record(trace, corpus)
+            except DeepA2Error as err:
+                line = _nonblank_line_number(args.traces, counts["traces"])
+                raise DeepA2Error(f"{args.traces}:{line}: {err}") from None
+            yield trace
 
     try:
         rows = evaluate_traces(usable_traces(), corpus)
@@ -261,6 +269,14 @@ def cmd_eval(args) -> int:
         f"to {aggregate_path}"
     )
     return EXIT_OK
+
+
+def _nonblank_line_number(path, index: int) -> int:
+    """The line number of the index-th non-blank line of a file, which holds
+    the index-th trace that ``read_finals`` yields."""
+    with open(path, encoding="utf-8") as fh:
+        numbers = (number for number, line in enumerate(fh, 1) if line.strip())
+        return next(islice(numbers, index - 1, None))
 
 
 def _metric_lines(rows) -> Iterator[str]:

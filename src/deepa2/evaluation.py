@@ -75,6 +75,20 @@ def _scored(record: DeepA2Record, items: frozenset) -> MetricReport:
     return evaluate_analysis(dict(items), target=record)
 
 
+def trace_record(result: TraceFinal, corpus: dict[str, DeepA2Record]) -> DeepA2Record:
+    """The corpus record a trace is scored against; DeepA2Error if the trace
+    has no record id or the corpus no record of that id."""
+    if result.record_id is None:
+        raise DeepA2Error(
+            f"trace of chain {result.chain_id} has no record_id, "
+            "the key that joins traces to corpus records"
+        )
+    record = corpus.get(result.record_id)
+    if record is None:
+        raise DeepA2Error(f"trace for unknown record {result.record_id!r}; corpus mismatch")
+    return record
+
+
 def evaluate_traces(
     results: Iterable[TraceFinal], corpus: dict[str, DeepA2Record]
 ) -> list[EvaluatedTrace]:
@@ -82,16 +96,7 @@ def evaluate_traces(
     read once.  Rows of one distinct analysis share one report."""
     rows = []
     for result in results:
-        if result.record_id is None:
-            raise DeepA2Error(
-                f"trace of chain {result.chain_id} has no record_id, "
-                "the key that joins traces to corpus records"
-            )
-        record = corpus.get(result.record_id)
-        if record is None:
-            raise DeepA2Error(
-                f"trace for unknown record {result.record_id!r}; corpus mismatch"
-            )
+        record = trace_record(result, corpus)
         rows.append(
             EvaluatedTrace(result.record_id, result.chain_id, _report(result.final, record))
         )

@@ -35,7 +35,9 @@ learns nothing from a failed branch, so a long premise list of disjunctions
 can take exponentially many nodes.  Splits and search nodes count on one
 budget per check; a check that would take more than ``MAX_SEARCH_NODES``
 raises ``UnsupportedFragmentError`` instead: a count, not a clock, so every
-verdict is reproducible.
+verdict is reproducible.  Both halves also recurse, once per nested split
+and once per search node on the current branch, and a check that would go
+deeper than ``MAX_SEARCH_DEPTH`` levels is refused the same way.
 """
 
 from __future__ import annotations
@@ -67,6 +69,16 @@ MAX_PREDICATES = 10
 # while generating 1 800 records needs more than 7, and none in the tests'
 # differential checks against brute force and nested families more than 87.
 MAX_SEARCH_NODES = 10_000
+
+# Levels one check may recurse: search nodes on one branch of the search, or
+# nested Shannon splits of one quantifier.  Each level is a Python frame, and
+# n nested splits build a skeleton about 2n deep, which every later step
+# walks recursively.  At this bound the deepest check found (a quantifier
+# over 100 blocks, nested in a formula) leaves about 750 of the default 1 000
+# frames to its caller; at 400 it left 160.  A search goes about one level
+# deeper per disjunctive premise, so no argument of a realistic size comes
+# near it.
+MAX_SEARCH_DEPTH = 100
 
 
 # A skeleton is True, False, or a tuple tree (see the module docstring) that
@@ -178,7 +190,7 @@ class _Eliminator:
             return _or(_not(left), right)
         return _COMBINE[f.symbol](left, right)
 
-    def _exists(self, var: str, body):
+    def _exists(self, var: str, body, depth: int = 1):
         if isinstance(body, bool):
             return body  # domains are non-empty
         bound = Var(var)
@@ -188,17 +200,20 @@ class _Eliminator:
             if witnesses == 0 or witnesses == self.full:
                 return witnesses != 0
             return ("block", witnesses)
-        self._count("quantifier elimination")
-        then = self._exists(var, _assign(body, {leaf: True}))
-        other = self._exists(var, _assign(body, {leaf: False}))
+        self._count("quantifier elimination", depth)
+        then = self._exists(var, _assign(body, {leaf: True}), depth + 1)
+        other = self._exists(var, _assign(body, {leaf: False}), depth + 1)
         if then == other:
             return then
         return _or(_and(leaf, then), _and(_not(leaf), other))
 
-    def _count(self, what: str) -> None:
-        """Count one node of the check; past the budget, refuse the check."""
+    def _count(self, what: str, depth: int) -> None:
+        """Count one node of the check, at recursion level depth; past either
+        bound, refuse the check."""
         if next(self.nodes) > MAX_SEARCH_NODES:
             raise UnsupportedFragmentError(f"{what} exceeds {MAX_SEARCH_NODES} nodes")
+        if depth > MAX_SEARCH_DEPTH:
+            raise UnsupportedFragmentError(f"{what} exceeds {MAX_SEARCH_DEPTH} levels")
 
     def _witnesses(self, s) -> int:
         """The profiles satisfying s, whose leaves are atoms of one variable."""
@@ -213,13 +228,13 @@ class _Eliminator:
             return left | right
         return self.full ^ left ^ right
 
-    def satisfiable(self, skeleton, excluded: int, needs: dict) -> bool:
+    def satisfiable(self, skeleton, excluded: int, needs: dict, depth: int = 1) -> bool:
         """Whether some realizable assignment to the skeleton's leaves makes
         it true.  excluded: the union of the false blocks' witness sets;
         needs: what the realized profiles must meet so far -- each true
         block's witness set, and per constant the profiles that match its
         ground literals."""
-        self._count("satisfiability search")
+        self._count("satisfiability search", depth)
         realized = self.full & ~excluded
         if skeleton is False or not realized or not all(realized & w for w in needs.values()):
             return False
@@ -245,7 +260,9 @@ class _Eliminator:
                     mask = self.masks[leaf.pred] if value else self.full ^ self.masks[leaf.pred]
                     name = leaf.term.name
                     branch_needs[name] = branch_needs.get(name, self.full) & mask
-            if self.satisfiable(_assign(skeleton, values), branch_excluded, branch_needs):
+            if self.satisfiable(
+                _assign(skeleton, values), branch_excluded, branch_needs, depth + 1
+            ):
                 return True
         return False
 

@@ -44,14 +44,6 @@ class Term(Frozen):
     def __init__(self, name: str):
         self.__dict__["name"] = name
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.name == other.name
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.name,))
-
 
 class Var(Term):
     pass
@@ -66,8 +58,9 @@ class Formula(Frozen):
 
     A node's hash, that of its tuple of fields, is taken once, when the node
     is built; memos keyed by formulas look it up on every call.  ``==``
-    compares classes, then hashes, then fields; a node's ``vars()`` are its
-    fields."""
+    compares classes, then hashes, then fields.  Trees are deep, so these two
+    methods stand in for ``Frozen``'s, which would walk the whole tree on
+    every hash.  A node's ``vars()`` are its fields."""
 
     __slots__ = ("_hash",)
 

@@ -10,15 +10,18 @@ fields in order.  The base supplies what a frozen dataclass would:
 - ``repr`` as ``Name(field=value, ...)``;
 - ``==`` by exact class and field values, so instances of two classes never
   compare equal;
-- ``hash`` of the tuple of field values;
+- ``hash`` of the field values;
 - assignment and deletion raise ``FrozenInstanceError``.
 
-A class built tens of thousands of times per stage writes ``__eq__`` and
-``__hash__`` out as well, with the same results.  ``replace`` is
-``dataclasses.replace``.
+``==`` and ``hash`` read the field values through one
+``operator.attrgetter`` per class, built when the class is defined: the
+tuple of values, or the value itself for a class of one field.  ``replace``
+is ``dataclasses.replace``.
 """
 
 from __future__ import annotations
+
+from operator import attrgetter
 
 from deepa2.errors import FrozenInstanceError
 
@@ -37,16 +40,20 @@ class Frozen:
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
+    def __init_subclass__(cls, **kwargs):
+        """Give a class with fields its ``_field_values`` getter."""
+        super().__init_subclass__(**kwargs)
+        if cls._fields:
+            cls._field_values = attrgetter(*cls._fields)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._values() == other._values()
+            values = self._field_values
+            return values(self) == values(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(self._field_values(self))
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)

@@ -250,22 +250,10 @@ class MetricReport(Frozen):
         )
 
     def to_flat_dict(self) -> dict:
-        data = {
-            "sys_pp": self.sys_pp,
-            "sys_rp": self.sys_rp,
-            "sys_rc": self.sys_rc,
-            "sys_us": self.sys_us,
-            "sys_sch": self.sys_sch,
-            "sys_val": self.sys_val,
-            "exe_meq": self.exe_meq,
-            "exe_rss": self.exe_rss,
-            "exe_jss": self.exe_jss,
-            "exe_ppr": self.exe_ppr,
-            "exe_ppj": self.exe_ppj,
-            "exe_te_prediction": self.exe_te_prediction,
-        }
-        if self.diagnostics:
-            data["diagnostics"] = list(self.diagnostics)
+        data = dict(zip(self._fields, self._field_values(self)))
+        diagnostics = data.pop("diagnostics")
+        if diagnostics:
+            data["diagnostics"] = list(diagnostics)
         return data
 
     @property

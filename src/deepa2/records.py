@@ -44,14 +44,6 @@ class QuotedStatement(Frozen):
         fields["text"] = text
         fields["ref"] = ref
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.text, self.ref) == (other.text, other.ref)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.text, self.ref))
-
 
 class RecordMeta(Frozen):
     """Construction facts about a record, used for subset classification.
@@ -125,7 +117,8 @@ class DeepA2Record(Frozen):
 
     ``texts`` maps each present dimension to its wire text, in
     ``DimensionId`` order; every reader shares the dict and none may change
-    it.  ``==`` and ``hash`` work on ``(texts, meta)``.  Each dimension also
+    it.  ``==`` and ``hash`` work on ``(texts, meta)``; ``hash`` is written
+    out here, as the dict ``texts`` has none of its own.  Each dimension also
     has a parsed view named by its keyword (``record.argdown``,
     ``record.premises_form``, ...), parsed on first read; a malformed text
     raises ``DimensionParseError`` there."""
@@ -179,11 +172,6 @@ class DeepA2Record(Frozen):
         for dim, value in present.items():
             record.__dict__[dim.keyword] = value
         return record
-
-    def __eq__(self, other):
-        if not isinstance(other, DeepA2Record):
-            return NotImplemented
-        return self.meta == other.meta and self.texts == other.texts
 
     def __hash__(self):
         return hash((*self.texts.items(), self.meta))

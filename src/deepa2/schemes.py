@@ -52,21 +52,6 @@ class SchemeVariant(Frozen):
         fields["conclusion"] = conclusion
         fields["intricate"] = intricate
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (
-                self.scheme_name, self.variant, self.premises, self.conclusion, self.intricate
-            ) == (
-                other.scheme_name, other.variant, other.premises, other.conclusion,
-                other.intricate,
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(
-            (self.scheme_name, self.variant, self.premises, self.conclusion, self.intricate)
-        )
-
     @property
     def label(self) -> str:
         return self.scheme_name + (f" ({self.variant})" if self.variant else "")

@@ -147,3 +147,18 @@ def random_formula_set(
     ]
     conclusion = random_closed_formula(rng, predicates, constants, max_depth)
     return premises, conclusion
+
+
+def block_disjunctions(rng: random.Random, n: int) -> list[str]:
+    """n premise texts ``((Ex): l1 & l2 & l3 & l4) v ((Ex): ...)``, each l a
+    literal of x over four distinct letters of ``FGHIJKLMNP``.  Each premise
+    is two quantifier blocks, so the decider's search branches about once
+    per premise: it goes deeper the more premises there are."""
+
+    def block():
+        letters = rng.sample("FGHIJKLMNP", 4)
+        return "((Ex): " + " & ".join(
+            ("not " if rng.randrange(2) else "") + f"{letter} x" for letter in letters
+        ) + ")"
+
+    return [f"{block()} v {block()}" for _ in range(n)]

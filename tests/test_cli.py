@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 import time
 
 import pytest
@@ -18,6 +19,7 @@ from deepa2.records import _parse_statements, load_corpus
 from deepa2.textnorm import normalize_ws
 from deepa2.traces import read_finals
 
+from .helpers import block_disjunctions
 from .stubserver import digest_echo, start_stub_server, stop_stub_server
 
 
@@ -185,6 +187,22 @@ class TestRun:
                        "--backend", "oracle", "--out", str(traces))
         assert code == EXIT_OK
         assert len(traces.read_text().strip().splitlines()) == 20 * 3
+
+    @pytest.mark.parametrize("backend", ["oracle", "noisy:0.2"])
+    def test_oracle_target_without_the_output_fails_only_its_traces(
+        self, tmp_path, corpus_file, backend
+    ):
+        rows = [json.loads(line) for line in corpus_file.read_text().splitlines()]
+        del rows[1]["reasons"]
+        corpus_file.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        traces = tmp_path / "traces.jsonl"
+        code = run_cli("run", "--corpus", str(corpus_file), "--chains", "1",
+                       "--backend", backend, "--out", str(traces))
+        assert code == EXIT_BACKEND
+        errors = [json.loads(line)["error"] for line in traces.read_text().splitlines()]
+        record_id = rows[1]["meta"]["record_id"]
+        assert errors[1] == f"record {record_id!r}: dimension reasons is absent"
+        assert errors[:1] + errors[2:] == [None] * 19
 
     def test_bad_chain_id_exits_2(self, tmp_path, corpus_file):
         code = run_cli("run", "--corpus", str(corpus_file), "--chains", "17",
@@ -469,12 +487,16 @@ class TestEval:
         (["F a"] * 1200, None),
         (["(x): " + " & ".join(f"(G {c} -> F x)" for c in "abcdefghijklmnopqrst")],
          "sys_val: quantifier elimination exceeds 10000 nodes"),
-    ], ids=["nested-300-deep", "1200-premises", "20-guarded-conjuncts"])
+        (block_disjunctions(random.Random(1), 2000),
+         "sys_val: satisfiability search exceeds 100 levels"),
+    ], ids=["nested-300-deep", "1200-premises", "20-guarded-conjuncts",
+            "2000-block-disjunctions"])
     def test_hostile_formalization_is_scored_in_bounded_time(
         self, tmp_path, corpus_file, premises, diagnostic
     ):
-        """One formalization too deep, too long or too costly to eliminate
-        scores ``sys_val`` 0 with a diagnostic, or is decided, within 2 s."""
+        """One formalization too deep, too long, too costly to eliminate or
+        too deep to search scores ``sys_val`` 0 with a diagnostic, or is
+        decided, within 2 s."""
         traces = tmp_path / "traces.jsonl"
         run_cli("run", "--corpus", str(corpus_file), "--chains", "1",
                 "--backend", "oracle", "--with-formalization", "--out", str(traces))
@@ -544,6 +566,23 @@ class TestEval:
         code = run_cli("eval", "--traces", str(traces), "--corpus", str(other),
                        "--out", str(tmp_path / "m.jsonl"))
         assert code == EXIT_VALIDATION
+
+    def test_trace_that_joins_no_record_is_refused_with_its_line(
+        self, tmp_path, corpus_file, caplog
+    ):
+        traces = tmp_path / "traces.jsonl"
+        run_cli("run", "--corpus", str(corpus_file), "--chains", "1",
+                "--backend", "oracle", "--out", str(traces))
+        lines = traces.read_text().splitlines(keepends=True)
+        row = json.loads(lines[2])
+        row["record_id"] = "no-such-record"
+        # A blank line still counts as a line of the file.
+        traces.write_text("".join(lines[:2]) + "\n" + json.dumps(row) + "\n")
+        code = run_cli("eval", "--traces", str(traces), "--corpus", str(corpus_file),
+                       "--out", str(tmp_path / "m.jsonl"))
+        assert code == EXIT_VALIDATION
+        assert (f"{traces}:4: trace for unknown record 'no-such-record'; corpus mismatch"
+                in caplog.text)
 
 
 @pytest.mark.parametrize("argv, minimum", [

@@ -1,5 +1,6 @@
 """Parser, printer, and decision-procedure tests for the formula language."""
 
+import itertools
 import pickle
 import random
 import time
@@ -24,9 +25,10 @@ from deepa2.formula import (
     parse_formula,
     render_formula,
 )
+from deepa2.formula.decide import MAX_SEARCH_DEPTH
 
 from .bruteforce import brute_force_entails, brute_force_satisfiable
-from .helpers import random_closed_formula, random_formula_set
+from .helpers import block_disjunctions, random_closed_formula, random_formula_set
 
 
 def fx(pred, var="x"):
@@ -516,6 +518,52 @@ def test_quantifier_elimination_counts_against_the_node_budget():
     with pytest.raises(UnsupportedFragmentError, match="quantifier elimination exceeds"):
         check_entailment([guarded("abcdefghijklmnopqrst")], parse_formula("F a"))
     assert time.perf_counter() - start < 2.0
+
+
+def test_a_deep_search_is_refused():
+    """Each search node on one branch is a recursion level, and this search
+    goes about one level deeper per premise.  Unbounded, these 500 premises
+    are decided 444 levels deep, and 2 000 need 1 274 levels, past the
+    default recursion limit."""
+    premises = [parse_formula(text) for text in block_disjunctions(random.Random(1), 500)]
+    with pytest.raises(UnsupportedFragmentError,
+                       match=f"satisfiability search exceeds {MAX_SEARCH_DEPTH} levels"):
+        check_satisfiable(premises)
+
+
+def _block_chain(n):
+    """``(Ex): B1 v ... v Bn v F x`` as a balanced tree, each B a distinct
+    block ``(Ey): l1 y & l2 y & l3 y``.  Eliminating x splits on B1, ...,
+    Bn in turn, one level deeper each, and builds a skeleton 2n deep."""
+    blocks = [
+        "((Ey): " + " & ".join(f"{sign}{letter} y" for sign, letter in zip(signs, letters)) + ")"
+        for letters in itertools.combinations("FGHIJKLMNP", 3)
+        for signs in itertools.product(("", "not "), repeat=3)
+    ][:n]
+
+    def balanced(items):
+        if len(items) == 1:
+            return items[0]
+        middle = len(items) // 2
+        return f"({balanced(items[:middle])} v {balanced(items[middle:])})"
+
+    return parse_formula("(Ex): " + balanced(blocks + ["F x"]))
+
+
+def _under_frames(n, call):
+    """call() run n Python frames deeper than the caller."""
+    return _under_frames(n - 1, call) if n else call()
+
+
+def test_quantifier_elimination_depth_is_bounded_well_under_the_recursion_limit():
+    no_f = parse_formula("(x): not F x")
+    with pytest.raises(UnsupportedFragmentError,
+                       match=f"quantifier elimination exceeds {MAX_SEARCH_DEPTH} levels"):
+        check_satisfiable([_block_chain(MAX_SEARCH_DEPTH + 1), no_f])
+    # At the bound, the check still leaves half the default recursion limit
+    # to its caller.
+    at_bound = [_block_chain(MAX_SEARCH_DEPTH), no_f]
+    assert _under_frames(500, lambda: check_satisfiable(at_bound)) is True
 
 
 def test_render_formula_is_parse_inverse_on_paper_style_strings():
